@@ -12,6 +12,18 @@ exchangeable rivals): per draw, one customer risk-aversion realization
 is applied to every entity's product, rival offers are sampled from the
 per-score-class pmf, and our product wins only on a strictly higher
 expected utility.
+
+The Monte Carlo count orders products by rate where it can prove that
+order.  For two rates a < b a lower bound on the utility gap over the
+whole risk-aversion range follows from the payout schedules alone; when
+it exceeds ``_SEPARATION_MARGIN``, every draw prefers b, so a draw's
+choice is decided by its highest rival offer and no utility is
+evaluated.  Only the offer pairs without such a proof (in practice a
+grid rate equal to a rival offer) are compared utility by utility, on
+the draws whose highest rival offer they concern.  When consecutive
+rival offers cannot be ordered this way (constant or underflowing
+utilities), the count falls back to full utility tables.  Both paths
+give the same bits.
 """
 
 from __future__ import annotations
@@ -41,6 +53,12 @@ __all__ = [
 
 SCORE_CLASSES = ("none", "low", "high")
 BENEFIT_MODES = ("next_year", "horizon")
+
+# A proven utility gap must exceed this to order two offers without
+# evaluating them.  Expected utilities are at most 1 and carry rounding
+# errors near 1e-15, so a gap above 1e-9 is far beyond any rounding and
+# the evaluated utilities compare the same way for every draw.
+_SEPARATION_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -166,6 +184,12 @@ def _payout_schedule(h, scenario: PensionScenario):
     return early, stay
 
 
+def _check_offer_range(h, scenario: PensionScenario) -> None:
+    lo, hi = scenario._offer_range()
+    if np.any(h < lo - 1e-12) or np.any(h > hi + 1e-12):
+        raise ValueError(f"offer outside the modeled range [{lo}, {hi}]")
+
+
 def customer_expected_utility(
     h,
     scenario: PensionScenario,
@@ -184,11 +208,7 @@ def customer_expected_utility(
     if np.any(rho_arr <= 0):
         raise ValueError("risk aversion must be positive")
     if _check_range:
-        lo, hi = scenario._offer_range()
-        if np.any(h_arr < lo - 1e-12) or np.any(h_arr > hi + 1e-12):
-            raise ValueError(
-                f"offer outside the modeled range [{lo}, {hi}]"
-            )
+        _check_offer_range(h_arr, scenario)
     early, stay = _payout_schedule(h_arr, scenario)
     q = np.asarray(scenario.exit_profile.q_exit)
     u_early = 1.0 - np.exp(-rho_arr[..., None] * early)
@@ -202,10 +222,7 @@ def customer_expected_utility(
 
 
 def acceptance_probability(
-    h1: float,
-    scenario: PensionScenario,
-    rng: RngStream,
-    g: Callable[[int], float] | None = None,
+    h1: float, scenario: PensionScenario, rng: RngStream
 ) -> tuple[float, float]:
     """Monte Carlo estimate of P(customer takes our offer ``h1``).
 
@@ -216,25 +233,9 @@ def acceptance_probability(
     exchangeable rivals.  Returns (estimate, standard error).
     """
     scenario.validate()
-    gen = rng.generator
-    draws = scenario.mc_draws
-    rho = gen.uniform(scenario.risk_aversion[0], scenario.risk_aversion[1], draws)
-    offers = np.asarray(scenario.competitor_offers.values)
-    idx = gen.choice(
-        offers.size, size=(draws, scenario.n_competitors), p=scenario.competitor_offers.probs
-    )
-    eu_ours = customer_expected_utility(
-        np.full(draws, float(h1)), scenario, rho, g, _check_range=True
-    )
-    # rival EU depends on the draw only through (offer value, rho):
-    # evaluate the 10-or-so distinct offers once per draw and index in.
-    eu_table = customer_expected_utility(
-        offers[None, :], scenario, rho[:, None], g, _check_range=False
-    )  # (draws, n_offers)
-    eu_rivals = np.take_along_axis(eu_table, idx, axis=1)  # (draws, rivals)
-    wins = (eu_ours[:, None] > eu_rivals).all(axis=1)
-    p = float(wins.mean())
-    se = math.sqrt(p * (1.0 - p) / draws)
+    _check_offer_range(float(h1), scenario)
+    p = float(_acceptance(np.array([float(h1)]), scenario, rng, workers=1)[0])
+    se = math.sqrt(p * (1.0 - p) / scenario.mc_draws)
     return p, se
 
 
@@ -347,10 +348,117 @@ class OfferEvaluation:
         return float(self.accept_prob[self.optimum_index])
 
 
+def _draw_customers(scenario: PensionScenario, rng: RngStream):
+    """Per draw: the customer's risk aversion and each rival's offer index."""
+    gen = rng.generator
+    draws = scenario.mc_draws
+    rho = gen.uniform(scenario.risk_aversion[0], scenario.risk_aversion[1], draws)
+    idx = gen.choice(
+        len(scenario.competitor_offers.values),
+        size=(draws, scenario.n_competitors),
+        p=scenario.competitor_offers.probs,
+    )
+    return rho, idx
+
+
+def _utility_gap_bound(a, b, scenario: PensionScenario) -> np.ndarray:
+    """Lower bound on E(b, rho) - E(a, rho) over rho in the risk-aversion range.
+
+    Each exit year (and staying) adds q * exp(-rho * W(a)) * (1 - exp(-rho *
+    (W(b) - W(a)))) to the gap; with nonnegative q, payouts and payout rise
+    the first factor is smallest at the high end of the range and the
+    second at the low end.  Where those signs fail the bound is -inf.
+    ``a`` and ``b`` broadcast.
+    """
+    lo, hi = scenario.risk_aversion
+    weights = np.array([scenario.exit_profile.stay_prob, *scenario.exit_profile.q_exit])
+    with np.errstate(all="ignore"):
+        early_a, stay_a = _payout_schedule(a, scenario)
+        early_b, stay_b = _payout_schedule(b, scenario)
+        pay_a = np.concatenate([stay_a[..., None], early_a], axis=-1)
+        rise = np.concatenate([stay_b[..., None], early_b], axis=-1) - pay_a
+        terms = weights * np.exp(-hi * pay_a) * -np.expm1(-lo * rise)
+        bound = terms.sum(axis=-1)
+    valid = np.all((pay_a >= 0) & (rise >= 0), axis=-1) & bool(weights.min() >= 0)
+    return np.where(valid, bound, -np.inf)
+
+
+def _rate_order_applies(scenario: PensionScenario) -> bool:
+    """Whether every consecutive pair of rival offers has a proven gap.
+
+    Then expected utility strictly increases along the rival offers for
+    every draw, so a draw's best rival product is its highest offer.
+    """
+    offers = np.asarray(scenario.competitor_offers.values)
+    gaps = _utility_gap_bound(offers[:-1], offers[1:], scenario)
+    return bool(np.all(gaps > _SEPARATION_MARGIN))
+
+
+def _wins_full_table(points, scenario, rho, idx, workers) -> np.ndarray:
+    """Per grid rate, the draws in which it beats every rival, from full
+    utility tables: the best rival utility of each draw against each rate."""
+    offers = np.asarray(scenario.competitor_offers.values)
+    eu_table = customer_expected_utility(
+        offers[None, :], scenario, rho[:, None], _check_range=False
+    )
+    eu_rival_max = np.take_along_axis(eu_table, idx, axis=1).max(axis=1)  # (draws,)
+    wins = np.empty(points.size, dtype=np.int64)
+
+    def _fill(block: slice) -> None:
+        eu_ours = customer_expected_utility(
+            points[None, block], scenario, rho[:, None], _check_range=False
+        )  # (draws, block)
+        wins[block] = (eu_ours > eu_rival_max[:, None]).sum(axis=0)
+
+    run_sliced(_fill, points.size, workers)
+    return wins
+
+
+def _wins_by_rate_order(points, scenario, rho, top, workers) -> np.ndarray:
+    """Per grid rate, the draws in which it beats every rival, given each
+    draw's highest rival offer index ``top``.
+
+    Requires :func:`_rate_order_applies`.  A rate wins every draw whose
+    top offer it provably beats and loses every draw whose top offer
+    provably beats it; the remaining (rate, offer) pairs compare exact
+    utilities on that offer's draws, split over ``workers`` threads.
+    """
+    offers = np.asarray(scenario.competitor_offers.values)
+    counts = np.bincount(top, minlength=offers.size)
+    beats = _utility_gap_bound(offers[None, :], points[:, None], scenario) > _SEPARATION_MARGIN
+    beaten = _utility_gap_bound(points[:, None], offers[None, :], scenario) > _SEPARATION_MARGIN
+    ties = ~(beats | beaten) & (counts > 0)  # (grid, offers)
+    tied_offers = np.flatnonzero(ties.any(axis=0))
+    tie_wins = np.zeros((offers.size, points.size), dtype=np.int64)
+
+    def _settle(block: slice) -> None:
+        for o in tied_offers[block]:
+            rates = np.flatnonzero(ties[:, o])
+            eu = customer_expected_utility(
+                np.concatenate(([offers[o]], points[rates]))[None, :],
+                scenario,
+                rho[top == o][:, None],
+                _check_range=False,
+            )  # (draws at offer o, 1 + rates): the rival's utility first
+            tie_wins[o, rates] = (eu[:, 1:] > eu[:, :1]).sum(axis=0)
+
+    run_sliced(_settle, tied_offers.size, workers)
+    return beats @ counts + tie_wins.sum(axis=0)
+
+
+def _acceptance(points, scenario: PensionScenario, rng: RngStream, workers: int):
+    """Share of the Monte Carlo draws in which each rate of ``points`` wins."""
+    rho, idx = _draw_customers(scenario, rng)
+    if _rate_order_applies(scenario):
+        wins = _wins_by_rate_order(points, scenario, rho, idx.max(axis=1), workers)
+    else:
+        wins = _wins_full_table(points, scenario, rho, idx, workers)
+    return wins / scenario.mc_draws
+
+
 def optimize_offer(
     scenario: PensionScenario,
     rng: RngStream,
-    g: Callable[[int], float] | None = None,
     workers: int = 1,
 ) -> OfferEvaluation:
     """Evaluate every offer on the grid and pick the expected-utility argmax.
@@ -358,38 +466,18 @@ def optimize_offer(
     One set of Monte Carlo draws (risk aversions and rival offers) is
     shared by all grid points, which makes the acceptance column exactly
     nondecreasing in the offer and the evaluation reproducible from
-    (scenario, seed).  The per-offer evaluation may be split over
-    ``workers`` threads with bit-identical results.  Ties on expected
+    (scenario, seed).  Acceptance is counted by rate order wherever the
+    utility gap between a grid rate and a rival offer is proven (see the
+    module docstring); the remaining exact utility comparisons, or the
+    full utility tables when rates cannot order the rivals, may be split
+    over ``workers`` threads with bit-identical results.  Ties on expected
     utility resolve to the lowest offer.
     """
     scenario.validate()
-    gen = rng.generator
     draws = scenario.mc_draws
     points = scenario.offer_grid.points()
-
-    rho = gen.uniform(scenario.risk_aversion[0], scenario.risk_aversion[1], draws)
-    offers = np.asarray(scenario.competitor_offers.values)
-    idx = gen.choice(
-        offers.size,
-        size=(draws, scenario.n_competitors),
-        p=scenario.competitor_offers.probs,
-    )
-    eu_table = customer_expected_utility(
-        offers[None, :], scenario, rho[:, None], g, _check_range=False
-    )
-    eu_rival_max = np.take_along_axis(eu_table, idx, axis=1).max(axis=1)  # (draws,)
-
-    accept = np.empty(points.size)
-
-    def _fill(block: slice) -> None:
-        eu_ours = customer_expected_utility(
-            points[None, block], scenario, rho[:, None], g, _check_range=False
-        )  # (draws, block)
-        accept[block] = (eu_ours > eu_rival_max[:, None]).mean(axis=0)
-
-    run_sliced(_fill, points.size, workers)
+    accept = _acceptance(points, scenario, rng, workers)
     se = np.sqrt(accept * (1.0 - accept) / draws)
-
     margin = (scenario.earn_rate - points) * scenario.scaled_capital
     utility_scale = (scenario.earn_rate - points[0]) * scenario.scaled_capital
     if utility_scale <= 0:  # grid starts at or above the earning rate

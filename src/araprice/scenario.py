@@ -10,6 +10,7 @@ round-trips back to JSON unchanged.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -36,6 +37,7 @@ __all__ = [
 
 KINDS = ("retail", "pension", "template")
 FORMATS = ("csv", "json")
+_FLOAT_MAX = sys.float_info.max
 
 
 class ScenarioError(Exception):
@@ -128,11 +130,27 @@ def _require(obj: dict, key: str, types, path: str, problems: list):
 def _number(obj, key, path, problems, optional=False):
     if optional and key not in obj:
         return None
-    value = _require(obj, key, (int, float), path, problems)
-    if isinstance(value, bool):
-        problems.append(f"{path}.{key}: expected a number, got a bool")
-        return None
-    return value
+    return _require(obj, key, (int, float), path, problems)
+
+
+def _literal_problems(node, path: str) -> list[str]:
+    """Booleans and non-finite numbers anywhere in the file.
+
+    No scenario field takes either, and JSON ``true`` would otherwise pass
+    as the integer 1, ``NaN``/``Infinity`` as floats, and an integer
+    beyond the float range would overflow its conversion.
+    """
+    if isinstance(node, bool):
+        return [f"{path}: a bool is not a valid value"]
+    if isinstance(node, (int, float)) and not -_FLOAT_MAX <= node <= _FLOAT_MAX:
+        return [f"{path}: {node!r:.24} is not a finite number"]
+    if isinstance(node, dict):
+        children = ((f"{path}.{k}", v) for k, v in node.items())
+    elif isinstance(node, list):
+        children = ((f"{path}[{i}]", v) for i, v in enumerate(node))
+    else:
+        return []
+    return [p for where, v in children for p in _literal_problems(v, where)]
 
 
 def _grid(obj, key, path, problems):
@@ -320,6 +338,7 @@ def parse_scenario(path) -> ScenarioFile:
         schema_problems.append("scenario.output: expected a string path")
     if seed is not None and isinstance(seed, int) and not 0 <= seed < 2**64:
         schema_problems.append("scenario.seed: must fit in 64 unsigned bits")
+    schema_problems.extend(_literal_problems(raw, "scenario"))
     if schema_problems:
         raise SchemaError("; ".join(schema_problems))
 

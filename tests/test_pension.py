@@ -1,10 +1,14 @@
 """Pension engine: customer utility, acceptance, benefits, optimization."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from araprice import pension
 from araprice.core import PriceGrid
 from araprice.pension import (
     ExitProfile,
@@ -17,6 +21,7 @@ from araprice.pension import (
     optimize_offer,
 )
 from araprice.randkit import CategoricalPMF, RngStream
+from araprice.scenario import bundled_case, bundled_case_names, parse_scenario
 
 CASE1_OFFERS = CategoricalPMF(
     (0.025, 0.03, 0.035, 0.04, 0.045, 0.05, 0.055, 0.06, 0.065, 0.07),
@@ -215,6 +220,126 @@ class TestOptimizeOffer:
         for h, p, eu in zip(ev.offers, ev.accept_prob, ev.expected_utility):
             raw = bank_expected_utility(float(h), float(p), CASE1)
             assert eu == pytest.approx(raw / scale, rel=1e-12)
+
+
+def full_table_wins(points, scenario, seed):
+    """Wins per rate from full utility tables, on the draws of ``seed``."""
+    rho, idx = pension._draw_customers(scenario, RngStream(seed))
+    return pension._wins_full_table(np.asarray(points), scenario, rho, idx, workers=1)
+
+
+@st.composite
+def pension_scenarios(draw):
+    """Small pension problems: rates on a 0.001 lattice, grids on it, a
+    half step off it, or 2e-9 off it, and any exit profile, penalty,
+    risk-aversion range and money unit."""
+    lattice = sorted(draw(st.sets(st.integers(0, 100), min_size=1, max_size=10)))
+    weights = draw(
+        st.lists(st.integers(0, 9), min_size=len(lattice), max_size=len(lattice)).filter(any)
+    )
+    lo, count, step = draw(st.integers(0, 100)), draw(st.integers(0, 20)), draw(st.integers(1, 10))
+    shift = draw(st.sampled_from([0.0, 0.0005, 2e-9, -2e-9]))
+    horizon = draw(st.integers(1, 10))
+    exits = draw(st.lists(st.integers(0, 9), min_size=horizon - 1, max_size=horizon - 1))
+    stay = draw(st.integers(0, 9))
+    total = sum(exits) + stay
+    rho_low = draw(st.floats(0.05, 5.0))
+    return PensionScenario(
+        capital=draw(st.floats(1e3, 1e5)),
+        earn_rate=0.5,
+        offer_grid=PriceGrid(lo / 1000 + shift, (lo + count * step) / 1000 + shift, step / 1000),
+        horizon=horizon,
+        exit_profile=ExitProfile(tuple(q / total if total else 0.0 for q in exits)),
+        competitor_offers=CategoricalPMF(
+            tuple(v / 1000 for v in lattice), tuple(w / sum(weights) for w in weights)
+        ),
+        penalty_fraction=draw(st.floats(0.0, 1.0)),
+        n_competitors=draw(st.integers(1, 10)),
+        risk_aversion=(rho_low, rho_low + draw(st.floats(0.0, 1.0) | st.floats(0.0, 45.0))),
+        money_unit=draw(st.sampled_from([1e3, 1e4, 1e5, 1.0])),
+        mc_draws=draw(st.integers(1, 5_000)),
+    )
+
+
+class TestRateOrderCount:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scenario=pension_scenarios(),
+        seed=st.integers(0, 2**32 - 1),
+        workers=st.sampled_from([1, 2]),
+    )
+    def test_matches_full_tables_bit_for_bit(self, scenario, seed, workers):
+        points = scenario.offer_grid.points()
+        full = full_table_wins(points, scenario, seed)
+        if pension._rate_order_applies(scenario):
+            rho, idx = pension._draw_customers(scenario, RngStream(seed))
+            fast = pension._wins_by_rate_order(points, scenario, rho, idx.max(axis=1), workers)
+            assert fast.tobytes() == full.tobytes()
+        ev = optimize_offer(scenario, RngStream(seed), workers=workers)
+        assert ev.accept_prob.tobytes() == (full / scenario.mc_draws).tobytes()
+        h1 = float(points[-1])
+        p, se = acceptance_probability(h1, scenario, RngStream(seed))
+        expected = full_table_wins([h1], scenario, seed)[0] / scenario.mc_draws
+        assert (p, se) == (expected, math.sqrt(expected * (1 - expected) / scenario.mc_draws))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(penalty_fraction=1.0, exit_profile=ExitProfile((1.0, 0, 0, 0, 0, 0, 0))),
+            dict(money_unit=1.0),
+            dict(risk_aversion=(5.0, 50.0)),
+            dict(competitor_offers=CategoricalPMF((0.03, 0.04, 0.04 + 1e-12), (0.3, 0.3, 0.4))),
+        ],
+        ids=["constant_utility", "exp_underflow", "high_risk_aversion", "near_equal_offers"],
+    )
+    def test_falls_back_when_rates_cannot_order_rivals(self, overrides):
+        scenario = make_scenario(**overrides)
+        assert not pension._rate_order_applies(scenario)
+        points = scenario.offer_grid.points()
+        ev = optimize_offer(scenario, RngStream(4), workers=2)
+        expected = full_table_wins(points, scenario, 4) / scenario.mc_draws
+        assert ev.accept_prob.tobytes() == expected.tobytes()
+
+    def test_bundled_cases_take_the_rate_order_path(self):
+        names = [n for n in bundled_case_names() if n.startswith("pension")]
+        assert names
+        for name in names:
+            assert pension._rate_order_applies(parse_scenario(bundled_case(name)).params), name
+
+    def test_only_undecided_pairs_evaluate_utilities(self, monkeypatch):
+        evaluated = []
+        real = pension.customer_expected_utility
+
+        def counting(h, scenario, rho, *args, **kwargs):
+            evaluated.append(np.broadcast(np.asarray(h), np.asarray(rho)).size)
+            return real(h, scenario, rho, *args, **kwargs)
+
+        monkeypatch.setattr(pension, "customer_expected_utility", counting)
+        between = make_scenario(offer_grid=PriceGrid(0.0275, 0.0675, 0.005))
+        optimize_offer(between, RngStream(6))
+        assert evaluated == []  # no grid rate equals a rival offer
+        optimize_offer(CASE1, RngStream(6))
+        # each draw is compared once, at the grid rate equal to its top offer
+        assert sum(evaluated) == 2 * CASE1.mc_draws
+
+    def test_many_threads_match_one(self):
+        """More workers than cores and a short switch interval: the
+        threads that settle tied offers must not lose an update."""
+        scenario = make_scenario(
+            n_competitors=2, mc_draws=50_000, offer_grid=PriceGrid(0.025, 0.07, 0.0025)
+        )
+        one = optimize_offer(scenario, RngStream(8), workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = optimize_offer(scenario, RngStream(8), workers=16)
+        finally:
+            sys.setswitchinterval(interval)
+        assert many.accept_prob.tobytes() == one.accept_prob.tobytes()
+
+    def test_out_of_range_offer_still_raises(self):
+        with pytest.raises(ValueError, match="outside"):
+            acceptance_probability(0.5, CASE1, RngStream(1))
 
 
 class TestScenarioValidation:

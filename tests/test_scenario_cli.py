@@ -153,6 +153,30 @@ class TestCli:
         bad.write_text(json.dumps(raw))
         assert main(["run", str(bad)]) == 4
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("params", "capital", float("nan")),
+            ("params", "money_unit", float("inf")),
+            ("params", "capital", 10**400),
+            (None, "seed", True),
+            ("params", "mc_draws", True),
+            ("params", "horizon", True),
+            ("params", "n_competitors", True),
+        ],
+        ids=["capital_nan", "money_unit_infinity", "capital_huge_int", "seed_true",
+             "mc_draws_true", "horizon_true", "n_competitors_true"],
+    )
+    def test_bad_numbers_are_schema_errors(self, tmp_path, capsys, section, key, value):
+        raw = json.loads(bundled_case("pension_case1").read_text())
+        (raw[section] if section else raw)[key] = value
+        bad = tmp_path / "bad_number.json"
+        bad.write_text(json.dumps(raw))  # writes NaN, Infinity, true and big ints literally
+        out = tmp_path / "out"
+        assert main(["run", str(bad), "--out", str(out)]) == 3
+        assert key in capsys.readouterr().err
+        assert not out.with_suffix(".summary.json").exists()
+
     def test_determinism_across_runs_and_workers(self, tmp_path):
         case = bundled_case("retail_case3")
         paths = []
