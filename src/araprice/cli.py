@@ -116,28 +116,36 @@ def _metadata_line(scenario: ScenarioFile, summary: dict) -> str:
     )
 
 
-def _write_outputs(result, scenario: ScenarioFile, out_base: Path) -> list[Path]:
+def _check_finite(cols, rows, summary: dict) -> None:
+    """Raise FloatingPointError on a non-finite curve or summary value."""
+    for row in rows:
+        for col, value in zip(cols, row):
+            if not np.isfinite(value):
+                raise FloatingPointError(f"{col} is {value} at price {row[0]}")
+    for key, value in summary.items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise FloatingPointError(f"summary {key} is {value}")
+
+
+def _render_outputs(result, scenario: ScenarioFile, out_base: Path) -> dict:
+    """Output path -> file text; raises before any file exists when a value
+    is not finite."""
     cols, rows = _curve_table(result)
     summary = _summary(result, scenario)
-    written = []
+    _check_finite(cols, rows, summary)
     if scenario.format == "csv":
-        csv_path = out_base.with_suffix(".csv")
         lines = [_metadata_line(scenario, summary), ",".join(cols)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
-        csv_path.write_text("\n".join(lines) + "\n")
-        written.append(csv_path)
-        summary_path = out_base.with_suffix(".summary.json")
-        summary_path.write_text(json.dumps(summary, indent=2) + "\n")
-        written.append(summary_path)
-    else:
-        json_path = out_base.with_suffix(".json")
-        payload = {
-            "summary": summary,
-            "curve": {"columns": list(cols), "rows": rows},
+        return {
+            out_base.with_suffix(".csv"): "\n".join(lines) + "\n",
+            out_base.with_suffix(".summary.json"): _dumps(summary),
         }
-        json_path.write_text(json.dumps(payload, indent=2) + "\n")
-        written.append(json_path)
-    return written
+    payload = {"summary": summary, "curve": {"columns": list(cols), "rows": rows}}
+    return {out_base.with_suffix(".json"): _dumps(payload)}
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _run_template(
@@ -187,30 +195,32 @@ def cmd_run(args) -> int:
         scenario.kind, scenario.params, seed, scenario.output, scenario.format
     )
     workers = resolve_workers(args.workers)
-    started = time.perf_counter()
-    try:
-        result = _run_engine(scenario, seed, workers)
-    except (FloatingPointError, ValueError, ArithmeticError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 5
-    wall_ms = int(round(1000 * (time.perf_counter() - started)))
     out_base = Path(
         args.out
         or scenario.output
         or Path(args.scenario).with_suffix("").name + "_result"
     )
-    written = _write_outputs(result, scenario, out_base)
+    started = time.perf_counter()
+    try:
+        result = _run_engine(scenario, seed, workers)
+        wall_ms = int(round(1000 * (time.perf_counter() - started)))
+        outputs = _render_outputs(result, scenario, out_base)
+    except (FloatingPointError, ValueError, ArithmeticError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 5
+    for path, text in outputs.items():
+        path.write_text(text)
     print(
         f"optimum={result.optimum} accept={result.accept_at_optimum:.4f} "
         f"expected_utility={result.optimum_utility:.6g} seed={seed} "
         f"workers={workers} wall_ms={wall_ms}"
     )
-    for path in written:
+    for path in outputs:
         print(f"wrote {path}")
     return 0
 
 
-def _oracle_values(scenario: ScenarioFile, result, seed: int):
+def _oracle_values(scenario: ScenarioFile, result, seed: int, workers: int):
     """Per-grid-point oracle values and the engine columns to test them against."""
     params = scenario.params
     if scenario.kind == "pension":
@@ -226,6 +236,7 @@ def _oracle_values(scenario: ScenarioFile, result, seed: int):
             density = sample_competitor_prices(
                 dataclasses.replace(params, n1=32 * params.n1),
                 RngStream(seed, stream_id=0xFACE),
+                workers,
             )
         oracle = [
             quadrature_retail_utility(float(p), params, density=density)
@@ -260,7 +271,9 @@ def cmd_compare(args) -> int:
     workers = resolve_workers(args.workers)
     try:
         result = _run_engine(scenario, seed, workers)
-        prices, estimates, std_errs, oracle = _oracle_values(scenario, result, seed)
+        prices, estimates, std_errs, oracle = _oracle_values(
+            scenario, result, seed, workers
+        )
     except (FloatingPointError, ValueError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 5

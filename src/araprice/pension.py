@@ -24,10 +24,18 @@ the draws whose highest rival offer they concern.  When consecutive
 rival offers cannot be ordered this way (constant or underflowing
 utilities), the count falls back to full utility tables.  Both paths
 give the same bits.
+
+Draws are made and counted in fixed-size row blocks
+(``_parallel.map_blocks``): the rate-order path keeps only each draw's
+highest rival offer, looked up from its highest uniform, and the utility
+comparisons of both paths add up integer win counts block by block.  On
+the rate-order path memory does not grow with draws x rivals, and no
+utility temporary grows with the draw count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -35,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._parallel import run_sliced
+from ._parallel import map_blocks
 from .core import PriceGrid
 from .randkit import CategoricalPMF, RngStream
 
@@ -348,17 +356,31 @@ class OfferEvaluation:
         return float(self.accept_prob[self.optimum_index])
 
 
-def _draw_customers(scenario: PensionScenario, rng: RngStream):
-    """Per draw: the customer's risk aversion and each rival's offer index."""
+def _draw_customers(scenario: PensionScenario, rng: RngStream, top_only: bool):
+    """Per draw: the customer's risk aversion and each rival's offer index,
+    or with ``top_only`` only the highest of those indices.
+
+    The indices are bit for bit what ``gen.choice(n_offers, size=(draws,
+    n_competitors), p=probs)`` returns, from the same stream: that call
+    looks its uniforms ``gen.random((draws, n_competitors))`` up in the
+    normalized cdf with ``searchsorted(side="right")``.  The lookup is
+    monotone, so a draw's highest index is the lookup of its highest
+    uniform.  The uniforms are drawn in row blocks, in order.
+    """
     gen = rng.generator
-    draws = scenario.mc_draws
+    draws, rivals = scenario.mc_draws, scenario.n_competitors
     rho = gen.uniform(scenario.risk_aversion[0], scenario.risk_aversion[1], draws)
-    idx = gen.choice(
-        len(scenario.competitor_offers.values),
-        size=(draws, scenario.n_competitors),
-        p=scenario.competitor_offers.probs,
-    )
-    return rho, idx
+    cdf = np.cumsum(np.asarray(scenario.competitor_offers.probs, dtype=float))
+    cdf /= cdf[-1]
+
+    def _lookup(rows: slice) -> np.ndarray:
+        u = gen.random((rows.stop - rows.start, rivals))
+        if top_only:  # u.max(axis=1), without its per-row cost at few rivals
+            u = functools.reduce(np.maximum, u.T)
+        return cdf.searchsorted(u, side="right")
+
+    # one worker: the blocks must draw from the stream in order
+    return rho, np.concatenate(map_blocks(_lookup, draws, rivals))
 
 
 def _utility_gap_bound(a, b, scenario: PensionScenario) -> np.ndarray:
@@ -396,22 +418,19 @@ def _rate_order_applies(scenario: PensionScenario) -> bool:
 
 def _wins_full_table(points, scenario, rho, idx, workers) -> np.ndarray:
     """Per grid rate, the draws in which it beats every rival, from full
-    utility tables: the best rival utility of each draw against each rate."""
+    utility tables: the best rival utility of each draw against each rate,
+    in row blocks of draws split over ``workers`` threads."""
     offers = np.asarray(scenario.competitor_offers.values)
-    eu_table = customer_expected_utility(
-        offers[None, :], scenario, rho[:, None], _check_range=False
-    )
-    eu_rival_max = np.take_along_axis(eu_table, idx, axis=1).max(axis=1)  # (draws,)
-    wins = np.empty(points.size, dtype=np.int64)
+    rates = np.concatenate((offers, points))[None, :]
 
-    def _fill(block: slice) -> None:
-        eu_ours = customer_expected_utility(
-            points[None, block], scenario, rho[:, None], _check_range=False
-        )  # (draws, block)
-        wins[block] = (eu_ours > eu_rival_max[:, None]).sum(axis=0)
+    def _count(rows: slice) -> np.ndarray:
+        eu = customer_expected_utility(
+            rates, scenario, rho[rows, None], _check_range=False
+        )  # (draws in block, offers + grid)
+        rival = np.take_along_axis(eu[:, : offers.size], idx[rows], axis=1)
+        return (eu[:, offers.size :] > rival.max(axis=1)[:, None]).sum(axis=0)
 
-    run_sliced(_fill, points.size, workers)
-    return wins
+    return sum(map_blocks(_count, rho.size, rates.size * scenario.horizon, workers))
 
 
 def _wins_by_rate_order(points, scenario, rho, top, workers) -> np.ndarray:
@@ -421,39 +440,38 @@ def _wins_by_rate_order(points, scenario, rho, top, workers) -> np.ndarray:
     Requires :func:`_rate_order_applies`.  A rate wins every draw whose
     top offer it provably beats and loses every draw whose top offer
     provably beats it; the remaining (rate, offer) pairs compare exact
-    utilities on that offer's draws, split over ``workers`` threads.
+    utilities on that offer's draws, in row blocks split over ``workers``
+    threads.
     """
     offers = np.asarray(scenario.competitor_offers.values)
     counts = np.bincount(top, minlength=offers.size)
     beats = _utility_gap_bound(offers[None, :], points[:, None], scenario) > _SEPARATION_MARGIN
     beaten = _utility_gap_bound(points[:, None], offers[None, :], scenario) > _SEPARATION_MARGIN
     ties = ~(beats | beaten) & (counts > 0)  # (grid, offers)
-    tied_offers = np.flatnonzero(ties.any(axis=0))
-    tie_wins = np.zeros((offers.size, points.size), dtype=np.int64)
+    wins = beats @ counts
 
-    def _settle(block: slice) -> None:
-        for o in tied_offers[block]:
-            rates = np.flatnonzero(ties[:, o])
+    for o in np.flatnonzero(ties.any(axis=0)):
+        rates = np.flatnonzero(ties[:, o])
+        tied = np.concatenate(([offers[o]], points[rates]))[None, :]
+        rho_o = rho[top == o, None]
+
+        def _count(rows: slice) -> np.ndarray:
             eu = customer_expected_utility(
-                np.concatenate(([offers[o]], points[rates]))[None, :],
-                scenario,
-                rho[top == o][:, None],
-                _check_range=False,
-            )  # (draws at offer o, 1 + rates): the rival's utility first
-            tie_wins[o, rates] = (eu[:, 1:] > eu[:, :1]).sum(axis=0)
+                tied, scenario, rho_o[rows], _check_range=False
+            )  # (draws in block, 1 + rates): the rival's utility first
+            return (eu[:, 1:] > eu[:, :1]).sum(axis=0)
 
-    run_sliced(_settle, tied_offers.size, workers)
-    return beats @ counts + tie_wins.sum(axis=0)
+        row = tied.size * scenario.horizon
+        wins[rates] += sum(map_blocks(_count, rho_o.shape[0], row, workers))
+    return wins
 
 
 def _acceptance(points, scenario: PensionScenario, rng: RngStream, workers: int):
     """Share of the Monte Carlo draws in which each rate of ``points`` wins."""
-    rho, idx = _draw_customers(scenario, rng)
-    if _rate_order_applies(scenario):
-        wins = _wins_by_rate_order(points, scenario, rho, idx.max(axis=1), workers)
-    else:
-        wins = _wins_full_table(points, scenario, rho, idx, workers)
-    return wins / scenario.mc_draws
+    by_rate_order = _rate_order_applies(scenario)
+    rho, idx = _draw_customers(scenario, rng, top_only=by_rate_order)
+    count = _wins_by_rate_order if by_rate_order else _wins_full_table
+    return count(points, scenario, rho, idx, workers) / scenario.mc_draws
 
 
 def optimize_offer(

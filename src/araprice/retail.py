@@ -6,6 +6,10 @@ variance carries an inverse-gamma prior, which integrates out to a
 Student-t acceptance curve.  The competitor's price is forecast by
 solving her own pricing problem repeatedly under sampled beliefs, and the
 retailer grid-searches her expected margin against those forecasts.
+
+The forecast scores its draws in fixed-size row blocks
+(``_parallel.map_blocks``), so its memory does not grow with n1 * n2 *
+grid and ``workers`` threads can share the work with the same bits.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import run_sliced
+from ._parallel import map_blocks, run_sliced
 from .core import EvaluationCurve, PriceGrid
 from .randkit import (
     InverseGammaParams,
@@ -147,32 +151,44 @@ def _acceptance(p1, p2, scenario: RetailScenario, noise: InverseGammaParams):
     return t_choice_prob(p1, p2, noise)
 
 
-def sample_competitor_prices(scenario: RetailScenario, rng: RngStream) -> np.ndarray:
+def sample_competitor_prices(
+    scenario: RetailScenario, rng: RngStream, workers: int = 1
+) -> np.ndarray:
     """Forecast the rival's price: ``n1`` draws of her optimal response.
 
     Each draw realizes ``n2`` prices we might set (from the rival's power
     prior over our price), scores every candidate rival price by margin
     times estimated sale probability, and keeps the argmax.  A known
-    rival price short-circuits to a degenerate forecast.
+    rival price short-circuits to a degenerate forecast.  All uniforms
+    are drawn up front; the draws are then scored in row blocks of
+    ``n2`` x grid temporaries, split over ``workers`` threads without
+    changing a bit of the result.
     """
     scenario.validate()
     if scenario.known_competitor_price is not None:
         return np.full(scenario.n1, float(scenario.known_competitor_price))
 
     grid = scenario.competitor_grid.points()
-    g = rng.generator
-    u = g.random((scenario.n1, scenario.n2))
+    margin = grid - scenario.competitor_cost
+    u = rng.generator.random((scenario.n1, scenario.n2))
     prior = scenario.our_price_prior
-    our_prices = prior.lower + (prior.upper - prior.lower) * u ** (
-        1.0 / (prior.exponent + 1.0)
-    )
-    # sale probability for the rival: customer takes her product when it is
-    # cheaper, up to the rival's own (vaguer) noise model
-    win = 1.0 - _acceptance(
-        our_prices[:, :, None], grid[None, None, :], scenario, scenario.competitor_noise
-    )
-    objective = (grid - scenario.competitor_cost)[None, :] * win.mean(axis=1)
-    return grid[np.argmax(objective, axis=1)]
+
+    def _best(rows: slice) -> np.ndarray:
+        our_prices = prior.lower + (prior.upper - prior.lower) * u[rows] ** (
+            1.0 / (prior.exponent + 1.0)
+        )
+        # sale probability for the rival: customer takes her product when it
+        # is cheaper, up to the rival's own (vaguer) noise model
+        win = 1.0 - _acceptance(
+            our_prices[:, :, None],
+            grid[None, None, :],
+            scenario,
+            scenario.competitor_noise,
+        )
+        return np.argmax(margin[None, :] * win.mean(axis=1), axis=1)
+
+    blocks = map_blocks(_best, scenario.n1, scenario.n2 * grid.size, workers)
+    return grid[np.concatenate(blocks)]
 
 
 def estimate_expected_utility(
@@ -209,12 +225,13 @@ def optimize_price(
 
     All grid points are scored against the same competitor-price sample,
     which keeps the acceptance column monotone in price and the whole
-    curve reproducible from (scenario, seed).  The grid evaluation may be
-    split across ``workers`` threads without changing a single bit of the
-    result (randomness is drawn up front; slices are pre-assigned).
+    curve reproducible from (scenario, seed).  The rival forecast and the
+    grid evaluation may be split across ``workers`` threads without
+    changing a single bit of the result (randomness is drawn up front;
+    blocks and slices are pre-assigned).
     """
     scenario.validate()
-    samples = sample_competitor_prices(scenario, rng)
+    samples = sample_competitor_prices(scenario, rng, workers)
     points = scenario.price_grid.points()
 
     accept = np.empty((points.size, samples.size))

@@ -114,14 +114,26 @@ class ScenarioFile:
 # ---------------------------------------------------------------------------
 
 
+_NUMBER = (int, float)
+_TYPE_NAMES = {
+    _NUMBER: "number",
+    int: "integer",
+    str: "string",
+    dict: "object",
+    list: "array",
+}
+
+
 def _require(obj: dict, key: str, types, path: str, problems: list):
+    """``obj[key]`` if present and of JSON type ``types``, else None with a
+    schema problem recorded."""
     if key not in obj:
         problems.append(f"{path}.{key}: missing")
         return None
     value = obj[key]
-    if types is not None and not isinstance(value, types):
+    if not isinstance(value, types):
         problems.append(
-            f"{path}.{key}: expected {types}, got {type(value).__name__}"
+            f"{path}.{key}: expected {_TYPE_NAMES[types]}, got {type(value).__name__}"
         )
         return None
     return value
@@ -130,7 +142,20 @@ def _require(obj: dict, key: str, types, path: str, problems: list):
 def _number(obj, key, path, problems, optional=False):
     if optional and key not in obj:
         return None
-    return _require(obj, key, (int, float), path, problems)
+    return _require(obj, key, _NUMBER, path, problems)
+
+
+def _numbers(obj, key, path, problems):
+    """A list of numbers at ``obj[key]``, else None with a schema problem."""
+    values = _require(obj, key, list, path, problems)
+    if values is None:
+        return None
+    for i, v in enumerate(values):
+        if not isinstance(v, _NUMBER):
+            kind = type(v).__name__
+            problems.append(f"{path}.{key}[{i}]: expected number, got {kind}")
+            return None
+    return values
 
 
 def _literal_problems(node, path: str) -> list[str]:
@@ -153,7 +178,7 @@ def _literal_problems(node, path: str) -> list[str]:
     return [p for where, v in children for p in _literal_problems(v, where)]
 
 
-def _grid(obj, key, path, problems):
+def _grid(obj, key, path, problems, invariants):
     raw = _require(obj, key, dict, path, problems)
     if raw is None:
         return None
@@ -165,11 +190,11 @@ def _grid(obj, key, path, problems):
     try:
         return PriceGrid(float(lo), float(hi), float(step))
     except ValueError as exc:
-        problems.append(f"{path}.{key}: {exc}")
+        invariants.append(f"{path}.{key}: {exc}")
         return None
 
 
-def _igamma(obj, key, path, problems, optional=False):
+def _igamma(obj, key, path, problems, invariants, optional=False):
     if optional and key not in obj:
         return None
     raw = _require(obj, key, dict, path, problems)
@@ -182,33 +207,35 @@ def _igamma(obj, key, path, problems, optional=False):
     try:
         return InverseGammaParams(float(shape), float(scale))
     except ValueError as exc:
-        problems.append(f"{path}.{key}: {exc}")
+        invariants.append(f"{path}.{key}: {exc}")
         return None
 
 
-def _pmf(obj, key, path, problems):
+def _pmf(obj, key, path, problems, invariants):
     raw = _require(obj, key, dict, path, problems)
     if raw is None:
         return None
-    values = _require(raw, "values", list, f"{path}.{key}", problems)
-    probs = _require(raw, "probs", list, f"{path}.{key}", problems)
+    values = _numbers(raw, "values", f"{path}.{key}", problems)
+    probs = _numbers(raw, "probs", f"{path}.{key}", problems)
     if values is None or probs is None:
         return None
     try:
         return CategoricalPMF(tuple(values), tuple(probs))
-    except (ValueError, TypeError) as exc:
-        problems.append(f"{path}.{key}: {exc}")
+    except ValueError as exc:
+        invariants.append(f"{path}.{key}: {exc}")
         return None
 
 
-def _parse_retail(params: dict, problems: list) -> RetailScenario | None:
+def _parse_retail(
+    params: dict, problems: list, invariants: list
+) -> RetailScenario | None:
     path = "params"
     cost = _number(params, "cost", path, problems)
     competitor_cost = _number(params, "competitor_cost", path, problems)
     max_price = _number(params, "max_price", path, problems)
     competitor_max_price = _number(params, "competitor_max_price", path, problems)
-    customer_noise = _igamma(params, "customer_noise", path, problems)
-    competitor_noise = _igamma(params, "competitor_noise", path, problems)
+    customer_noise = _igamma(params, "customer_noise", path, problems, invariants)
+    competitor_noise = _igamma(params, "competitor_noise", path, problems, invariants)
     prior_exponent = _number(params, "prior_exponent", path, problems)
     grid_step = _number(params, "grid_step", path, problems)
     n1 = _require(params, "n1", int, path, problems)
@@ -216,7 +243,7 @@ def _parse_retail(params: dict, problems: list) -> RetailScenario | None:
     fixed_sigma = _number(params, "fixed_sigma", path, problems, optional=True)
     known = _number(params, "known_competitor_price", path, problems, optional=True)
     variant = params.get("utility_variant", "non_perishable")
-    if problems:
+    if problems or invariants:
         return None
     scenario = RetailScenario(
         cost=float(cost),
@@ -233,28 +260,29 @@ def _parse_retail(params: dict, problems: list) -> RetailScenario | None:
         known_competitor_price=None if known is None else float(known),
         utility_variant=str(variant),
     )
-    problems.extend(f"params.{v}" for v in scenario.violations())
+    invariants.extend(f"params.{v}" for v in scenario.violations())
     return scenario
 
 
-def _parse_pension(params: dict, problems: list) -> PensionScenario | None:
+def _parse_pension(
+    params: dict, problems: list, invariants: list
+) -> PensionScenario | None:
     path = "params"
     capital = _number(params, "capital", path, problems)
     earn_rate = _number(params, "earn_rate", path, problems)
-    offer_grid = _grid(params, "offer_grid", path, problems)
+    offer_grid = _grid(params, "offer_grid", path, problems, invariants)
     horizon = _require(params, "horizon", int, path, problems)
     penalty = _number(params, "penalty_fraction", path, problems)
-    exit_raw = _require(params, "exit_profile", list, path, problems)
-    offers = _pmf(params, "competitor_offers", path, problems)
+    exit_raw = _numbers(params, "exit_profile", path, problems)
+    offers = _pmf(params, "competitor_offers", path, problems, invariants)
     n_comp = _require(params, "n_competitors", int, path, problems)
-    rho = _require(params, "risk_aversion", list, path, problems)
+    rho = _numbers(params, "risk_aversion", path, problems)
     money_unit = _number(params, "money_unit", path, problems)
     score = params.get("score_class", "none")
     draws = _require(params, "mc_draws", int, path, problems)
     if rho is not None and len(rho) != 2:
         problems.append("params.risk_aversion: expected [low, high]")
-        rho = None
-    if problems:
+    if problems or invariants:
         return None
     scenario = PensionScenario(
         capital=float(capital),
@@ -270,31 +298,36 @@ def _parse_pension(params: dict, problems: list) -> PensionScenario | None:
         score_class=str(score),
         mc_draws=int(draws),
     )
-    problems.extend(f"params.{v}" for v in scenario.violations())
+    invariants.extend(f"params.{v}" for v in scenario.violations())
     return scenario
 
 
-def _parse_template(params: dict, problems: list) -> TemplateScenario | None:
+def _parse_template(
+    params: dict, problems: list, invariants: list
+) -> TemplateScenario | None:
     path = "params"
     cost = _number(params, "cost", path, problems)
-    grid = _grid(params, "grid", path, problems)
+    grid = _grid(params, "grid", path, problems, invariants)
     n_draws = _require(params, "n_draws", int, path, problems)
     choice = _require(params, "choice", dict, path, problems)
     sigma = None
     noise = None
     if choice is not None:
         sigma = _number(choice, "sigma", f"{path}.choice", problems, optional=True)
-        noise = _igamma(choice, "t_noise", f"{path}.choice", problems, optional=True)
+        noise = _igamma(
+            choice, "t_noise", f"{path}.choice", problems, invariants, optional=True
+        )
     raw_prices = params.get("competitor_prices")
     prices: object
     if isinstance(raw_prices, dict):
-        prices = _pmf(params, "competitor_prices", path, problems)
+        prices = _pmf(params, "competitor_prices", path, problems, invariants)
     elif isinstance(raw_prices, list) and raw_prices:
-        prices = tuple(float(v) for v in raw_prices)
+        prices = _numbers(params, "competitor_prices", path, problems)
+        prices = None if prices is None else tuple(float(v) for v in prices)
     else:
         problems.append(f"{path}.competitor_prices: expected a list or a pmf object")
         prices = None
-    if problems:
+    if problems or invariants:
         return None
     scenario = TemplateScenario(
         cost=float(cost),
@@ -304,15 +337,16 @@ def _parse_template(params: dict, problems: list) -> TemplateScenario | None:
         choice_noise=noise,
         n_draws=int(n_draws),
     )
-    problems.extend(f"params.{v}" for v in scenario.violations())
+    invariants.extend(f"params.{v}" for v in scenario.violations())
     return scenario
 
 
 def parse_scenario(path) -> ScenarioFile:
     """Load and fully validate a scenario file.
 
-    Raises MissingFileError / SchemaError / InvariantError, the latter
-    listing every violated invariant with its field path.
+    Raises MissingFileError, SchemaError (malformed JSON, or a missing
+    field or wrong JSON type anywhere in the file) or InvariantError; the
+    last two list every problem with its field path.
     """
     p = Path(path)
     if not p.is_file():
@@ -348,7 +382,9 @@ def parse_scenario(path) -> ScenarioFile:
         "pension": _parse_pension,
         "template": _parse_template,
     }[kind]
-    scenario = parser(params, invariant_problems)
+    scenario = parser(params, schema_problems, invariant_problems)
+    if schema_problems:
+        raise SchemaError("; ".join(schema_problems))
     if invariant_problems:
         raise InvariantError("; ".join(invariant_problems))
     return ScenarioFile(

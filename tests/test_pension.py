@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from araprice import pension
+from araprice._parallel import BLOCK_ELEMENTS
 from araprice.core import PriceGrid
 from araprice.pension import (
     ExitProfile,
@@ -222,10 +224,32 @@ class TestOptimizeOffer:
             assert eu == pytest.approx(raw / scale, rel=1e-12)
 
 
+def choice_draws(scenario, seed):
+    """The engine's draws made with numpy's own ``Generator.choice``."""
+    gen = RngStream(seed).generator
+    rho = gen.uniform(scenario.risk_aversion[0], scenario.risk_aversion[1], scenario.mc_draws)
+    idx = gen.choice(
+        len(scenario.competitor_offers.values),
+        size=(scenario.mc_draws, scenario.n_competitors),
+        p=scenario.competitor_offers.probs,
+    )
+    return rho, idx, gen
+
+
 def full_table_wins(points, scenario, seed):
-    """Wins per rate from full utility tables, on the draws of ``seed``."""
-    rho, idx = pension._draw_customers(scenario, RngStream(seed))
-    return pension._wins_full_table(np.asarray(points), scenario, rho, idx, workers=1)
+    """Wins per rate from full utility tables in one array each, on the
+    draws of ``seed`` made by ``Generator.choice``."""
+    points = np.asarray(points)
+    rho, idx, _ = choice_draws(scenario, seed)
+    offers = np.asarray(scenario.competitor_offers.values)
+    eu_table = customer_expected_utility(
+        offers[None, :], scenario, rho[:, None], _check_range=False
+    )
+    eu_rival_max = np.take_along_axis(eu_table, idx, axis=1).max(axis=1)
+    eu_ours = customer_expected_utility(
+        points[None, :], scenario, rho[:, None], _check_range=False
+    )
+    return (eu_ours > eu_rival_max[:, None]).sum(axis=0)
 
 
 @st.composite
@@ -272,8 +296,8 @@ class TestRateOrderCount:
         points = scenario.offer_grid.points()
         full = full_table_wins(points, scenario, seed)
         if pension._rate_order_applies(scenario):
-            rho, idx = pension._draw_customers(scenario, RngStream(seed))
-            fast = pension._wins_by_rate_order(points, scenario, rho, idx.max(axis=1), workers)
+            rho, top = pension._draw_customers(scenario, RngStream(seed), top_only=True)
+            fast = pension._wins_by_rate_order(points, scenario, rho, top, workers)
             assert fast.tobytes() == full.tobytes()
         ev = optimize_offer(scenario, RngStream(seed), workers=workers)
         assert ev.accept_prob.tobytes() == (full / scenario.mc_draws).tobytes()
@@ -340,6 +364,48 @@ class TestRateOrderCount:
     def test_out_of_range_offer_still_raises(self):
         with pytest.raises(ValueError, match="outside"):
             acceptance_probability(0.5, CASE1, RngStream(1))
+
+
+class TestBlockedDraws:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        probs=st.lists(st.integers(0, 9), min_size=1, max_size=10).filter(any),
+        rivals=st.integers(1, 10),
+        blocks=st.integers(0, 3),
+        offset=st.integers(-1, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draws_match_generator_choice(self, probs, rivals, blocks, offset, seed):
+        """Zero-probability offers as in pension_case1; the draw count lands
+        on, one below or one above 0 to 3 whole row blocks."""
+        scenario = make_scenario(
+            competitor_offers=CategoricalPMF(
+                tuple(0.02 + 0.005 * i for i in range(len(probs))),
+                tuple(w / sum(probs) for w in probs),
+            ),
+            n_competitors=rivals,
+            mc_draws=max(1, blocks * (BLOCK_ELEMENTS // rivals) + offset),
+        )
+        rho_ref, idx_ref, gen_ref = choice_draws(scenario, seed)
+        after = gen_ref.random()
+        for top_only, expected in ((True, idx_ref.max(axis=1)), (False, idx_ref)):
+            rng = RngStream(seed)
+            rho, idx = pension._draw_customers(scenario, rng, top_only=top_only)
+            assert rho.tobytes() == rho_ref.tobytes()
+            assert idx.dtype == expected.dtype and idx.tobytes() == expected.tobytes()
+            assert rng.generator.random() == after
+
+    def test_optimize_offer_memory_is_bounded(self):
+        """400k draws x 10 rivals: a single (draws, rivals) array of
+        uniforms alone would take 31 MiB."""
+        scenario = make_scenario(n_competitors=10, mc_draws=400_000)
+        tracemalloc.start()
+        try:
+            optimize_offer(scenario, RngStream(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestScenarioValidation:

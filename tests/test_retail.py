@@ -1,11 +1,16 @@
 """Retail engine: choice probabilities, forecasting, optimization."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from araprice._parallel import BLOCK_ELEMENTS
 from araprice.randkit import InverseGammaParams, RngStream
 from araprice.retail import (
     RetailScenario,
@@ -123,6 +128,67 @@ class TestCompetitorForecast:
         grid, objective = quadrature_competitor_objective(scenario, nodes=512)
         oracle_argmax = grid[int(np.argmax(objective))]
         assert abs(draw - oracle_argmax) <= scenario.grid_step + 1e-12
+
+
+def single_array_forecast(scenario, rng):
+    """The rival forecast with every draw in one (n1, n2, grid) array."""
+    grid = scenario.competitor_grid.points()
+    u = rng.generator.random((scenario.n1, scenario.n2))
+    prior = scenario.our_price_prior
+    ours = prior.lower + (prior.upper - prior.lower) * u ** (1.0 / (prior.exponent + 1.0))
+    if scenario.fixed_sigma is not None:
+        accept = probit_choice_prob(ours[:, :, None], grid[None, None, :], scenario.fixed_sigma)
+    else:
+        accept = t_choice_prob(ours[:, :, None], grid[None, None, :], scenario.competitor_noise)
+    objective = (grid - scenario.competitor_cost)[None, :] * (1.0 - accept).mean(axis=1)
+    return grid[np.argmax(objective, axis=1)]
+
+
+class TestBlockedForecast:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        blocks=st.integers(0, 3),
+        offset=st.integers(-1, 1),
+        n2=st.integers(1, 400),
+        top=st.integers(6, 40),
+        step=st.sampled_from([0.25, 0.5, 1.0]),
+        fixed_sigma=st.none() | st.floats(0.01, 5.0),
+        shape=st.floats(0.3, 5.0),
+        exponent=st.floats(0.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+        workers=st.sampled_from([1, 2, 16]),
+    )
+    def test_matches_single_array_bit_for_bit(
+        self, blocks, offset, n2, top, step, fixed_sigma, shape, exponent, seed, workers
+    ):
+        """n1 lands on, one row below or one row above 0 to 3 whole row
+        blocks of the forecast."""
+        scenario = make_scenario(
+            n2=n2,
+            competitor_max_price=float(top),
+            max_price=float(top) + 5.0,
+            grid_step=step,
+            fixed_sigma=fixed_sigma,
+            competitor_noise=InverseGammaParams(shape, shape),
+            prior_exponent=exponent,
+        )
+        rows = max(1, BLOCK_ELEMENTS // (n2 * len(scenario.competitor_grid)))
+        scenario = dataclasses.replace(scenario, n1=max(1, blocks * rows + offset))
+        expected = single_array_forecast(scenario, RngStream(seed))
+        got = sample_competitor_prices(scenario, RngStream(seed), workers=workers)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_refined_forecast_memory_is_bounded(self):
+        """The 32x-refined retail_case3 forecast of `price compare`: one
+        3200 x 100 x 71 float64 temporary alone would take 173 MiB."""
+        scenario = dataclasses.replace(CASE3, n1=3200)
+        tracemalloc.start()
+        try:
+            sample_competitor_prices(scenario, RngStream(5), workers=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestExpectedUtility:

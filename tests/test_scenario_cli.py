@@ -1,5 +1,6 @@
 """Scenario files and the ``price`` command line."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -176,6 +177,74 @@ class TestCli:
         assert main(["run", str(bad), "--out", str(out)]) == 3
         assert key in capsys.readouterr().err
         assert not out.with_suffix(".summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "case, key, value, message",
+        [
+            ("retail_case3", "n2", None, "params.n2: missing"),
+            ("retail_case3", "cost", "lots", "params.cost: expected number, got str"),
+            ("retail_case3", "n1", 2.5, "params.n1: expected integer, got float"),
+            ("pension_case1", "capital", None, "params.capital: missing"),
+            ("pension_case1", "capital", "lots", "params.capital: expected number, got str"),
+            ("pension_case1", "horizon", 2.5, "params.horizon: expected integer, got float"),
+            ("pension_case1", "exit_profile", [0.1, "x"], "params.exit_profile[1]: expected number"),
+        ],
+        ids=["retail_missing", "retail_str", "retail_float_count", "pension_missing",
+             "pension_str", "pension_float_count", "pension_list_item"],
+    )
+    def test_param_schema_errors_exit_3(
+        self, tmp_path, capsys, command, case, key, value, message
+    ):
+        raw = json.loads(bundled_case(case).read_text())
+        if value is None:
+            del raw["params"][key]
+        else:
+            raw["params"][key] = value
+        bad = tmp_path / "bad_param.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        argv = [command, str(bad)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_run_refuses_non_finite_output(self, tmp_path, monkeypatch, capsys, fmt):
+        import araprice.cli as cli
+
+        real = cli.optimize_price
+
+        def nan_column(*args, **kwargs):
+            curve = real(*args, **kwargs)
+            utility = curve.expected_utility.copy()
+            utility[3] = float("nan")
+            return dataclasses.replace(curve, expected_utility=utility)
+
+        monkeypatch.setattr(cli, "optimize_price", nan_column)
+        raw = json.loads(bundled_case("retail_case1").read_text())
+        raw["format"] = fmt
+        src = tmp_path / "case.json"
+        src.write_text(json.dumps(raw))
+        assert main(["run", str(src), "--out", str(tmp_path / "out")]) == 5
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "expected_utility is nan" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [src]
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_worker_counts_write_identical_bytes(self, tmp_path, command):
+        """The compare exercises the 32x-refined rival forecast."""
+        written = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            main([command, str(bundled_case("retail_case3")), "--out", str(out),
+                  "--workers", workers])
+            written.append(sorted(
+                (p.name.removeprefix(out.name), p.read_bytes())
+                for p in tmp_path.glob(f"{out.name}.*")
+            ))
+        assert written[0] and written[0] == written[1]
 
     def test_determinism_across_runs_and_workers(self, tmp_path):
         case = bundled_case("retail_case3")
