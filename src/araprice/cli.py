@@ -33,11 +33,12 @@ from .oracle import (
 )
 from .pension import OfferEvaluation, optimize_offer
 from .randkit import CategoricalPMF, RngStream, normal_cdf, student_t_cdf
-from .retail import optimize_price, sample_competitor_prices
+from .retail import REFINED_FORECAST_FACTOR, optimize_price, sample_competitor_prices
 from .scenario import (
     ScenarioError,
     ScenarioFile,
     TemplateScenario,
+    check_compare_budget,
     parse_scenario,
 )
 
@@ -232,9 +233,9 @@ def _oracle_values(scenario: ScenarioFile, result, seed: int, workers: int):
         if params.known_competitor_price is not None:
             density = float(params.known_competitor_price)
         else:
-            # refined forecast: same sampler, fresh stream, 32x the sample size
+            # refined forecast: same sampler, fresh stream, a larger sample
             density = sample_competitor_prices(
-                dataclasses.replace(params, n1=32 * params.n1),
+                dataclasses.replace(params, n1=REFINED_FORECAST_FACTOR * params.n1),
                 RngStream(seed, stream_id=0xFACE),
                 workers,
             )
@@ -267,6 +268,7 @@ def _oracle_values(scenario: ScenarioFile, result, seed: int, workers: int):
 
 def cmd_compare(args) -> int:
     scenario = parse_scenario(args.scenario)
+    check_compare_budget(scenario)
     seed = args.seed if args.seed is not None else scenario.seed
     workers = resolve_workers(args.workers)
     try:

@@ -170,19 +170,6 @@ class RandomUtilitySpec:
         )
 
     @classmethod
-    def cara(cls, rho_low: float, rho_high: float, base: float = 0.0) -> "RandomUtilitySpec":
-        """Constant absolute risk aversion over wealth base + s - price."""
-        if not 0 < rho_low <= rho_high:
-            raise ValueError("need 0 < rho_low <= rho_high")
-        return cls(
-            family="cara",
-            builder=lambda rho: (
-                lambda p, s: 1.0 - np.exp(-rho * (base + np.asarray(s, float) - p))
-            ),
-            prior=(rho_low, rho_high),
-        )
-
-    @classmethod
     def custom(cls, builder, prior=None, bound=None, per_product=False) -> "RandomUtilitySpec":
         return cls("custom", builder, prior, bound, per_product)
 
@@ -291,11 +278,6 @@ class ProducerUtility:
     @classmethod
     def margin(cls, cost: float) -> "ProducerUtility":
         return cls(on_sale=lambda p: p - cost)
-
-    @classmethod
-    def perishable_margin(cls, cost: float) -> "ProducerUtility":
-        """Unsold stock is written off at cost."""
-        return cls(on_sale=lambda p: p - cost, on_no_sale=lambda p: -cost)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,12 @@ highest rival offer, looked up from its highest uniform, and the utility
 comparisons of both paths add up integer win counts block by block.  On
 the rate-order path memory does not grow with draws x rivals, and no
 utility temporary grows with the draw count.
+
+The utility kernel evaluates one exit year at a time over arrays of the
+broadcast shape of offers and risk aversions, and its callers put the
+draw axis last, so numpy's loops run over draws rather than over the few
+exit years.  The years are added in the order numpy sums a contiguous
+axis, so every utility has the bits of the single-array formula.
 """
 
 from __future__ import annotations
@@ -67,6 +73,15 @@ BENEFIT_MODES = ("next_year", "horizon")
 # errors near 1e-15, so a gap above 1e-9 is far beyond any rounding and
 # the evaluated utilities compare the same way for every draw.
 _SEPARATION_MARGIN = 1e-9
+
+# _cdf_index counts instead of binary searching for at most this many
+# offers and at least this many uniforms.  Timed on one lookup (2-vCPU VM,
+# best of 7 x 20 calls), counting took 0.16x the search time at 32 offers
+# and 131k uniforms, 0.42x at 13k and 0.48-0.82x at 4,096; at 64 offers
+# and 4,096 uniforms 0.9-1.3x, and below 4,096 uniforms its per-offer call
+# cost loses (1.9x at 10 offers and 2,048).
+_COUNTED_LOOKUP_MAX = 32
+_COUNTED_LOOKUP_MIN = 4096
 
 
 @dataclass(frozen=True)
@@ -198,6 +213,41 @@ def _check_offer_range(h, scenario: PensionScenario) -> None:
         raise ValueError(f"offer outside the modeled range [{lo}, {hi}]")
 
 
+def _add_terms(term, years: range, out: np.ndarray) -> np.ndarray:
+    """``out`` = 0.0 + the sum of ``term(j)`` over ``years``, added in the
+    order of numpy's pairwise ``add.reduce`` along a contiguous axis.
+
+    ``term(j, buf)`` writes term j into ``buf`` and returns it.  Below 8
+    terms the order is sequential.  Up to 128 it is 8 running sums joined
+    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in
+    sequence.  Above 128 the two halves, split at a multiple of 8, are
+    summed apart.
+    """
+    n = len(years)
+    if n < 8:
+        out.fill(0.0)
+        buf = np.empty_like(out)
+        for j in years:
+            out += term(j, buf)
+        return out
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        _add_terms(term, years[:half], out)
+        out += _add_terms(term, years[half:], np.empty_like(out))
+        return out
+    r = [term(years[0], out)] + [term(j, np.empty_like(out)) for j in years[1:8]]
+    buf = np.empty_like(out)
+    stop = n - n % 8
+    for k in range(8, stop):
+        r[k % 8] += term(years[k], buf)
+    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+        r[a] += r[b]
+    for j in years[stop:]:
+        out += term(j, buf)
+    out += 0.0  # the reduction's initial value: a sum of -0.0 terms is 0.0
+    return out
+
+
 def customer_expected_utility(
     h,
     scenario: PensionScenario,
@@ -210,6 +260,13 @@ def customer_expected_utility(
     CARA utility 1 - exp(-rho * wealth) averaged over the exit year, plus
     an optional time-preference term ``g(horizon)``.  ``h`` and ``rho``
     broadcast, so whole offer/draw grids evaluate in one call.
+
+    Each exit year's term q_j * (1 - exp(-rho * payout_j)) is evaluated in
+    place over arrays of the broadcast shape, and the years are added in
+    the order numpy sums a contiguous axis (:func:`_add_terms`), so every
+    bit equals the single-array formula ``stay_prob * u_stay + (q *
+    u_early).sum(axis=-1)``.  Numpy's loops run over the last axis, so
+    callers with many draws put the draw axis last.
     """
     h_arr = np.asarray(h, dtype=float)
     rho_arr = np.asarray(rho, dtype=float)
@@ -218,10 +275,21 @@ def customer_expected_utility(
     if _check_range:
         _check_offer_range(h_arr, scenario)
     early, stay = _payout_schedule(h_arr, scenario)
-    q = np.asarray(scenario.exit_profile.q_exit)
-    u_early = 1.0 - np.exp(-rho_arr[..., None] * early)
-    u_stay = 1.0 - np.exp(-rho_arr * stay)
-    value = scenario.exit_profile.stay_prob * u_stay + (q * u_early).sum(axis=-1)
+    q = scenario.exit_profile.q_exit
+    neg_rho = -rho_arr
+    shape = np.broadcast_shapes(h_arr.shape, rho_arr.shape)
+
+    def _term(weight: float, payout, buf: np.ndarray) -> np.ndarray:
+        np.multiply(neg_rho, payout, out=buf)
+        np.exp(buf, out=buf)
+        np.subtract(1.0, buf, out=buf)
+        return np.multiply(buf, weight, out=buf)
+
+    def _year(j: int, buf: np.ndarray) -> np.ndarray:
+        return _term(q[j], early[..., j], buf)
+
+    value = _add_terms(_year, range(len(q)), np.empty(shape))
+    value += _term(scenario.exit_profile.stay_prob, stay, np.empty(shape))
     if g is not None:
         value = value + g(scenario.horizon)
     if np.ndim(h) == 0 and np.ndim(rho) == 0:
@@ -356,6 +424,22 @@ class OfferEvaluation:
         return float(self.accept_prob[self.optimum_index])
 
 
+def _cdf_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(u, side="right")``: how many entries of the
+    ascending ``cdf`` are <= u.
+
+    For few entries and many uniforms they are counted, one comparison
+    pass each (the count fits in uint8): at 10 entries that is 0.5 ms per
+    131k uniforms against 4.4 ms for the binary search.
+    """
+    if cdf.size > _COUNTED_LOOKUP_MAX or u.size < _COUNTED_LOOKUP_MIN:
+        return cdf.searchsorted(u, side="right")
+    count = np.zeros(u.shape, dtype=np.uint8)
+    for c in cdf:
+        count += u >= c
+    return count.astype(np.intp)
+
+
 def _draw_customers(scenario: PensionScenario, rng: RngStream, top_only: bool):
     """Per draw: the customer's risk aversion and each rival's offer index,
     or with ``top_only`` only the highest of those indices.
@@ -377,7 +461,7 @@ def _draw_customers(scenario: PensionScenario, rng: RngStream, top_only: bool):
         u = gen.random((rows.stop - rows.start, rivals))
         if top_only:  # u.max(axis=1), without its per-row cost at few rivals
             u = functools.reduce(np.maximum, u.T)
-        return cdf.searchsorted(u, side="right")
+        return _cdf_index(cdf, u)
 
     # one worker: the blocks must draw from the stream in order
     return rho, np.concatenate(map_blocks(_lookup, draws, rivals))
@@ -421,14 +505,14 @@ def _wins_full_table(points, scenario, rho, idx, workers) -> np.ndarray:
     utility tables: the best rival utility of each draw against each rate,
     in row blocks of draws split over ``workers`` threads."""
     offers = np.asarray(scenario.competitor_offers.values)
-    rates = np.concatenate((offers, points))[None, :]
+    rates = np.concatenate((offers, points))[:, None]
 
     def _count(rows: slice) -> np.ndarray:
         eu = customer_expected_utility(
-            rates, scenario, rho[rows, None], _check_range=False
-        )  # (draws in block, offers + grid)
-        rival = np.take_along_axis(eu[:, : offers.size], idx[rows], axis=1)
-        return (eu[:, offers.size :] > rival.max(axis=1)[:, None]).sum(axis=0)
+            rates, scenario, rho[None, rows], _check_range=False
+        )  # (offers + grid, draws in block)
+        rival = np.take_along_axis(eu[: offers.size], idx[rows].T, axis=0)
+        return (eu[offers.size :] > rival.max(axis=0)).sum(axis=1)
 
     return sum(map_blocks(_count, rho.size, rates.size * scenario.horizon, workers))
 
@@ -452,17 +536,17 @@ def _wins_by_rate_order(points, scenario, rho, top, workers) -> np.ndarray:
 
     for o in np.flatnonzero(ties.any(axis=0)):
         rates = np.flatnonzero(ties[:, o])
-        tied = np.concatenate(([offers[o]], points[rates]))[None, :]
-        rho_o = rho[top == o, None]
+        tied = np.concatenate(([offers[o]], points[rates]))[:, None]
+        rho_o = rho[top == o]
 
         def _count(rows: slice) -> np.ndarray:
             eu = customer_expected_utility(
-                tied, scenario, rho_o[rows], _check_range=False
-            )  # (draws in block, 1 + rates): the rival's utility first
-            return (eu[:, 1:] > eu[:, :1]).sum(axis=0)
+                tied, scenario, rho_o[None, rows], _check_range=False
+            )  # (1 + rates, draws in block): the rival's utility first
+            return (eu[1:] > eu[:1]).sum(axis=1)
 
         row = tied.size * scenario.horizon
-        wins[rates] += sum(map_blocks(_count, rho_o.shape[0], row, workers))
+        wins[rates] += sum(map_blocks(_count, rho_o.size, row, workers))
     return wins
 
 

@@ -40,6 +40,9 @@ __all__ = [
 
 UTILITY_VARIANTS = ("non_perishable", "perishable")
 
+# ``price compare`` checks a forecast against one this many times larger.
+REFINED_FORECAST_FACTOR = 32
+
 
 @dataclass(frozen=True)
 class RetailScenario:

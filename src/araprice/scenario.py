@@ -10,6 +10,7 @@ round-trips back to JSON unchanged.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -20,9 +21,10 @@ import numpy as np
 from .core import PriceGrid
 from .pension import ExitProfile, PensionScenario
 from .randkit import CategoricalPMF, InverseGammaParams
-from .retail import RetailScenario
+from .retail import REFINED_FORECAST_FACTOR, RetailScenario
 
 __all__ = [
+    "WORK_BUDGET",
     "ScenarioError",
     "MissingFileError",
     "SchemaError",
@@ -30,6 +32,7 @@ __all__ = [
     "TemplateScenario",
     "ScenarioFile",
     "parse_scenario",
+    "check_compare_budget",
     "scenario_to_dict",
     "bundled_case",
     "bundled_case_names",
@@ -38,6 +41,13 @@ __all__ = [
 KINDS = ("retail", "pension", "template")
 FORMATS = ("csv", "json")
 _FLOAT_MAX = sys.float_info.max
+
+# Most elements (256 MiB as float64) that one command may allocate or
+# evaluate for a scenario: grid points x draws, draws x rivals.  Counted
+# from the parameters before anything is allocated; an overrun is an
+# invariant violation (exit 4).  ``compare`` is also held to its refined
+# forecast, which ``run`` and ``validate`` never build.
+WORK_BUDGET = 1 << 25
 
 
 class ScenarioError(Exception):
@@ -226,6 +236,42 @@ def _pmf(obj, key, path, problems, invariants):
         return None
 
 
+def _grid_length(grid: PriceGrid) -> float:
+    """Number of points ``grid.points()`` would hold, without building it."""
+    span = (grid.max - grid.min) / grid.step + 1e-9
+    return math.floor(span) + 1.0 if math.isfinite(span) else math.inf
+
+
+def _work_problems(kind: str, params, compare: bool) -> list[str]:
+    """Element counts of ``params`` above :data:`WORK_BUDGET`, for ``run``
+    and ``validate`` or, with ``compare``, for ``price compare``."""
+    if kind == "retail":
+        grid = _grid_length(params.price_grid)
+        forecast = float(params.n1) * params.n2 * _grid_length(params.competitor_grid)
+        counts = {"price grid x n1": grid * params.n1}
+        if params.known_competitor_price is None:
+            counts["n1 x n2 x competitor grid"] = forecast
+            if compare:
+                counts[
+                    f"n1 x n2 x competitor grid x {REFINED_FORECAST_FACTOR} (compare)"
+                ] = REFINED_FORECAST_FACTOR * forecast
+    elif kind == "pension":
+        counts = {
+            "offer_grid x competitor offers x horizon": (
+                _grid_length(params.offer_grid)
+                * len(params.competitor_offers.values) * params.horizon
+            ),
+            "mc_draws x n_competitors": float(params.mc_draws) * params.n_competitors,
+        }
+    else:
+        counts = {"grid x n_draws": _grid_length(params.grid) * params.n_draws}
+    return [
+        f"params: {what} is {count:.4g} elements, over the work budget of {WORK_BUDGET}"
+        for what, count in counts.items()
+        if count > WORK_BUDGET
+    ]
+
+
 def _parse_retail(
     params: dict, problems: list, invariants: list
 ) -> RetailScenario | None:
@@ -346,7 +392,8 @@ def parse_scenario(path) -> ScenarioFile:
 
     Raises MissingFileError, SchemaError (malformed JSON, or a missing
     field or wrong JSON type anywhere in the file) or InvariantError; the
-    last two list every problem with its field path.
+    last two list every problem with its field path.  The work budget is
+    that of ``price run``; see :func:`check_compare_budget`.
     """
     p = Path(path)
     if not p.is_file():
@@ -385,11 +432,22 @@ def parse_scenario(path) -> ScenarioFile:
     scenario = parser(params, schema_problems, invariant_problems)
     if schema_problems:
         raise SchemaError("; ".join(schema_problems))
+    if not invariant_problems:
+        invariant_problems = _work_problems(kind, scenario, compare=False)
     if invariant_problems:
         raise InvariantError("; ".join(invariant_problems))
     return ScenarioFile(
         kind=kind, params=scenario, seed=seed, output=output, format=fmt
     )
+
+
+def check_compare_budget(scenario: ScenarioFile) -> None:
+    """Raise InvariantError if ``price compare`` would overrun the work
+    budget on a parsed scenario: it also builds the refined rival forecast,
+    which ``run`` and ``validate`` never build."""
+    problems = _work_problems(scenario.kind, scenario.params, compare=True)
+    if problems:
+        raise InvariantError("; ".join(problems))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ records one pass/fail line (echoed in the terminal summary), and asserts.
 Monte Carlo criteria run with pinned seeds so verdicts are reproducible.
 """
 
+import functools
 import json
 import math
 import time
@@ -381,6 +382,14 @@ def _random_oracle_scenario(g: np.random.Generator):
     return scenario, density, sampler
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre_nodes(nodes):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _exact_payoff_moments(p1, scenario, density, nodes=512):
     """Mean and variance of the per-draw payoff under the exact density.
 
@@ -391,13 +400,13 @@ def _exact_payoff_moments(p1, scenario, density, nodes=512):
     from scipy import stats as _st
 
     if isinstance(density, PowerPricePrior):
-        x, w = np.polynomial.legendre.leggauss(nodes)
+        x, w = _legendre_nodes(nodes)
         lo, hi = density.lower, density.upper
         x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
         w = 0.5 * (hi - lo) * w * density.pdf(x)
     else:
         pdf, lo, hi = density
-        x, w = np.polynomial.legendre.leggauss(nodes)
+        x, w = _legendre_nodes(nodes)
         x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
         w = 0.5 * (hi - lo) * w * pdf(x)
     noise = scenario.customer_noise

@@ -65,6 +65,96 @@ def reference_customer_eu(h, scenario, rho):
     return math.fsum(terms)
 
 
+def single_array_eu(h, scenario, rho, g=None):
+    """Frozen copy of the single-array utility formula: payouts for every
+    exit year in one array, summed over the last axis by numpy.  The
+    engine's per-year kernel must match it bit for bit."""
+    h = np.asarray(h, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    x = scenario.scaled_capital
+    growth = (1.0 + h[..., None]) ** np.arange(1, scenario.horizon)
+    early = x + (1.0 - scenario.penalty_fraction) * (growth - 1.0) * x
+    stay = (1.0 + h) ** scenario.horizon * x
+    q = np.asarray(scenario.exit_profile.q_exit)
+    u_early = 1.0 - np.exp(-rho[..., None] * early)
+    u_stay = 1.0 - np.exp(-rho * stay)
+    value = scenario.exit_profile.stay_prob * u_stay + (q * u_early).sum(axis=-1)
+    if g is not None:
+        value = value + g(scenario.horizon)
+    return value
+
+
+LAYOUTS = {
+    # name: (shape of h, shape of rho); None is a Python float
+    "scalar": (None, None),
+    "0-d": ((), ()),
+    "scalar x 1-D": (None, ("n",)),
+    "rates x draws": (("k", 1), (1, "n")),
+    "draws x rates": ((1, "k"), ("n", 1)),
+    "1-D x 1-D": (("n",), ("n",)),
+}
+
+
+@st.composite
+def utility_inputs(draw):
+    """A scenario and broadcastable offers and risk aversions: horizons
+    1-12 and 129-130 (the 8-sum and split orders), exit years with zero
+    mass, and money units down to 1e-3, where exp underflows to 0."""
+    horizon = draw(st.integers(1, 12) | st.sampled_from([129, 130]))
+    exits = draw(st.lists(st.integers(0, 9), min_size=horizon - 1, max_size=horizon - 1))
+    total = sum(exits) + draw(st.integers(0, 9))
+    scenario = make_scenario(
+        capital=draw(st.floats(1e3, 1e5)),
+        horizon=horizon,
+        exit_profile=ExitProfile(tuple(q / total if total else 0.0 for q in exits)),
+        penalty_fraction=draw(st.floats(0.0, 1.0)),
+        money_unit=10.0 ** draw(st.floats(-3.0, 6.0)),
+    )
+    sizes = {"k": draw(st.integers(1, 4)), "n": draw(st.integers(1, 40))}
+    h_shape, rho_shape = LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))]
+
+    def values(shape, lo, hi):
+        if shape is None:
+            return draw(st.floats(lo, hi))
+        shape = tuple(sizes.get(d, d) for d in shape)
+        seed = draw(st.integers(0, 2**32 - 1))
+        return np.random.default_rng(seed).uniform(lo, hi, shape)
+
+    h = values(h_shape, 0.0, 0.2)
+    rho = values(rho_shape, 0.05, 50.0)
+    g = draw(st.sampled_from([None, lambda T: -0.01 * T]))
+    return scenario, h, rho, g
+
+
+class TestUtilityKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(inputs=utility_inputs())
+    def test_matches_single_array_formula_bit_for_bit(self, inputs):
+        scenario, h, rho, g = inputs
+        value = customer_expected_utility(h, scenario, rho, g=g, _check_range=False)
+        expected = single_array_eu(h, scenario, rho, g=g)
+        if np.ndim(h) == 0 and np.ndim(rho) == 0:
+            assert type(value) is float
+        else:
+            assert value.shape == expected.shape
+        assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
+
+    @pytest.mark.parametrize(
+        "n", [*range(0, 20), 127, 128, 129, 136, 255, 256, 257, 300, 513]
+    )
+    def test_term_order_is_numpy_sum_order(self, n):
+        rng = np.random.default_rng(n)
+        terms = rng.standard_normal((3, 5, n)) * 10.0 ** rng.integers(-12, 12, (3, 5, n))
+        terms[0, 0] = -0.0  # a sum of negative zeros is 0.0
+
+        def term(j, buf):
+            buf[...] = terms[..., j]
+            return buf
+
+        total = pension._add_terms(term, range(n), np.empty((3, 5)))
+        assert total.tobytes() == terms.sum(axis=-1).tobytes()
+
+
 class TestCustomerExpectedUtility:
     def test_full_penalty_certain_exit(self):
         scenario = make_scenario(
@@ -242,13 +332,9 @@ def full_table_wins(points, scenario, seed):
     points = np.asarray(points)
     rho, idx, _ = choice_draws(scenario, seed)
     offers = np.asarray(scenario.competitor_offers.values)
-    eu_table = customer_expected_utility(
-        offers[None, :], scenario, rho[:, None], _check_range=False
-    )
+    eu_table = single_array_eu(offers[None, :], scenario, rho[:, None])
     eu_rival_max = np.take_along_axis(eu_table, idx, axis=1).max(axis=1)
-    eu_ours = customer_expected_utility(
-        points[None, :], scenario, rho[:, None], _check_range=False
-    )
+    eu_ours = single_array_eu(points[None, :], scenario, rho[:, None])
     return (eu_ours > eu_rival_max[:, None]).sum(axis=0)
 
 
@@ -394,6 +480,22 @@ class TestBlockedDraws:
             assert rho.tobytes() == rho_ref.tobytes()
             assert idx.dtype == expected.dtype and idx.tobytes() == expected.tobytes()
             assert rng.generator.random() == after
+
+    @pytest.mark.parametrize("size", [1, 2, 10, 32, 33, 60])
+    def test_cdf_index_is_searchsorted_right(self, size):
+        """Counted (up to 32 offers, from 4,096 uniforms) and searched
+        lookups, with repeated cdf values (zero-probability offers) and
+        uniforms on a cdf value."""
+        rng = np.random.default_rng(size)
+        probs = rng.integers(0, 3, size).astype(float)
+        probs[-1] += 1.0
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        u = np.concatenate([rng.random(4096), cdf, np.nextafter(cdf, 0.0), [0.0]])
+        for shaped in (u, u[:4096].reshape(1024, 4), u[:4095], u[-200:]):
+            idx = pension._cdf_index(cdf, shaped)
+            expected = cdf.searchsorted(shaped, side="right")
+            assert idx.dtype == expected.dtype and idx.tobytes() == expected.tobytes()
 
     def test_optimize_offer_memory_is_bounded(self):
         """400k draws x 10 rivals: a single (draws, rivals) array of

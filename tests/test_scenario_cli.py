@@ -10,9 +10,12 @@ from araprice.cli import main
 from araprice.pension import PensionScenario
 from araprice.retail import RetailScenario
 from araprice.scenario import (
+    WORK_BUDGET,
     InvariantError,
     MissingFileError,
     SchemaError,
+    _work_problems,
+    check_compare_budget,
     bundled_case,
     bundled_case_names,
     parse_scenario,
@@ -208,6 +211,89 @@ class TestCli:
         assert main(argv) == 3
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "case, keys, value, message",
+        [
+            ("pension_case1", ("offer_grid", "step"), 1e-13,
+             "params: offer_grid x competitor offers x horizon is 3.6e+13"),
+            ("retail_case3", ("n1",), 10**9, "params: price grid x n1 is 9.1e+10"),
+            ("pension_case1", ("mc_draws",), 10**12,
+             "params: mc_draws x n_competitors is 1e+12"),
+        ],
+        ids=["offer_grid_step_1e-13", "n1_1e9", "mc_draws_1e12"],
+    )
+    def test_work_budget_overrun_exits_4(
+        self, tmp_path, monkeypatch, capsys, command, case, keys, value, message
+    ):
+        """Inputs that ran out of memory before the budget existed; the
+        engines are stubbed out, so a missing check fails instead of
+        allocating."""
+        import araprice.cli as cli
+
+        monkeypatch.setattr(cli, "_run_engine", lambda *args: pytest.fail("engine ran"))
+        raw = json.loads(bundled_case(case).read_text())
+        node = raw["params"]
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(raw))
+        out = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(bad), *out]) == 4
+        err = capsys.readouterr().err
+        assert message in err and f"work budget of {WORK_BUDGET}" in err
+        assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize(
+        "case, key, per_unit, message",
+        [
+            ("template_example", "n_draws", 41, "grid x n_draws"),
+            ("pension_case1", "mc_draws", 1, "mc_draws x n_competitors"),
+        ],
+    )
+    def test_work_budget_boundary(self, tmp_path, capsys, case, key, per_unit, message):
+        """The template's 41-point grid times n_draws, and one rival times
+        mc_draws (no factor of the horizon: no array holds draws x years),
+        on and one past the budget; validate only, so nothing of that size
+        runs."""
+        raw = json.loads(bundled_case(case).read_text())
+        edge = tmp_path / "edge.json"
+        for count, code in ((WORK_BUDGET // per_unit, 0), (WORK_BUDGET // per_unit + 1, 4)):
+            raw["params"][key] = count
+            edge.write_text(json.dumps(raw))
+            assert main(["validate", str(edge)]) == code
+        assert message in capsys.readouterr().err
+
+    def test_only_compare_counts_its_refined_forecast(self, tmp_path, monkeypatch, capsys):
+        """retail_case3 at n1 = 200 forecasts 200 x 100 x 71 = 1.4e6
+        elements in run, but 32 times that (4.5e7) in compare."""
+        import araprice.cli as cli
+
+        raw = json.loads(bundled_case("retail_case3").read_text())
+        raw["params"]["n1"] = 200
+        case = tmp_path / "n1_200.json"
+        case.write_text(json.dumps(raw))
+        assert main(["validate", str(case)]) == 0
+        assert main(["run", str(case), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out.csv").is_file()
+        monkeypatch.setattr(cli, "_run_engine", lambda *args: pytest.fail("engine ran"))
+        assert main(["compare", str(case), "--out", str(tmp_path / "cmp")]) == 4
+        err = capsys.readouterr().err
+        assert "n1 x n2 x competitor grid x 32 (compare) is 4.544e+07" in err
+        assert not (tmp_path / "cmp.oracle.json").exists()
+
+    def test_bundled_cases_fit_the_work_budget(self):
+        """Including the refined forecast of ``compare retail_case3``:
+        32 x 100 x 100 x 71 = 2.27e7 elements."""
+        for name in bundled_case_names():
+            sc = parse_scenario(bundled_case(name))
+            check_compare_budget(sc)
+            for compare in (False, True):
+                assert _work_problems(sc.kind, sc.params, compare) == [], name
+        retail = parse_scenario(bundled_case("retail_case3")).params
+        assert 32 * retail.n1 * retail.n2 * 71 <= WORK_BUDGET
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_run_refuses_non_finite_output(self, tmp_path, monkeypatch, capsys, fmt):
