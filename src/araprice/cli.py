@@ -32,8 +32,14 @@ from .oracle import (
     quadrature_retail_utility,
 )
 from .pension import OfferEvaluation, optimize_offer
-from .randkit import CategoricalPMF, RngStream, normal_cdf, student_t_cdf
-from .retail import REFINED_FORECAST_FACTOR, optimize_price, sample_competitor_prices
+from .randkit import CategoricalPMF, RngStream
+from .retail import (
+    REFINED_FORECAST_FACTOR,
+    optimize_price,
+    probit_choice_prob,
+    sample_competitor_prices,
+    t_choice_prob,
+)
 from .scenario import (
     ScenarioError,
     ScenarioFile,
@@ -58,50 +64,28 @@ def _fmt(value) -> str:
 
 
 def _curve_table(result) -> tuple[tuple, list[list[float]]]:
-    if isinstance(result, OfferEvaluation):
-        cols = PENSION_COLUMNS
-        rows = list(
-            zip(
-                result.offers,
-                result.accept_prob,
-                result.expected_utility,
-                result.benefit_next_year,
-                result.benefit_horizon,
-                result.std_err,
-            )
-        )
-    else:
-        cols = RETAIL_COLUMNS
-        rows = list(
-            zip(
-                result.prices,
-                result.accept_prob,
-                result.expected_utility,
-                result.std_err,
-            )
-        )
+    cols = PENSION_COLUMNS if isinstance(result, OfferEvaluation) else RETAIL_COLUMNS
+    rows = zip(result.prices, *(getattr(result, name) for name in cols[1:]))
     return cols, [[float(v) for v in row] for row in rows]
 
 
 def _summary(result, scenario: ScenarioFile) -> dict:
-    if isinstance(result, OfferEvaluation):
-        i = result.optimum_index
-        benefit_next = float(result.benefit_next_year[i])
-        benefit_horizon = float(result.benefit_horizon[i])
-        n1, n2 = scenario.params.mc_draws, None
+    params = scenario.params
+    if scenario.kind == "retail":
+        n1, n2 = params.n1, params.n2
     else:
-        benefit_next = None
-        benefit_horizon = None
-        if scenario.kind == "retail":
-            n1, n2 = scenario.params.n1, scenario.params.n2
-        else:
-            n1, n2 = scenario.params.n_draws, None
+        n1 = params.mc_draws if scenario.kind == "pension" else params.n_draws
+        n2 = None
+    benefits = {
+        name: float(getattr(result, name)[result.optimum_index])
+        if hasattr(result, name) else None
+        for name in ("benefit_next_year", "benefit_horizon")
+    }
     return {
         "optimum": result.optimum,
         "accept_prob_at_optimum": result.accept_at_optimum,
         "expected_utility": result.optimum_utility,
-        "benefit_next_year": benefit_next,
-        "benefit_horizon": benefit_horizon,
+        **benefits,
         "seed": scenario.seed,
         "n1": n1,
         "n2": n2,
@@ -149,31 +133,27 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-def _run_template(
-    params: TemplateScenario, rng: RngStream, workers: int
-) -> EvaluationCurve:
+def _template_choice(params: TemplateScenario):
+    """P(the customer buys at ``own`` against ``rivals``), as the file sets it."""
     if params.choice_sigma is not None:
-        sigma = params.choice_sigma
-        model = lambda own, rivals: 1.0 - normal_cdf((own - rivals) / sigma)
-    else:
-        noise = params.choice_noise
-        scale = float(np.sqrt(noise.shape / noise.scale))
-        dof = 2.0 * noise.shape
-        model = lambda own, rivals: 1.0 - student_t_cdf(scale * (own - rivals), dof)
+        return lambda own, rivals: probit_choice_prob(own, rivals, params.choice_sigma)
+    return lambda own, rivals: t_choice_prob(own, rivals, params.choice_noise)
+
+
+def _run_template(params: TemplateScenario, rng: RngStream) -> EvaluationCurve:
+    """A pmf of rival prices is sampled by the solver; a list is resampled
+    here and used verbatim."""
     beliefs = params.competitor_prices
-    if not isinstance(beliefs, CategoricalPMF):
+    if isinstance(beliefs, CategoricalPMF):
+        beliefs = AgentBeliefs((beliefs,))
+    else:
         values = np.asarray(beliefs, dtype=float)
-        g = rng.generator
-        beliefs = values[g.integers(0, values.size, params.n_draws)]
-        _, curve = solve_supported_price(
-            params.grid, ProducerUtility.margin(params.cost), beliefs, model
-        )
-        return curve
+        beliefs = values[rng.generator.integers(0, values.size, params.n_draws)]
     _, curve = solve_supported_price(
         params.grid,
         ProducerUtility.margin(params.cost),
-        AgentBeliefs((beliefs,)),
-        model,
+        beliefs,
+        _template_choice(params),
         n_draws=params.n_draws,
         rng=rng,
     )
@@ -186,7 +166,7 @@ def _run_engine(scenario: ScenarioFile, seed: int, workers: int):
         return optimize_price(scenario.params, rng, workers=workers)
     if scenario.kind == "pension":
         return optimize_offer(scenario.params, rng, workers=workers)
-    return _run_template(scenario.params, rng, workers)
+    return _run_template(scenario.params, rng)
 
 
 def cmd_run(args) -> int:
@@ -251,17 +231,7 @@ def _oracle_values(scenario: ScenarioFile, result, seed: int, workers: int):
     else:
         values = np.asarray(params.competitor_prices, dtype=float)
         weights = np.full(values.size, 1.0 / values.size)
-    if params.choice_sigma is not None:
-        win = 1.0 - normal_cdf(
-            (result.prices[:, None] - values[None, :]) / params.choice_sigma
-        )
-    else:
-        noise = params.choice_noise
-        win = 1.0 - student_t_cdf(
-            np.sqrt(noise.shape / noise.scale)
-            * (result.prices[:, None] - values[None, :]),
-            2.0 * noise.shape,
-        )
+    win = _template_choice(params)(result.prices[:, None], values[None, :])
     oracle = (result.prices - params.cost) * (win @ weights)
     return result.prices, result.expected_utility, result.std_err, list(oracle)
 
@@ -275,6 +245,11 @@ def cmd_compare(args) -> int:
         result = _run_engine(scenario, seed, workers)
         prices, estimates, std_errs, oracle = _oracle_values(
             scenario, result, seed, workers
+        )
+        _check_finite(
+            ("price", "estimate", "std_err", "oracle"),
+            zip(prices, estimates, std_errs, oracle),
+            {},
         )
     except (FloatingPointError, ValueError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -8,15 +8,15 @@ competitors are modeled as expected-utility maximizers themselves, and
 the supported producer grid-searches her own expected utility against
 Monte Carlo forecasts of everyone else's behavior.
 
-The retail and pension modules are specializations of the operations in
-this module; they inline the same math with closed-form choice models.
+Retail and pension specialize it with closed-form choice models; the solver
+here and retail both score Monte Carlo curves with EvaluationCurve.from_draws.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -223,8 +223,7 @@ class AgentBeliefs:
 def _realize_prices(spec, g: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` price realizations from a price or price distribution."""
     if isinstance(spec, PowerPricePrior):
-        u = g.random(size)
-        return spec.lower + (spec.upper - spec.lower) * u ** (1.0 / (spec.exponent + 1.0))
+        return spec.ppf(g.random(size))
     if isinstance(spec, CategoricalPMF):
         values = np.asarray(spec.values)
         return values[g.choice(len(values), size=size, p=spec.probs)]
@@ -285,8 +284,8 @@ class EvaluationCurve:
     """Per-price evaluation rows plus the selected optimum.
 
     Columns are aligned arrays: price, acceptance probability, expected
-    utility and its Monte Carlo standard error.  The optimum is the
-    lowest price attaining the maximum expected utility.
+    utility and its Monte Carlo standard error; subclasses add columns.
+    The optimum is the lowest price attaining the maximum expected utility.
     """
 
     prices: np.ndarray
@@ -295,10 +294,30 @@ class EvaluationCurve:
     std_err: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.prices.size
-        for name in ("accept_prob", "expected_utility", "std_err"):
-            if getattr(self, name).size != n:
-                raise ValueError(f"column {name} has mismatched length")
+        for column in fields(self)[1:]:
+            if getattr(self, column.name).size != self.prices.size:
+                raise ValueError(f"column {column.name} has mismatched length")
+
+    @classmethod
+    def from_draws(cls, prices, win, on_sale, on_no_sale) -> "EvaluationCurve":
+        """Score a (grid x draws) acceptance matrix ``win``.
+
+        Each draw pays ``on_sale`` or ``on_no_sale`` (per-price arrays)
+        weighted by its acceptance; the curve holds the mean over draws,
+        its standard error (zero for a single draw) and the mean acceptance.
+        """
+        payoff = on_sale[:, None] * win + on_no_sale[:, None] * (1.0 - win)
+        draws = payoff.shape[1]
+        if draws > 1:
+            se = payoff.std(axis=1, ddof=1) / math.sqrt(draws)
+        else:
+            se = np.zeros(len(prices))
+        return cls(
+            prices=prices,
+            accept_prob=win.mean(axis=1),
+            expected_utility=payoff.mean(axis=1),
+            std_err=se,
+        )
 
     @property
     def optimum_index(self) -> int:
@@ -395,6 +414,16 @@ def customer_choice_probs(
 # ---------------------------------------------------------------------------
 
 
+def _win_matrix(choice_model, points: np.ndarray, rivals: np.ndarray) -> np.ndarray:
+    """(grid, draws) probability of a sale at each of ``points`` against each
+    row of rival prices; pairwise win probabilities against several rivals
+    multiply, assuming independence."""
+    win = np.asarray(
+        choice_model(points[:, None, None], rivals[None, :, :]), dtype=float
+    )
+    return win.prod(axis=2) if win.ndim == 3 else win
+
+
 def sample_competitor_optimal_price(
     target: int,
     spec: RandomUtilitySpec,
@@ -421,11 +450,7 @@ def sample_competitor_optimal_price(
     theta = spec.sample_parameter(rng.generator)
     payoff = spec.builder(theta)
     rivals = beliefs.sample(rng, inner_draws)  # (inner_draws, n_rivals)
-    win = np.asarray(
-        choice_model(points[:, None, None], rivals[None, :, :]), dtype=float
-    )
-    if win.ndim == 3:  # pairwise win probabilities; combine assuming independence
-        win = win.prod(axis=2)
+    win = _win_matrix(choice_model, points, rivals)
     objective = np.asarray(payoff(points, 0.0), dtype=float) * win.mean(axis=1)
     if np.allclose(objective, objective[0], rtol=0.0, atol=1e-12):
         warnings.warn(
@@ -478,24 +503,11 @@ def solve_supported_price(
             rivals = np.atleast_1d(np.asarray(beliefs, dtype=float))
             rivals = rivals[:, None]
 
-    win = np.asarray(
-        choice_model(points[:, None, None], rivals[None, :, :]), dtype=float
-    )
-    if win.ndim == 3:
-        win = win.prod(axis=2)
-    gain = np.array([u1.on_sale(p) for p in points])
-    lose = np.array([u1.on_no_sale(p) for p in points])
-    payoff = gain[:, None] * win + lose[:, None] * (1.0 - win)  # (G, draws)
-    mean = payoff.mean(axis=1)
-    if payoff.shape[1] > 1:
-        se = payoff.std(axis=1, ddof=1) / math.sqrt(payoff.shape[1])
-    else:
-        se = np.zeros(points.size)
-    curve = EvaluationCurve(
-        prices=points,
-        accept_prob=win.mean(axis=1),
-        expected_utility=mean,
-        std_err=se,
+    curve = EvaluationCurve.from_draws(
+        points,
+        _win_matrix(choice_model, points, rivals),
+        np.array([u1.on_sale(p) for p in points]),
+        np.array([u1.on_no_sale(p) for p in points]),
     )
     return curve.optimum, curve
 

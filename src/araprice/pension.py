@@ -50,7 +50,7 @@ from typing import Callable
 import numpy as np
 
 from ._parallel import map_blocks
-from .core import PriceGrid
+from .core import EvaluationCurve, PriceGrid
 from .randkit import CategoricalPMF, RngStream
 
 __all__ = [
@@ -378,9 +378,10 @@ def expected_benefit(
 
 
 @dataclass(frozen=True)
-class OfferEvaluation:
+class OfferEvaluation(EvaluationCurve):
     """Offer-by-offer evaluation of a pension scenario.
 
+    The prices are the offered rates (also readable as ``offers``).
     ``expected_utility`` is scaled so the best achievable outcome (the
     lowest offer accepted with certainty) is 1; the scaling is positive
     affine, so the argmax is the same as for the raw bank utility.
@@ -388,40 +389,12 @@ class OfferEvaluation:
     acceptance estimate.
     """
 
-    offers: np.ndarray
-    accept_prob: np.ndarray
-    expected_utility: np.ndarray
     benefit_next_year: np.ndarray
     benefit_horizon: np.ndarray
-    std_err: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = self.offers.size
-        for name in (
-            "accept_prob",
-            "expected_utility",
-            "benefit_next_year",
-            "benefit_horizon",
-            "std_err",
-        ):
-            if getattr(self, name).size != n:
-                raise ValueError(f"column {name} has mismatched length")
 
     @property
-    def optimum_index(self) -> int:
-        return int(np.argmax(self.expected_utility))
-
-    @property
-    def optimum(self) -> float:
-        return float(self.offers[self.optimum_index])
-
-    @property
-    def optimum_utility(self) -> float:
-        return float(self.expected_utility[self.optimum_index])
-
-    @property
-    def accept_at_optimum(self) -> float:
-        return float(self.accept_prob[self.optimum_index])
+    def offers(self) -> np.ndarray:
+        return self.prices
 
 
 def _cdf_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -585,17 +558,15 @@ def optimize_offer(
     if utility_scale <= 0:  # grid starts at or above the earning rate
         utility_scale = 1.0
     eu = margin * accept / utility_scale
-    next_year = np.array(
-        [expected_benefit(h, p, scenario, "next_year") for h, p in zip(points, accept)]
-    )
-    horizon = np.array(
-        [expected_benefit(h, p, scenario, "horizon") for h, p in zip(points, accept)]
+    next_year, horizon = (
+        np.array([expected_benefit(h, p, scenario, mode) for h, p in zip(points, accept)])
+        for mode in BENEFIT_MODES
     )
     return OfferEvaluation(
-        offers=points,
+        prices=points,
         accept_prob=accept,
         expected_utility=eu,
+        std_err=se,
         benefit_next_year=next_year,
         benefit_horizon=horizon,
-        std_err=se,
     )

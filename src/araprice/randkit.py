@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import betainc, ndtr
 
 __all__ = [
     "RngStream",
@@ -129,6 +129,10 @@ class PowerPricePrior:
         u = np.clip((x - self.lower) / (self.upper - self.lower), 0.0, 1.0)
         return u ** (self.exponent + 1.0)
 
+    def ppf(self, u):
+        """Inverse of :meth:`cdf`: lower + (upper - lower) * u^(1/(exponent+1))."""
+        return self.lower + (self.upper - self.lower) * u ** (1.0 / (self.exponent + 1.0))
+
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         n = self.exponent
@@ -216,8 +220,6 @@ def student_t_cdf(x, dof: float):
 
 def normal_cdf(x):
     """Standard normal CDF, vectorized."""
-    from scipy.special import ndtr
-
     out = ndtr(np.asarray(x, dtype=float))
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
@@ -236,11 +238,8 @@ def sample_inverse_gamma(params: InverseGammaParams, rng: RngStream, size=None):
 
 
 def sample_power_prior(prior: PowerPricePrior, rng: RngStream, size=None):
-    """Inverse-transform draw: lower + (upper-lower) * u^(1/(exponent+1))."""
-    u = rng.generator.random(size)
-    return prior.lower + (prior.upper - prior.lower) * u ** (
-        1.0 / (prior.exponent + 1.0)
-    )
+    """Inverse-transform draw: ``prior.ppf`` of uniforms."""
+    return prior.ppf(rng.generator.random(size))
 
 
 def sample_categorical(pmf: CategoricalPMF, rng: RngStream, size=None):

@@ -143,8 +143,16 @@ def t_choice_prob(p1, p2, noise: InverseGammaParams):
     With sigma^2 ~ InvGamma(shape, scale) the marginal is exactly
     1 - T_{2*shape}(sqrt(shape/scale) * (p1 - p2)) for the Student-t CDF.
     """
-    d = np.asarray(p1, float) - np.asarray(p2, float)
-    return 1.0 - student_t_cdf(math.sqrt(noise.shape / noise.scale) * d, 2.0 * noise.shape)
+    scale = math.sqrt(noise.shape / noise.scale)
+    z = scale * (np.asarray(p1, float) - np.asarray(p2, float))  # gap not kept alive
+    return 1.0 - student_t_cdf(z, 2.0 * noise.shape)
+
+
+def _margins(prices: np.ndarray, scenario: RetailScenario):
+    """Per-price payoff on a sale and on a lost sale: the perishable
+    variant writes the unit cost off on every lost sale."""
+    lost = -scenario.cost if scenario.utility_variant == "perishable" else 0.0
+    return prices - scenario.cost, np.full(prices.size, lost)
 
 
 def _acceptance(p1, p2, scenario: RetailScenario, noise: InverseGammaParams):
@@ -177,9 +185,7 @@ def sample_competitor_prices(
     prior = scenario.our_price_prior
 
     def _best(rows: slice) -> np.ndarray:
-        our_prices = prior.lower + (prior.upper - prior.lower) * u[rows] ** (
-            1.0 / (prior.exponent + 1.0)
-        )
+        our_prices = prior.ppf(u[rows])
         # sale probability for the rival: customer takes her product when it
         # is cheaper, up to the rival's own (vaguer) noise model
         win = 1.0 - _acceptance(
@@ -211,14 +217,12 @@ def estimate_expected_utility(
             f"price {p1} outside feasible range "
             f"[{scenario.cost}, {scenario.max_price}]"
         )
+    price = np.array([float(p1)])
     accept = _acceptance(p1, samples, scenario, scenario.customer_noise)
-    if scenario.utility_variant == "perishable":
-        payoff = (p1 - scenario.cost) * accept - scenario.cost * (1.0 - accept)
-    else:
-        payoff = (p1 - scenario.cost) * accept
-    est = float(payoff.mean())
-    se = float(payoff.std(ddof=1) / math.sqrt(payoff.size)) if payoff.size > 1 else 0.0
-    return est, se
+    curve = EvaluationCurve.from_draws(
+        price, accept[None, :], *_margins(price, scenario)
+    )
+    return float(curve.expected_utility[0]), float(curve.std_err[0])
 
 
 def optimize_price(
@@ -245,20 +249,4 @@ def optimize_price(
         )
 
     run_sliced(_fill, points.size, workers)
-    if scenario.utility_variant == "perishable":
-        payoff = (points[:, None] - scenario.cost) * accept - scenario.cost * (
-            1.0 - accept
-        )
-    else:
-        payoff = (points[:, None] - scenario.cost) * accept
-    mean = payoff.mean(axis=1)
-    if samples.size > 1:
-        se = payoff.std(axis=1, ddof=1) / math.sqrt(samples.size)
-    else:
-        se = np.zeros(points.size)
-    return EvaluationCurve(
-        prices=points,
-        accept_prob=accept.mean(axis=1),
-        expected_utility=mean,
-        std_err=se,
-    )
+    return EvaluationCurve.from_draws(points, accept, *_margins(points, scenario))

@@ -87,8 +87,6 @@ class TemplateScenario:
 
     def violations(self) -> list[str]:
         bad = []
-        if self.grid.step <= 0 or self.grid.min > self.grid.max:
-            bad.append("grid: must be a nonempty ascending grid")
         if (self.choice_sigma is None) == (self.choice_noise is None):
             bad.append("choice: exactly one of sigma / t noise params required")
         if self.choice_sigma is not None and self.choice_sigma <= 0:
@@ -100,12 +98,6 @@ class TemplateScenario:
             if arr.size == 0:
                 bad.append("competitor_prices: must be nonempty")
         return bad
-
-    def validate(self) -> "TemplateScenario":
-        bad = self.violations()
-        if bad:
-            raise ValueError("invalid template scenario: " + "; ".join(bad))
-        return self
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import pytest
 
 from araprice.core import (
     AgentBeliefs,
+    EvaluationCurve,
     OutcomeModel,
     PriceGrid,
     ProducerUtility,
@@ -20,6 +21,7 @@ from araprice.core import (
     validate_problem,
 )
 from araprice.oracle import quadrature_competitor_objective
+from araprice.pension import OfferEvaluation
 from araprice.randkit import CategoricalPMF, PowerPricePrior, RngStream, student_t_cdf
 from araprice.retail import RetailScenario
 from araprice.randkit import InverseGammaParams
@@ -261,6 +263,34 @@ class TestSolveSupportedPrice:
         _, b = solve_supported_price(grid, u1, beliefs, win, n_draws=200, rng=RngStream(9))
         assert np.array_equal(a.expected_utility, b.expected_utility)
         assert np.array_equal(a.accept_prob, b.accept_prob)
+
+
+class TestEvaluationCurve:
+    def test_from_draws_matches_row_by_row_formula(self):
+        g = np.random.default_rng(4)
+        prices = np.array([1.0, 2.0, 3.0])
+        win = g.random((3, 257))
+        on_sale, on_no_sale = prices - 0.5, np.array([-0.5, 0.0, -0.25])
+        curve = EvaluationCurve.from_draws(prices, win, on_sale, on_no_sale)
+        for i in range(prices.size):
+            payoff = on_sale[i] * win[i] + on_no_sale[i] * (1.0 - win[i])
+            assert curve.expected_utility[i] == payoff.mean()
+            assert curve.std_err[i] == payoff.std(ddof=1) / math.sqrt(win.shape[1])
+            assert curve.accept_prob[i] == win[i].mean()
+        one = EvaluationCurve.from_draws(prices, win[:, :1], on_sale, on_no_sale)
+        assert np.array_equal(one.std_err, np.zeros(3))
+
+    def test_every_column_must_align(self):
+        cols = dict(prices=np.arange(3.0), accept_prob=np.zeros(3),
+                    expected_utility=np.arange(3.0), std_err=np.zeros(3))
+        with pytest.raises(ValueError, match="std_err"):
+            EvaluationCurve(**{**cols, "std_err": np.zeros(2)})
+        with pytest.raises(ValueError, match="benefit_horizon"):
+            OfferEvaluation(**cols, benefit_next_year=np.zeros(3),
+                            benefit_horizon=np.zeros(4))
+        ev = OfferEvaluation(**cols, benefit_next_year=np.zeros(3),
+                             benefit_horizon=np.zeros(3))
+        assert ev.offers is ev.prices and ev.optimum == 2.0
 
 
 class TestValidateProblem:

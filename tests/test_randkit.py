@@ -125,6 +125,12 @@ class TestPowerPrior:
         d = ks_statistic(draws, lambda x: ((x - 5.0) / 45.0) ** 3)
         assert d < 0.002
 
+    def test_ppf_inverts_cdf(self):
+        prior = PowerPricePrior(5.0, 50.0, 2.0)
+        u = np.linspace(0.0, 1.0, 101)
+        assert prior.ppf(0.0) == prior.lower and prior.ppf(1.0) == prior.upper
+        np.testing.assert_allclose(prior.cdf(prior.ppf(u)), u, rtol=0, atol=1e-12)
+
     def test_density_integrates_to_one(self):
         prior = PowerPricePrior(2.0, 9.0, 1.7)
         total, _ = integrate.quad(prior.pdf, prior.lower, prior.upper)

@@ -381,6 +381,32 @@ class TestCli:
         )
         assert code == 0
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_compare_refuses_non_finite_values(self, tmp_path, capsys):
+        raw = json.loads(bundled_case("template_example").read_text())
+        raw["params"]["cost"] = 1e300  # the payoff spread overflows the SE
+        src = tmp_path / "huge_cost.json"
+        src.write_text(json.dumps(raw))
+        assert main(["compare", str(src), "--out", str(tmp_path / "cmp")]) == 5
+        err = capsys.readouterr().err
+        assert "numeric failure: std_err is inf" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [src]
+
+    @pytest.mark.parametrize(
+        "grid",
+        [{"min": 10.0, "max": 30.0, "step": 0.0}, {"min": 30.0, "max": 10.0, "step": 0.5}],
+        ids=["zero_step", "min_above_max"],
+    )
+    def test_bad_template_grid_exits_4(self, tmp_path, capsys, grid):
+        raw = json.loads(bundled_case("template_example").read_text())
+        raw["params"]["grid"] = grid
+        bad = tmp_path / "bad_grid.json"
+        bad.write_text(json.dumps(raw))
+        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 4
+        assert "params.grid" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [bad]
+
     def test_validate(self, capsys):
         assert main(["validate", str(bundled_case("pension_case2_low"))]) == 0
         assert "OK" in capsys.readouterr().out
