@@ -13,6 +13,7 @@ output is bit-identical for any worker count or scheduling order.
 
 from __future__ import annotations
 
+import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
@@ -53,7 +54,10 @@ def run_sliced(fn: Callable[[slice], None], total: int, workers: int) -> None:
         if bounds[i + 1] > bounds[i]
     ]
     with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-        for future in [pool.submit(fn, s) for s in slices]:
+        # each slice runs in a copy of the caller's context, so numpy's
+        # error state (``np.errstate``) holds in the workers too
+        futures = [pool.submit(contextvars.copy_context().run, fn, s) for s in slices]
+        for future in futures:
             future.result()
 
 

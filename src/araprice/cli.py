@@ -182,10 +182,11 @@ def cmd_run(args) -> int:
         or Path(args.scenario).with_suffix("").name + "_result"
     )
     started = time.perf_counter()
-    try:
-        result = _run_engine(scenario, seed, workers)
-        wall_ms = int(round(1000 * (time.perf_counter() - started)))
-        outputs = _render_outputs(result, scenario, out_base)
+    try:  # no numpy warnings: _check_finite reports a non-finite value
+        with np.errstate(all="ignore"):
+            result = _run_engine(scenario, seed, workers)
+            wall_ms = int(round(1000 * (time.perf_counter() - started)))
+            outputs = _render_outputs(result, scenario, out_base)
     except (FloatingPointError, ValueError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 5
@@ -241,16 +242,17 @@ def cmd_compare(args) -> int:
     check_compare_budget(scenario)
     seed = args.seed if args.seed is not None else scenario.seed
     workers = resolve_workers(args.workers)
-    try:
-        result = _run_engine(scenario, seed, workers)
-        prices, estimates, std_errs, oracle = _oracle_values(
-            scenario, result, seed, workers
-        )
-        _check_finite(
-            ("price", "estimate", "std_err", "oracle"),
-            zip(prices, estimates, std_errs, oracle),
-            {},
-        )
+    try:  # no numpy warnings: _check_finite reports a non-finite value
+        with np.errstate(all="ignore"):
+            result = _run_engine(scenario, seed, workers)
+            prices, estimates, std_errs, oracle = _oracle_values(
+                scenario, result, seed, workers
+            )
+            _check_finite(
+                ("price", "estimate", "std_err", "oracle"),
+                zip(prices, estimates, std_errs, oracle),
+                {},
+            )
     except (FloatingPointError, ValueError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 5

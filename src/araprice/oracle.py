@@ -4,10 +4,18 @@ Each engine estimate has an independent cross-check here: quadrature or
 exact enumeration instead of sampling, and scipy's Student-t instead of
 the package's own CDF path.  Nothing in this module touches an RNG, so
 oracle values are bit-stable across runs and safe to compare against.
+
+A Gauss-Legendre rule is an eigenproblem solved once per rule (Golub &
+Welsch, 1969), not once per price: ``_gauss_legendre`` keeps the
+``_GAUSS_RULES_KEPT`` most recently used rules, keyed on the whole
+``(lo, hi, nodes)`` triple.  A kept rule is the pair of arrays computed
+on its first request, so it has the bits of a fresh computation.  Its
+arrays are read-only, because every caller shares them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,10 +35,20 @@ __all__ = [
 ]
 
 
+# Rules that ``_gauss_legendre`` keeps: 16 * nodes bytes each (8 KiB at
+# 512 nodes).
+_GAUSS_RULES_KEPT = 32
+
+
+@functools.lru_cache(maxsize=_GAUSS_RULES_KEPT, typed=True)
 def _gauss_legendre(lo: float, hi: float, nodes: int):
+    """Read-only Gauss-Legendre nodes and weights on [lo, hi]."""
     x, w = np.polynomial.legendre.leggauss(nodes)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return mid + half * x, half * w
+    rule = mid + half * x, half * w
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def _retail_accept(p1, p2, scenario: RetailScenario):

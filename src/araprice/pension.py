@@ -490,6 +490,18 @@ def _wins_full_table(points, scenario, rho, idx, workers) -> np.ndarray:
     return sum(map_blocks(_count, rho.size, rates.size * scenario.horizon, workers))
 
 
+def _group_by_top(rho, top, counts) -> list:
+    """``rho[top == o]`` for every offer ``o``, from one gather.
+
+    A stable sort keeps each offer's draws in draw order; numpy sorts
+    offer indices of at most 16 bits by radix.  ``counts`` is
+    ``bincount(top)``.
+    """
+    grouped = rho[np.argsort(top, kind="stable")]
+    ends = np.cumsum(counts)
+    return [grouped[end - n : end] for n, end in zip(counts, ends)]
+
+
 def _wins_by_rate_order(points, scenario, rho, top, workers) -> np.ndarray:
     """Per grid rate, the draws in which it beats every rival, given each
     draw's highest rival offer index ``top``.
@@ -507,10 +519,12 @@ def _wins_by_rate_order(points, scenario, rho, top, workers) -> np.ndarray:
     ties = ~(beats | beaten) & (counts > 0)  # (grid, offers)
     wins = beats @ counts
 
-    for o in np.flatnonzero(ties.any(axis=0)):
+    tied_offers = np.flatnonzero(ties.any(axis=0))
+    by_top = _group_by_top(rho, top, counts) if tied_offers.size else []
+    for o in tied_offers:
         rates = np.flatnonzero(ties[:, o])
         tied = np.concatenate(([offers[o]], points[rates]))[:, None]
-        rho_o = rho[top == o]
+        rho_o = by_top[o]
 
         def _count(rows: slice) -> np.ndarray:
             eu = customer_expected_utility(
@@ -527,6 +541,8 @@ def _acceptance(points, scenario: PensionScenario, rng: RngStream, workers: int)
     """Share of the Monte Carlo draws in which each rate of ``points`` wins."""
     by_rate_order = _rate_order_applies(scenario)
     rho, idx = _draw_customers(scenario, rng, top_only=by_rate_order)
+    if by_rate_order:  # one or two bytes per draw: less memory, radix-sortable
+        idx = idx.astype(np.min_scalar_type(len(scenario.competitor_offers.values) - 1))
     count = _wins_by_rate_order if by_rate_order else _wins_full_table
     return count(points, scenario, rho, idx, workers) / scenario.mc_draws
 

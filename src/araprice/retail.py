@@ -10,6 +10,9 @@ retailer grid-searches her expected margin against those forecasts.
 The forecast scores its draws in fixed-size row blocks
 (``_parallel.map_blocks``), so its memory does not grow with n1 * n2 *
 grid and ``workers`` threads can share the work with the same bits.
+Within a block it bisects the rival's grid and skips the prices that a
+monotonicity bound proves cannot hold her argmax (see
+:func:`sample_competitor_prices`).
 """
 
 from __future__ import annotations
@@ -42,6 +45,11 @@ UTILITY_VARIANTS = ("non_perishable", "perishable")
 
 # ``price compare`` checks a forecast against one this many times larger.
 REFINED_FORECAST_FACTOR = 32
+
+# Slack added to the rival's mean win in the forecast's pruning bound, in
+# case the computed CDF is not monotone at the level of its rounding (about
+# 1e-16 for a value in [0, 1]); betainc does not promise monotonicity.
+_PRUNE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -168,12 +176,21 @@ def sample_competitor_prices(
     """Forecast the rival's price: ``n1`` draws of her optimal response.
 
     Each draw realizes ``n2`` prices we might set (from the rival's power
-    prior over our price), scores every candidate rival price by margin
-    times estimated sale probability, and keeps the argmax.  A known
-    rival price short-circuits to a degenerate forecast.  All uniforms
-    are drawn up front; the draws are then scored in row blocks of
-    ``n2`` x grid temporaries, split over ``workers`` threads without
-    changing a bit of the result.
+    prior over our price), scores candidate rival prices by margin times
+    estimated sale probability, and keeps the argmax, the lowest index on
+    ties.  A known rival price short-circuits to a degenerate forecast.
+    All uniforms are drawn up front; the draws are then scored in row
+    blocks of at most ``n2`` x grid temporaries, split over ``workers``
+    threads without changing a bit of the result.
+
+    The margin is nondecreasing in the grid index and the mean win is
+    nonincreasing (monotone CDFs, monotone rounding, one summation order),
+    so for scored indices a < k < b, ``margin[b-1] * win[a]`` bounds the
+    objective at k.  Each row scores the grid ends, then bisects only
+    the gaps whose bound, with the win raised by ``_PRUNE_MARGIN``
+    against CDF rounding, is not below the best objective so far.  Every
+    skipped price is then strictly worse than the argmax, which is the
+    argmax of the unpruned search.
     """
     scenario.validate()
     if scenario.known_competitor_price is not None:
@@ -181,20 +198,41 @@ def sample_competitor_prices(
 
     grid = scenario.competitor_grid.points()
     margin = grid - scenario.competitor_cost
+    bound_margin = np.maximum(margin, 0.0)  # grid points rounded below her cost
     u = rng.generator.random((scenario.n1, scenario.n2))
     prior = scenario.our_price_prior
 
     def _best(rows: slice) -> np.ndarray:
-        our_prices = prior.ppf(u[rows])
-        # sale probability for the rival: customer takes her product when it
-        # is cheaper, up to the rival's own (vaguer) noise model
-        win = 1.0 - _acceptance(
-            our_prices[:, :, None],
-            grid[None, None, :],
-            scenario,
-            scenario.competitor_noise,
-        )
-        return np.argmax(margin[None, :] * win.mean(axis=1), axis=1)
+        ours = prior.ppf(u[rows]).T  # (n2, rows): the draws on the outer axis
+        count = ours.shape[1]
+        mean_win = np.empty((count, grid.size))
+        objective = np.full((count, grid.size), -np.inf)  # -inf: not scored
+
+        def _score(row: np.ndarray, col: np.ndarray) -> None:
+            # sale probability for the rival: customer takes her product when
+            # it is cheaper, up to the rival's own (vaguer) noise model
+            win = 1.0 - _acceptance(
+                ours[:, row], grid[col], scenario, scenario.competitor_noise
+            )
+            # add.accumulate sums the draws in order, as the mean over the
+            # draw axis of a (rows, n2, grid) array does
+            mean_win[row, col] = np.cumsum(win, axis=0)[-1] / scenario.n2
+            objective[row, col] = margin[col] * mean_win[row, col]
+
+        # Bisect gaps (lo, hi) between scored indices, all rows at once.
+        row = np.arange(count)
+        lo, hi = np.zeros(count, dtype=np.intp), np.full(count, grid.size - 1)
+        _score(np.concatenate([row, row]), np.concatenate([lo, hi]))
+        while row.size:
+            best = objective.max(axis=1)[row]
+            bound = bound_margin[hi - 1] * (mean_win[row, lo] + _PRUNE_MARGIN)
+            keep = (hi - lo > 1) & ~(bound < best)  # a NaN keeps its gap
+            row, lo, hi = row[keep], lo[keep], hi[keep]
+            mid = (lo + hi) // 2
+            _score(row, mid)
+            row = np.concatenate([row, row])
+            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        return np.argmax(objective, axis=1)
 
     blocks = map_blocks(_best, scenario.n1, scenario.n2 * grid.size, workers)
     return grid[np.concatenate(blocks)]

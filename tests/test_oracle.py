@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from araprice import oracle
 from araprice.core import PriceGrid
 from araprice.oracle import (
     compare,
@@ -131,6 +132,49 @@ class TestPensionExact:
     def test_node_floor(self):
         with pytest.raises(ValueError, match="nodes"):
             exact_pension_acceptance(0.05, pension_scenario(), rho_nodes=1)
+
+
+class TestGaussLegendreMemo:
+    @pytest.mark.parametrize(
+        "lo, hi, nodes",
+        [(0.85, 0.95, 64), (5.0, 50.0, 512), (5.0, 50.0, 256), (0.0, 1.0, 16), (-3.5, 2.25, 17)],
+    )
+    def test_cached_rule_equals_fresh_rule_bit_for_bit(self, lo, hi, nodes):
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        oracle._gauss_legendre.cache_clear()
+        for _ in range(2):  # the first call fills the memo, the second reads it
+            nodes_, weights = oracle._gauss_legendre(lo, hi, nodes)
+            assert nodes_.tobytes() == (mid + half * x).tobytes()
+            assert weights.tobytes() == (half * w).tobytes()
+
+    def test_returned_arrays_are_read_only(self):
+        for array in oracle._gauss_legendre(5.0, 50.0, 512):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_repeat_call_does_not_solve_again(self, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counted(nodes):
+            calls.append(nodes)
+            return leggauss(nodes)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        oracle._gauss_legendre.cache_clear()
+        interval = (1.0, 1.0 + math.pi, 33)
+        first = oracle._gauss_legendre(*interval)
+        assert calls == [33]
+        again = oracle._gauss_legendre(*interval)
+        assert calls == [33] and again is first
+
+    def test_memo_is_bounded(self):
+        kept = oracle._GAUSS_RULES_KEPT
+        for k in range(kept + 5):
+            oracle._gauss_legendre(0.0, 2.0 + k, 16)
+        info = oracle._gauss_legendre.cache_info()
+        assert info.maxsize == kept and info.currsize == kept
 
 
 class TestCompare:

@@ -392,6 +392,25 @@ class TestRateOrderCount:
         expected = full_table_wins([h1], scenario, seed)[0] / scenario.mc_draws
         assert (p, se) == (expected, math.sqrt(expected * (1 - expected) / scenario.mc_draws))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        offers=st.integers(1, 300),  # indices of 8 and of 16 bits
+        used=st.integers(1, 300),
+        draws=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_group_by_top_slices_each_offers_draws_in_order(self, offers, used, draws, seed):
+        """Offers at or above ``used`` get no draws: their groups are empty."""
+        gen = np.random.default_rng(seed)
+        rho = gen.uniform(0.85, 0.95, draws)
+        top = gen.integers(0, min(used, offers), draws)
+        counts = np.bincount(top, minlength=offers)
+        for key in (top, top.astype(np.min_scalar_type(offers - 1))):
+            groups = pension._group_by_top(rho, key, counts)
+            assert len(groups) == offers
+            for o, group in enumerate(groups):
+                assert group.tobytes() == rho[top == o].tobytes()
+
     @pytest.mark.parametrize(
         "overrides",
         [

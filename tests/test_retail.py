@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -174,6 +174,52 @@ class TestBlockedForecast:
         )
         rows = max(1, BLOCK_ELEMENTS // (n2 * len(scenario.competitor_grid)))
         scenario = dataclasses.replace(scenario, n1=max(1, blocks * rows + offset))
+        expected = single_array_forecast(scenario, RngStream(seed))
+        got = sample_competitor_prices(scenario, RngStream(seed), workers=workers)
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        width=st.integers(1, 20),
+        shift=st.integers(-5, 25),
+        points=st.integers(1, 24),
+        step=st.sampled_from([0.5, 1.0]),
+        n1=st.integers(1, 80),
+        n2=st.sampled_from([1, 2, 3, 4]) | st.integers(1, 60),
+        noise=st.just(1e-9)
+        | st.floats(0.01, 5.0)
+        | st.tuples(st.floats(0.3, 5.0), st.just(1e-12) | st.floats(0.3, 5.0)),
+        exponent=st.floats(0.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+        workers=st.sampled_from([1, 2]),
+    )
+    # an exact tie between two grid prices, met after the higher one is scored
+    @example(17, 11, 21, 1.0, 64, 2, 1e-9, 0.0, 1302211876, 1)
+    # saturated noise, every rival price above ours: every objective is 0
+    @example(10, 12, 8, 0.5, 5, 3, 1e-9, 1.0, 0, 2)
+    @example(10, 12, 8, 0.5, 5, 3, (2.0, 1e-12), 1.0, 0, 2)
+    @example(10, 0, 1, 1.0, 3, 1, 0.5, 0.0, 0, 1)  # a one-point grid
+    def test_pruned_search_keeps_the_lowest_argmax(
+        self, width, shift, points, step, n1, n2, noise, exponent, seed, workers
+    ):
+        """Saturated probit noise (sigma 1e-9) and half or whole grid steps
+        make the objectives multiples of 1/n2 and ties common; the rival's
+        grid may lie above, across or below our prices."""
+        noise_fields = (
+            dict(competitor_noise=InverseGammaParams(*noise))
+            if isinstance(noise, tuple)
+            else dict(fixed_sigma=noise)
+        )
+        scenario = make_scenario(
+            max_price=5.0 + width,
+            competitor_cost=5.0 + shift,
+            competitor_max_price=5.0 + shift + (points - 1) * step,
+            grid_step=step,
+            n1=n1,
+            n2=n2,
+            prior_exponent=exponent,
+            **noise_fields,
+        )
         expected = single_array_forecast(scenario, RngStream(seed))
         got = sample_competitor_prices(scenario, RngStream(seed), workers=workers)
         assert got.tobytes() == expected.tobytes()

@@ -2,10 +2,14 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import araprice
 from araprice.cli import main
 from araprice.pension import PensionScenario
 from araprice.retail import RetailScenario
@@ -391,6 +395,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert "numeric failure: std_err is inf" in err
         assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [src]
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize(
+        "case, overrides, workers, message",
+        [
+            ("template_example", {"cost": 1e300}, 1, "std_err is inf at price 10.0"),
+            (
+                "retail_case3",  # the t CDF squares gaps of 1e200 in worker threads
+                {"max_price": 1e200, "competitor_max_price": 1e200, "grid_step": 1e199,
+                 "n1": 20, "n2": 20},
+                2,
+                "std_err is inf at price 3e+199",
+            ),
+        ],
+        ids=["template", "retail_2_workers"],
+    )
+    def test_numeric_failure_is_the_only_stderr_line(
+        self, tmp_path, command, case, overrides, workers, message
+    ):
+        """numpy's overflow warnings must not reach stderr ahead of the
+        documented line; checked in a fresh process, as a user sees it."""
+        raw = json.loads(bundled_case(case).read_text())
+        raw["params"].update(overrides)
+        src = tmp_path / "huge.json"
+        src.write_text(json.dumps(raw))
+        env = dict(os.environ, PYTHONPATH=str(Path(araprice.__file__).parents[1]))
+        argv = [command, str(src), "--workers", str(workers), "--out", str(tmp_path / "out")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "araprice.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 5
+        assert proc.stderr == f"numeric failure: {message}\n"
         assert list(tmp_path.iterdir()) == [src]
 
     @pytest.mark.parametrize(
