@@ -7,21 +7,57 @@ Carlo draws, forecast rows) into fixed-size blocks of about
 temporaries stay in cache and memory does not grow with the draw count.
 The block bounds depend only on the row count and the row size, never on
 the worker count.  ``run_sliced`` hands each worker a pre-assigned
-contiguous slice that writes into pre-allocated storage.  Either way the
-output is bit-identical for any worker count or scheduling order.
+contiguous slice that writes into pre-allocated storage; the slices run
+on the calling thread and on one thread pool per process, created on
+first use.  Either way the output is bit-identical for any worker count
+or scheduling order.
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable
 
 __all__ = ["BLOCK_ELEMENTS", "resolve_workers", "run_sliced", "map_blocks"]
 
 # Float64 elements of one temporary in a row block: 1 MiB, cache-sized.
 BLOCK_ELEMENTS = 1 << 17
+
+# The process's worker threads: one executor, created on first use and
+# replaced by a larger one when a call needs more threads than it has.
+_pool: ThreadPoolExecutor | None = None
+_pool_threads = 0
+_pool_lock = threading.Lock()
+_pool_thread = threading.local()
+
+
+def _mark_pool_thread() -> None:
+    _pool_thread.active = True
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's threads: start afresh."""
+    global _pool, _pool_threads, _pool_lock
+    _pool, _pool_threads, _pool_lock = None, 0, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _shared_pool(threads: int) -> ThreadPoolExecutor:
+    global _pool, _pool_threads
+    with _pool_lock:
+        if _pool is None or _pool_threads < threads:
+            # the old executor is not shut down, so calls still using it
+            # finish; its idle threads exit once it is garbage collected
+            _pool = ThreadPoolExecutor(
+                threads, thread_name_prefix="araprice", initializer=_mark_pool_thread
+            )
+            _pool_threads = threads
+        return _pool
 
 
 def resolve_workers(requested: int | None = None) -> int:
@@ -41,10 +77,12 @@ def run_sliced(fn: Callable[[slice], None], total: int, workers: int) -> None:
     """Call ``fn`` on contiguous slices covering range(total).
 
     ``fn`` must write its results into shared pre-allocated storage;
-    slices never overlap, so no synchronization is needed.
+    slices never overlap, so no synchronization is needed.  The caller
+    runs the first slice and the shared pool the others; a call made from
+    a pool thread runs inline, so nested calls cannot deadlock.
     """
     workers = min(max(1, workers), max(1, total))
-    if workers == 1:
+    if workers == 1 or getattr(_pool_thread, "active", False):
         fn(slice(0, total))
         return
     bounds = [round(i * total / workers) for i in range(workers + 1)]
@@ -53,12 +91,18 @@ def run_sliced(fn: Callable[[slice], None], total: int, workers: int) -> None:
         for i in range(workers)
         if bounds[i + 1] > bounds[i]
     ]
-    with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-        # each slice runs in a copy of the caller's context, so numpy's
-        # error state (``np.errstate``) holds in the workers too
-        futures = [pool.submit(contextvars.copy_context().run, fn, s) for s in slices]
-        for future in futures:
-            future.result()
+    # each slice runs in a copy of the caller's context, so numpy's error
+    # state (``np.errstate``) holds in the workers too
+    pool = _shared_pool(len(slices) - 1)
+    futures = [
+        pool.submit(contextvars.copy_context().run, fn, s) for s in slices[1:]
+    ]
+    try:
+        contextvars.copy_context().run(fn, slices[0])
+    finally:
+        wait(futures)  # no slice outlives the call, even when one raises
+    for future in futures:
+        future.result()
 
 
 def map_blocks(

@@ -51,7 +51,8 @@ class PriceGrid:
     """Compact feasible price set: {min, min+step, ...} up to and including max.
 
     Points are snapped to 9 decimals so that decimal steps (0.5, 0.005)
-    land exactly on the prices they are meant to contain.
+    land exactly on the prices they are meant to contain; both end points
+    must still be finite once snapped.
     """
 
     min: float
@@ -65,6 +66,16 @@ class PriceGrid:
             raise ValueError(f"grid min {self.min} exceeds max {self.max}")
         if self.step <= 0:
             raise ValueError("grid step must be positive")
+        span = (self.max - self.min) / self.step + 1e-9
+        if math.isfinite(span):  # else the point count is unbounded
+            last = self.min + self.step * math.floor(span)
+            with np.errstate(over="ignore"):
+                ends = np.round([self.min, last], 9)
+            if not np.isfinite(ends).all():
+                raise ValueError(
+                    f"grid end points {self.min!r}, {last!r} overflow when "
+                    "snapped to 9 decimals"
+                )
 
     def points(self) -> np.ndarray:
         count = int(math.floor((self.max - self.min) / self.step + 1e-9))
@@ -81,6 +92,8 @@ class OutcomeModel:
     handled by exact enumeration, or to a density on an interval, handled
     by fixed-node trapezoidal quadrature.  A single point mass at 0 is the
     degenerate "no outcome feature" model used by price-only problems.
+    :meth:`tabulated` turns every choice into its (nodes, weights) pair
+    once, so that a density is not evaluated again for every draw.
     """
 
     def __init__(self, per_choice: dict, quadrature_nodes: int = 1024):
@@ -102,6 +115,15 @@ class OutcomeModel:
     def continuous(cls, per_choice: dict, nodes: int = 1024) -> "OutcomeModel":
         """per_choice maps c -> (pdf, lo, hi)."""
         return cls(dict(per_choice), quadrature_nodes=nodes)
+
+    def tabulated(self) -> "OutcomeModel":
+        """The same model with every choice stored as its (nodes, weights)
+        pair: expected utilities have the same bits, and a continuous
+        choice's quadrature rule is built here once instead of per call.
+        Validate the original model; the table holds only finite pmfs."""
+        return OutcomeModel(
+            {c: self._nodes_weights(c) for c in self.per_choice}, self.quadrature_nodes
+        )
 
     def _nodes_weights(self, choice: int):
         entry = self.per_choice[choice]
@@ -138,7 +160,13 @@ class OutcomeModel:
     def expected_utility(self, u: Callable, choice: int, price: float) -> float:
         """Integrate u(price, s) over the outcome distribution of ``choice``."""
         s, w = self._nodes_weights(choice)
-        values = np.broadcast_to(np.asarray(u(price, s), dtype=float), s.shape)
+        values = u(price, s)
+        if not (
+            type(values) is np.ndarray
+            and values.dtype == np.float64
+            and values.shape == s.shape
+        ):
+            values = np.broadcast_to(np.asarray(values, dtype=float), s.shape)
         return float(np.dot(values, w))
 
 
@@ -341,17 +369,6 @@ class EvaluationCurve:
 # ---------------------------------------------------------------------------
 
 
-def _strict_argmax_against_first(eu: np.ndarray) -> int:
-    """Choice rule: the first product wins only on a strict maximum.
-
-    Ties go to the highest-indexed maximizer, so any competitor beats
-    product 1 at equal realized expected utility.
-    """
-    best = eu.max()
-    winners = np.flatnonzero(eu == best)
-    return int(winners[-1])
-
-
 def realize_choice(
     prices: Sequence,
     spec: RandomUtilitySpec,
@@ -360,22 +377,36 @@ def realize_choice(
 ) -> ChoiceOutcome:
     """One draw of the customer's multiple-comparison problem.
 
-    Realizes prices (entries may be distributions), a utility parameter
-    (shared or per product), computes per-product expected utilities over
-    the outcome model, and applies the strict choice rule.
+    Realizes prices (entries may be distributions; a plain number draws
+    nothing), a utility parameter, and the utility ``spec.builder`` makes
+    of it: once per draw, or once per product with ``per_product``.  It
+    computes per-product expected utilities over the outcome model and
+    applies the strict choice rule: product 0 wins only on a strict
+    maximum, and ties go to the highest-indexed maximizer, so any
+    competitor beats product 0 at equal realized expected utility.  A NaN
+    expected utility raises ValueError naming the product.
     """
     n = len(prices)
-    realized = np.array([_realize_prices(p, g, 1)[0] for p in prices])
+    realized = [
+        float(p) if isinstance(p, (float, int)) else float(_realize_prices(p, g, 1)[0])
+        for p in prices
+    ]
     if spec.per_product:
-        thetas = [spec.sample_parameter(g) for _ in range(n)]
+        utilities = [spec.builder(spec.sample_parameter(g)) for _ in range(n)]
     else:
-        theta = spec.sample_parameter(g)
-        thetas = [theta] * n
-    eu = np.empty(n)
-    for i in range(n):
-        u = spec.builder(thetas[i])
-        eu[i] = outcomes.expected_utility(u, i, float(realized[i]))
-    return ChoiceOutcome(chosen=_strict_argmax_against_first(eu), expected_utilities=eu)
+        utilities = [spec.builder(spec.sample_parameter(g))] * n
+    eu = [
+        outcomes.expected_utility(utilities[i], i, realized[i]) for i in range(n)
+    ]
+    chosen, best = 0, eu[0]
+    for i, value in enumerate(eu):
+        if value != value:
+            raise ValueError(
+                f"expected utility of product {i} is NaN at price {realized[i]!r}"
+            )
+        if value >= best:
+            chosen, best = i, value
+    return ChoiceOutcome(chosen=chosen, expected_utilities=np.array(eu))
 
 
 def customer_choice_probs(
@@ -388,7 +419,9 @@ def customer_choice_probs(
     """Probability vector of the customer choosing each of ``prices``.
 
     Monte Carlo over utility/price realizations; empirical frequencies of
-    the strict-rule argmax, so components always sum to one.
+    the strict-rule argmax, so components always sum to one.  The outcome
+    model is validated and tabulated once per call, then
+    :func:`realize_choice` runs once per draw.
     """
     n = len(prices)
     if n == 0:
@@ -400,11 +433,12 @@ def customer_choice_probs(
         raise ValueError("degenerate outcome model: " + "; ".join(problems))
     if n == 1:
         return np.array([1.0])
+    table = outcomes.tabulated()
     g = rng.generator
-    counts = np.zeros(n, dtype=np.int64)
+    counts = [0] * n
     for _ in range(n_draws):
-        counts[realize_choice(prices, spec, outcomes, g).chosen] += 1
-    probs = counts / n_draws
+        counts[realize_choice(prices, spec, table, g).chosen] += 1
+    probs = np.array(counts, dtype=np.int64) / n_draws
     probs[np.argmax(probs)] += 1.0 - probs.sum()  # exact partition of unity
     return probs
 

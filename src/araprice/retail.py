@@ -110,6 +110,12 @@ class RetailScenario:
             bad.append(
                 f"utility_variant: {self.utility_variant!r} not in {UTILITY_VARIANTS}"
             )
+        if not bad:
+            for grid in ("price_grid", "competitor_grid"):
+                try:
+                    getattr(self, grid)
+                except ValueError as exc:
+                    bad.append(f"{grid}: {exc}")
         return bad
 
     def validate(self) -> "RetailScenario":

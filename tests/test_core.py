@@ -1,10 +1,18 @@
 """Generic template: choice problem, competitor forecasting, grid solver."""
 
+import hashlib
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import araprice.core as core
 
 from araprice.core import (
     AgentBeliefs,
@@ -22,9 +30,17 @@ from araprice.core import (
 )
 from araprice.oracle import quadrature_competitor_objective
 from araprice.pension import OfferEvaluation
-from araprice.randkit import CategoricalPMF, PowerPricePrior, RngStream, student_t_cdf
+from araprice.randkit import (
+    CategoricalPMF,
+    EmpiricalDistribution,
+    InverseGammaParams,
+    PowerPricePrior,
+    RngStream,
+    student_t_cdf,
+)
 from araprice.retail import RetailScenario
-from araprice.randkit import InverseGammaParams
+
+GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
 CASE1_OFFERS = CategoricalPMF(
     (0.025, 0.03, 0.035, 0.04, 0.045, 0.05, 0.055, 0.06, 0.065, 0.07),
@@ -58,6 +74,14 @@ class TestPriceGrid:
 
     def test_single_point(self):
         assert PriceGrid(3.0, 3.0, 1.0).points().tolist() == [3.0]
+
+    def test_snapped_end_points_must_be_finite(self):
+        # snapping scales by 1e9, so an end point above about 1.8e299 overflows
+        with pytest.raises(ValueError, match="overflow when snapped"):
+            PriceGrid(0.0, 1e308, 1e307)
+        with pytest.raises(ValueError, match="overflow when snapped"):
+            PriceGrid(-1e300, -1e300, 1.0)
+        assert np.isfinite(PriceGrid(0.0, 1e200, 1e199).points()).all()
 
 
 class TestCustomerChoice:
@@ -166,6 +190,225 @@ class TestCustomerChoice:
             customer_choice_probs(
                 [1.0, 2.0], RandomUtilitySpec.risk_neutral(), bad, 10, RngStream(1)
             )
+
+    def test_nan_utility_names_the_product(self):
+        spec = RandomUtilitySpec.custom(
+            builder=lambda _t: (
+                lambda p, s: np.where(p > 19.5, np.nan, -p + np.asarray(s, float))
+            ),
+        )
+        outcomes = OutcomeModel.point_mass(3)
+        prices = [19.0, 18.0, 20.0]
+        with pytest.raises(ValueError, match="product 2 is NaN at price 20.0"):
+            realize_choice(prices, spec, outcomes, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="product 2 is NaN"):
+            customer_choice_probs(prices, spec, outcomes, 10, RngStream(1))
+
+    def test_one_realize_choice_call_per_draw(self, monkeypatch):
+        calls = []
+        original = core.realize_choice
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(core, "realize_choice", counted)
+        customer_choice_probs(
+            [20.0, CategoricalPMF((19.0, 21.0), (0.5, 0.5))],
+            RandomUtilitySpec.risk_neutral(), OutcomeModel.point_mass(2), 37,
+            RngStream(2),
+        )
+        assert len(calls) == 37
+
+    def test_demo_shares_match_recorded_digest(self):
+        """The first stage of demos/generic_template.py, whose float64
+        bytes were hashed into golden_outputs.json ("demo_shares")."""
+        recorded = json.loads(GOLDEN.read_text())
+        if recorded["versions"] != {"numpy": np.__version__, "scipy": scipy.__version__}:
+            pytest.skip(f"digest recorded with {recorded['versions']}")
+        customer = RandomUtilitySpec.custom(
+            builder=lambda w: (lambda price, s: -(price + w * np.asarray(s, float))),
+            prior=(0.5, 2.0),
+        )
+        delays = OutcomeModel.discrete({
+            0: ([1.0, 3.0], [0.8, 0.2]),
+            1: ([2.0, 5.0], [0.6, 0.4]),
+            2: ([1.0, 2.0], [0.5, 0.5]),
+        })
+        probs = customer_choice_probs(
+            [20.0, 19.0, 22.0], customer, delays, 20_000, RngStream(2024).derive(1)
+        )
+        digest = hashlib.sha256(probs.astype("<f8").tobytes()).hexdigest()
+        assert digest == recorded["demo_shares"]
+
+
+# ---------------------------------------------------------------------------
+# The customer choice loop as it was before the outcome model was tabulated
+# and realize_choice was trimmed: the reference for bit-identity.
+# ---------------------------------------------------------------------------
+
+
+def _frozen_nodes_weights(outcomes, choice):
+    entry = outcomes.per_choice[choice]
+    if isinstance(entry, tuple) and len(entry) == 2:
+        values, probs = entry
+        return np.asarray(values, float), np.asarray(probs, float)
+    pdf, lo, hi = entry
+    s = np.linspace(lo, hi, outcomes.quadrature_nodes)
+    w = pdf(s)
+    dw = np.full(s.size, (hi - lo) / (s.size - 1))
+    dw[0] *= 0.5
+    dw[-1] *= 0.5
+    return s, w * dw
+
+
+def _frozen_realize_prices(spec, g, size):
+    if isinstance(spec, PowerPricePrior):
+        return spec.ppf(g.random(size))
+    if isinstance(spec, CategoricalPMF):
+        values = np.asarray(spec.values)
+        return values[g.choice(len(values), size=size, p=spec.probs)]
+    if isinstance(spec, EmpiricalDistribution):
+        return spec.samples[g.integers(0, spec.samples.size, size)]
+    if callable(spec):
+        return np.array([float(spec(g)) for _ in range(size)])
+    return np.full(size, float(spec))
+
+
+def per_draw_choice(prices, spec, outcomes, g):
+    """One draw: (chosen, expected utilities), the pre-tabulation way."""
+    n = len(prices)
+    realized = np.array([_frozen_realize_prices(p, g, 1)[0] for p in prices])
+    if spec.per_product:
+        thetas = [spec.sample_parameter(g) for _ in range(n)]
+    else:
+        theta = spec.sample_parameter(g)
+        thetas = [theta] * n
+    eu = np.empty(n)
+    for i in range(n):
+        u = spec.builder(thetas[i])
+        s, w = _frozen_nodes_weights(outcomes, i)
+        price = float(realized[i])
+        values = np.broadcast_to(np.asarray(u(price, s), dtype=float), s.shape)
+        eu[i] = float(np.dot(values, w))
+    return int(np.flatnonzero(eu == eu.max())[-1]), eu
+
+
+def per_draw_choice_probs(prices, spec, outcomes, n_draws, rng):
+    g = rng.generator
+    counts = np.zeros(len(prices), dtype=np.int64)
+    for _ in range(n_draws):
+        counts[per_draw_choice(prices, spec, outcomes, g)[0]] += 1
+    probs = counts / n_draws
+    probs[np.argmax(probs)] += 1.0 - probs.sum()
+    return probs
+
+
+PRICE_KINDS = {
+    "float": lambda: 10.0,
+    "other_float": lambda: 10.5,
+    "int": lambda: 10,
+    "power": lambda: PowerPricePrior(9.0, 11.0, 2.0),
+    "pmf": lambda: CategoricalPMF((9.5, 10.0, 10.5), (0.25, 0.5, 0.25)),
+    "empirical": lambda: EmpiricalDistribution(np.array([9.0, 10.0, 10.0, 11.5])),
+    "callable": lambda: (lambda g: g.uniform(9.0, 11.0)),
+}
+PRIORS = {
+    "none": None,
+    "fixed": 0.7,
+    "interval": (0.5, 1.5),
+    "pmf": CategoricalPMF((0.5, 1.0), (0.5, 0.5)),
+    "callable": lambda g: g.normal(1.0, 0.1),
+}
+
+
+def _builder(kind):
+    def build(theta):
+        t = 1.0 if theta is None else theta
+        if kind == "array":
+            return lambda p, s: -(p + t * np.asarray(s, float))
+        if kind == "scalar":  # not shaped like the nodes: broadcast
+            return lambda p, s: 20.0 - t * p
+        if kind == "object":  # node-shaped, but must become float64 first
+            return lambda p, s: np.array([-(p + t * x) for x in s.tolist()], object)
+        return lambda p, s: (-(p + t * np.asarray(s, float))).astype(np.float32)
+
+    return build
+
+
+def _outcomes(kind, n, nodes):
+    if kind == "point_mass":
+        return OutcomeModel.point_mass(n)
+    if kind == "discrete":
+        return OutcomeModel.discrete({c: ([1.0, 3.0], [0.75, 0.25]) for c in range(n)})
+    pdfs = (lambda s: np.full(s.shape, 0.5), lambda s: s / 2.0)
+    return OutcomeModel.continuous(
+        {c: (pdfs[c % 2], 0.0, 2.0) for c in range(n)}, nodes=nodes
+    )
+
+
+@st.composite
+def choice_problems(draw):
+    n = draw(st.integers(2, 4))
+    prices = [PRICE_KINDS[k]() for k in draw(
+        st.lists(st.sampled_from(sorted(PRICE_KINDS)), min_size=n, max_size=n)
+    )]
+    spec = RandomUtilitySpec.custom(
+        builder=_builder(draw(st.sampled_from(["array", "scalar", "float32", "object"]))),
+        prior=PRIORS[draw(st.sampled_from(sorted(PRIORS)))],
+        per_product=draw(st.booleans()),
+    )
+    outcomes = _outcomes(
+        draw(st.sampled_from(["point_mass", "discrete", "continuous"])),
+        n,
+        draw(st.sampled_from([3, 64, 1024])),
+    )
+    return prices, spec, outcomes
+
+
+TIED = (  # equal prices, outcomes and one shared parameter: every draw ties
+    [10.0, 10, 10.0],
+    RandomUtilitySpec.custom(builder=_builder("array"), prior=(0.5, 1.5)),
+    OutcomeModel.discrete({c: ([1.0, 3.0], [0.75, 0.25]) for c in range(3)}),
+)
+OBJECT_UTILITY = (  # an object array summed as float64 over 1,024 nodes
+    [10.0, PowerPricePrior(9.0, 11.0, 2.0)],
+    RandomUtilitySpec.custom(builder=_builder("object"), prior=(0.5, 1.5)),
+    _outcomes("continuous", 2, 1024),
+)
+
+
+class TestChoiceLoopBitIdentity:
+    @settings(max_examples=150, deadline=None)
+    @given(problem=choice_problems(), seed=st.integers(0, 2**32 - 1),
+           n_draws=st.integers(1, 12))
+    @example(problem=TIED, seed=5, n_draws=8)
+    @example(problem=OBJECT_UTILITY, seed=1, n_draws=3)
+    def test_matches_the_per_draw_loop(self, problem, seed, n_draws):
+        prices, spec, outcomes = problem
+        g_ref, g_new = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(n_draws):
+            chosen, eu = per_draw_choice(prices, spec, outcomes, g_ref)
+            got = realize_choice(prices, spec, outcomes, g_new)
+            assert got.chosen == chosen
+            assert got.expected_utilities.tobytes() == eu.tobytes()
+            assert g_new.bit_generator.state == g_ref.bit_generator.state
+        ref = per_draw_choice_probs(prices, spec, outcomes, n_draws, RngStream(seed))
+        got = customer_choice_probs(prices, spec, outcomes, n_draws, RngStream(seed))
+        assert got.tobytes() == ref.tobytes()
+
+    def test_tied_draws_go_to_the_last_product(self):
+        prices, spec, outcomes = TIED
+        probs = customer_choice_probs(prices, spec, outcomes, 50, RngStream(5))
+        assert probs.tolist() == [0.0, 0.0, 1.0]
+
+    def test_tabulated_model_keeps_every_bit(self):
+        for kind in ("point_mass", "discrete", "continuous"):
+            model = _outcomes(kind, 3, 1024)
+            table = model.tabulated()
+            for c in range(3):
+                for got, ref in zip(table._nodes_weights(c), _frozen_nodes_weights(model, c)):
+                    assert got.tobytes() == ref.tobytes()
 
 
 def _retail_like_inputs():

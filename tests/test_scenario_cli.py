@@ -445,6 +445,36 @@ class TestCli:
         assert "params.grid" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [bad]
 
+    @pytest.mark.parametrize("command", ["validate", "run", "compare"])
+    @pytest.mark.parametrize(
+        "case, overrides, field",
+        [
+            (
+                "retail_case3",
+                {"cost": 0, "max_price": 1e308, "competitor_max_price": 1e308,
+                 "grid_step": 1e307},
+                "params.price_grid",
+            ),
+            ("template_example", {"grid": {"min": 0.0, "max": 1e308, "step": 1e307}},
+             "params.grid"),
+        ],
+        ids=["retail", "template"],
+    )
+    def test_grid_that_overflows_when_snapped_exits_4(
+        self, tmp_path, capsys, command, case, overrides, field
+    ):
+        """Snapping to 9 decimals scales by 1e9: end points near the float
+        limit must be refused as an invariant, before any run."""
+        raw = json.loads(bundled_case(case).read_text())
+        raw["params"].update(overrides)
+        src = tmp_path / "huge_grid.json"
+        src.write_text(json.dumps(raw))
+        out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+        assert main([command, str(src), *out]) == 4
+        err = capsys.readouterr().err
+        assert f"{field}: grid end points" in err and "overflow when snapped" in err
+        assert list(tmp_path.iterdir()) == [src]
+
     def test_validate(self, capsys):
         assert main(["validate", str(bundled_case("pension_case2_low"))]) == 0
         assert "OK" in capsys.readouterr().out
