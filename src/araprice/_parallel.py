@@ -26,10 +26,11 @@ __all__ = ["BLOCK_ELEMENTS", "resolve_workers", "run_sliced", "map_blocks"]
 # Float64 elements of one temporary in a row block: 1 MiB, cache-sized.
 BLOCK_ELEMENTS = 1 << 17
 
-# The process's worker threads: one executor, created on first use and
-# replaced by a larger one when a call needs more threads than it has.
+# The process's worker threads: one executor, created on first use.  It
+# starts a thread only when no idle one is free, so a generous cap costs
+# nothing until calls need the threads.
+POOL_THREADS = 64
 _pool: ThreadPoolExecutor | None = None
-_pool_threads = 0
 _pool_lock = threading.Lock()
 _pool_thread = threading.local()
 
@@ -40,23 +41,21 @@ def _mark_pool_thread() -> None:
 
 def _forget_pool() -> None:
     """A forked child has none of its parent's threads: start afresh."""
-    global _pool, _pool_threads, _pool_lock
-    _pool, _pool_threads, _pool_lock = None, 0, threading.Lock()
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
 
 
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _shared_pool(threads: int) -> ThreadPoolExecutor:
-    global _pool, _pool_threads
+def _shared_pool() -> ThreadPoolExecutor:
+    global _pool
     with _pool_lock:
-        if _pool is None or _pool_threads < threads:
-            # the old executor is not shut down, so calls still using it
-            # finish; its idle threads exit once it is garbage collected
+        if _pool is None:
             _pool = ThreadPoolExecutor(
-                threads, thread_name_prefix="araprice", initializer=_mark_pool_thread
+                POOL_THREADS, thread_name_prefix="araprice",
+                initializer=_mark_pool_thread,
             )
-            _pool_threads = threads
         return _pool
 
 
@@ -93,7 +92,7 @@ def run_sliced(fn: Callable[[slice], None], total: int, workers: int) -> None:
     ]
     # each slice runs in a copy of the caller's context, so numpy's error
     # state (``np.errstate``) holds in the workers too
-    pool = _shared_pool(len(slices) - 1)
+    pool = _shared_pool()
     futures = [
         pool.submit(contextvars.copy_context().run, fn, s) for s in slices[1:]
     ]

@@ -66,23 +66,27 @@ class PriceGrid:
             raise ValueError(f"grid min {self.min} exceeds max {self.max}")
         if self.step <= 0:
             raise ValueError("grid step must be positive")
-        span = (self.max - self.min) / self.step + 1e-9
-        if math.isfinite(span):  # else the point count is unbounded
-            last = self.min + self.step * math.floor(span)
-            with np.errstate(over="ignore"):
-                ends = np.round([self.min, last], 9)
-            if not np.isfinite(ends).all():
+        count = self.count()
+        if count != math.inf:  # an unbounded count is left to the work budget
+            last = self.min + self.step * (count - 1)
+            # snapping multiplies by 1e9, so that product must stay finite
+            if not all(math.isfinite(end * 1e9) for end in (self.min, last)):
                 raise ValueError(
                     f"grid end points {self.min!r}, {last!r} overflow when "
                     "snapped to 9 decimals"
                 )
 
+    def count(self) -> float:
+        """Number of points, without building them: math.inf when the
+        span in steps is not finite."""
+        span = (self.max - self.min) / self.step + 1e-9
+        return math.floor(span) + 1.0 if math.isfinite(span) else math.inf
+
     def points(self) -> np.ndarray:
-        count = int(math.floor((self.max - self.min) / self.step + 1e-9))
-        return np.round(self.min + self.step * np.arange(count + 1), 9)
+        return np.round(self.min + self.step * np.arange(int(self.count())), 9)
 
     def __len__(self) -> int:
-        return self.points().size
+        return int(self.count())
 
 
 class OutcomeModel:
@@ -92,8 +96,6 @@ class OutcomeModel:
     handled by exact enumeration, or to a density on an interval, handled
     by fixed-node trapezoidal quadrature.  A single point mass at 0 is the
     degenerate "no outcome feature" model used by price-only problems.
-    :meth:`tabulated` turns every choice into its (nodes, weights) pair
-    once, so that a density is not evaluated again for every draw.
     """
 
     def __init__(self, per_choice: dict, quadrature_nodes: int = 1024):
@@ -115,15 +117,6 @@ class OutcomeModel:
     def continuous(cls, per_choice: dict, nodes: int = 1024) -> "OutcomeModel":
         """per_choice maps c -> (pdf, lo, hi)."""
         return cls(dict(per_choice), quadrature_nodes=nodes)
-
-    def tabulated(self) -> "OutcomeModel":
-        """The same model with every choice stored as its (nodes, weights)
-        pair: expected utilities have the same bits, and a continuous
-        choice's quadrature rule is built here once instead of per call.
-        Validate the original model; the table holds only finite pmfs."""
-        return OutcomeModel(
-            {c: self._nodes_weights(c) for c in self.per_choice}, self.quadrature_nodes
-        )
 
     def _nodes_weights(self, choice: int):
         entry = self.per_choice[choice]
@@ -160,13 +153,9 @@ class OutcomeModel:
     def expected_utility(self, u: Callable, choice: int, price: float) -> float:
         """Integrate u(price, s) over the outcome distribution of ``choice``."""
         s, w = self._nodes_weights(choice)
-        values = u(price, s)
-        if not (
-            type(values) is np.ndarray
-            and values.dtype == np.float64
-            and values.shape == s.shape
-        ):
-            values = np.broadcast_to(np.asarray(values, dtype=float), s.shape)
+        values = np.asarray(u(price, s), dtype=float)
+        if values.shape != s.shape:
+            values = np.broadcast_to(values, s.shape)
         return float(np.dot(values, w))
 
 
@@ -420,8 +409,8 @@ def customer_choice_probs(
 
     Monte Carlo over utility/price realizations; empirical frequencies of
     the strict-rule argmax, so components always sum to one.  The outcome
-    model is validated and tabulated once per call, then
-    :func:`realize_choice` runs once per draw.
+    model is validated once per call, then :func:`realize_choice` runs
+    once per draw.
     """
     n = len(prices)
     if n == 0:
@@ -433,11 +422,10 @@ def customer_choice_probs(
         raise ValueError("degenerate outcome model: " + "; ".join(problems))
     if n == 1:
         return np.array([1.0])
-    table = outcomes.tabulated()
     g = rng.generator
     counts = [0] * n
     for _ in range(n_draws):
-        counts[realize_choice(prices, spec, table, g).chosen] += 1
+        counts[realize_choice(prices, spec, outcomes, g).chosen] += 1
     probs = np.array(counts, dtype=np.int64) / n_draws
     probs[np.argmax(probs)] += 1.0 - probs.sum()  # exact partition of unity
     return probs

@@ -10,7 +10,6 @@ round-trips back to JSON unchanged.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -228,18 +227,12 @@ def _pmf(obj, key, path, problems, invariants):
         return None
 
 
-def _grid_length(grid: PriceGrid) -> float:
-    """Number of points ``grid.points()`` would hold, without building it."""
-    span = (grid.max - grid.min) / grid.step + 1e-9
-    return math.floor(span) + 1.0 if math.isfinite(span) else math.inf
-
-
 def _work_problems(kind: str, params, compare: bool) -> list[str]:
     """Element counts of ``params`` above :data:`WORK_BUDGET`, for ``run``
     and ``validate`` or, with ``compare``, for ``price compare``."""
     if kind == "retail":
-        grid = _grid_length(params.price_grid)
-        forecast = float(params.n1) * params.n2 * _grid_length(params.competitor_grid)
+        grid = params.price_grid.count()
+        forecast = float(params.n1) * params.n2 * params.competitor_grid.count()
         counts = {"price grid x n1": grid * params.n1}
         if params.known_competitor_price is None:
             counts["n1 x n2 x competitor grid"] = forecast
@@ -250,13 +243,13 @@ def _work_problems(kind: str, params, compare: bool) -> list[str]:
     elif kind == "pension":
         counts = {
             "offer_grid x competitor offers x horizon": (
-                _grid_length(params.offer_grid)
+                params.offer_grid.count()
                 * len(params.competitor_offers.values) * params.horizon
             ),
             "mc_draws x n_competitors": float(params.mc_draws) * params.n_competitors,
         }
     else:
-        counts = {"grid x n_draws": _grid_length(params.grid) * params.n_draws}
+        counts = {"grid x n_draws": params.grid.count() * params.n_draws}
     return [
         f"params: {what} is {count:.4g} elements, over the work budget of {WORK_BUDGET}"
         for what, count in counts.items()

@@ -25,7 +25,6 @@ def _fresh_pool(monkeypatch):
     CountingExecutor.made = 0
     monkeypatch.setattr(_parallel, "ThreadPoolExecutor", CountingExecutor)
     monkeypatch.setattr(_parallel, "_pool", None)
-    monkeypatch.setattr(_parallel, "_pool_threads", 0)
 
 
 def _squares(total, workers):
@@ -47,8 +46,8 @@ def test_repeated_calls_reuse_one_executor(monkeypatch):
     _squares(100, 2)
     _squares(100, 1)  # one worker never touches the pool
     assert _parallel._pool is pool and CountingExecutor.made == 1
-    _squares(100, 4)  # more threads than the pool has: one larger pool
-    assert CountingExecutor.made == 2 and _parallel._pool_threads == 3
+    _squares(100, 4)  # a wider call uses the same pool
+    assert _parallel._pool is pool and CountingExecutor.made == 1
 
 
 NESTED = """
@@ -115,7 +114,7 @@ def test_forked_child_makes_its_own_pool():
 
 
 def test_concurrent_callers_each_get_their_own_slices(monkeypatch):
-    """Callers racing to create and grow the pool, with more threads than
+    """Callers racing to create and share the pool, with more threads than
     cores and frequent switches: every output is complete and exact."""
     _fresh_pool(monkeypatch)
     failures = []
