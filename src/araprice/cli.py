@@ -165,7 +165,7 @@ def _run_engine(scenario: ScenarioFile, seed: int, workers: int):
     if scenario.kind == "retail":
         return optimize_price(scenario.params, rng, workers=workers)
     if scenario.kind == "pension":
-        return optimize_offer(scenario.params, rng, workers=workers)
+        return optimize_offer(scenario.params, rng)
     return _run_template(scenario.params, rng)
 
 
@@ -291,10 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a scenario and write curve + summary")
     run.add_argument("scenario", help="path to a scenario JSON file")
     run.add_argument("--seed", type=int, default=None, help="override the file seed")
-    run.add_argument(
-        "--workers", type=int, default=None,
-        help="worker threads (default: PRICE_WORKERS or 1); never changes results",
-    )
     run.add_argument("--out", default=None, help="output path base")
     run.set_defaults(fn=cmd_run)
 
@@ -302,9 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("scenario")
     cmp_.add_argument("--z", type=float, default=3.0, help="|z| pass threshold")
     cmp_.add_argument("--seed", type=int, default=None)
-    cmp_.add_argument("--workers", type=int, default=None)
     cmp_.add_argument("--out", default=None)
     cmp_.set_defaults(fn=cmd_compare)
+    for command in (run, cmp_):  # compare also threads its refined forecast
+        command.add_argument(
+            "--workers", type=int, default=None,
+            help="threads for the retail rival forecast (default: PRICE_WORKERS "
+            "or 1); never changes results",
+        )
 
     val = sub.add_parser("validate", help="parse and check every invariant")
     val.add_argument("scenario")

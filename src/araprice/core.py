@@ -132,15 +132,11 @@ class OutcomeModel:
         dw[-1] *= 0.5
         return s, w * dw
 
-    def normalization(self, choice: int) -> float:
-        _, w = self._nodes_weights(choice)
-        return float(np.sum(w))
-
     def validate(self, tol_discrete: float = 1e-9, tol_quadrature: float = 1e-6):
         """Check every conditional distribution integrates to one."""
         problems = []
         for c, entry in self.per_choice.items():
-            total = self.normalization(c)
+            total = float(np.sum(self._nodes_weights(c)[1]))
             tol = (
                 tol_discrete
                 if isinstance(entry, tuple) and len(entry) == 2
@@ -552,13 +548,10 @@ def validate_problem(
     """
     checks = []
 
-    # (a) compact nonempty price set
-    try:
-        points = grid.points() if grid is not None else np.array([])
-        grid_ok = points.size > 0 and np.all(np.isfinite(points))
-        detail = f"{points.size} points" if grid_ok else "no finite grid points"
-    except (ValueError, AttributeError) as exc:
-        grid_ok, detail = False, str(exc)
+    # (a) compact nonempty price set: finitely many points, finite ends
+    count = grid.count() if grid is not None else 0
+    grid_ok = 0 < count < math.inf
+    detail = f"{int(count)} points" if grid_ok else "no finite grid points"
     checks.append(CheckResult("price_set_compact_nonempty", bool(grid_ok), detail))
 
     # (b) |u| <= bound over probed (price, choice, outcome, parameter) tuples
@@ -570,7 +563,8 @@ def validate_problem(
         for _ in range(cfg.probe_count):
             theta = spec.sample_parameter(g)
             u = spec.builder(theta)
-            price = float(points[g.integers(0, points.size)])
+            k = g.integers(0, int(count))  # grid point k, without building the grid
+            price = float(np.round(grid.min + grid.step * k, 9))
             choice = choices[g.integers(0, len(choices))]
             s_nodes, _ = outcomes._nodes_weights(choice)
             s = float(s_nodes[g.integers(0, s_nodes.size)])

@@ -310,7 +310,7 @@ def acceptance_probability(
     """
     scenario.validate()
     _check_offer_range(float(h1), scenario)
-    p = float(_acceptance(np.array([float(h1)]), scenario, rng, workers=1)[0])
+    p = float(_acceptance(np.array([float(h1)]), scenario, rng)[0])
     se = math.sqrt(p * (1.0 - p) / scenario.mc_draws)
     return p, se
 
@@ -473,10 +473,10 @@ def _rate_order_applies(scenario: PensionScenario) -> bool:
     return bool(np.all(gaps > _SEPARATION_MARGIN))
 
 
-def _wins_full_table(points, scenario, rho, idx, workers) -> np.ndarray:
+def _wins_full_table(points, scenario, rho, idx) -> np.ndarray:
     """Per grid rate, the draws in which it beats every rival, from full
     utility tables: the best rival utility of each draw against each rate,
-    in row blocks of draws split over ``workers`` threads."""
+    in row blocks of draws."""
     offers = np.asarray(scenario.competitor_offers.values)
     rates = np.concatenate((offers, points))[:, None]
 
@@ -487,7 +487,7 @@ def _wins_full_table(points, scenario, rho, idx, workers) -> np.ndarray:
         rival = np.take_along_axis(eu[: offers.size], idx[rows].T, axis=0)
         return (eu[offers.size :] > rival.max(axis=0)).sum(axis=1)
 
-    return sum(map_blocks(_count, rho.size, rates.size * scenario.horizon, workers))
+    return sum(map_blocks(_count, rho.size, rates.size * scenario.horizon))
 
 
 def _group_by_top(rho, top, counts) -> list:
@@ -502,21 +502,28 @@ def _group_by_top(rho, top, counts) -> list:
     return [grouped[end - n : end] for n, end in zip(counts, ends)]
 
 
-def _wins_by_rate_order(points, scenario, rho, top, workers) -> np.ndarray:
+def _separation(points, scenario: PensionScenario):
+    """Per (grid rate, rival offer): whether the rate provably beats the
+    offer, and whether neither is proven to beat the other (a tie)."""
+    offers = np.asarray(scenario.competitor_offers.values)
+    beats = _utility_gap_bound(offers[None, :], points[:, None], scenario) > _SEPARATION_MARGIN
+    beaten = _utility_gap_bound(points[:, None], offers[None, :], scenario) > _SEPARATION_MARGIN
+    return beats, ~(beats | beaten)
+
+
+def _wins_by_rate_order(points, scenario, rho, top) -> np.ndarray:
     """Per grid rate, the draws in which it beats every rival, given each
     draw's highest rival offer index ``top``.
 
     Requires :func:`_rate_order_applies`.  A rate wins every draw whose
     top offer it provably beats and loses every draw whose top offer
     provably beats it; the remaining (rate, offer) pairs compare exact
-    utilities on that offer's draws, in row blocks split over ``workers``
-    threads.
+    utilities on that offer's draws, in row blocks.
     """
     offers = np.asarray(scenario.competitor_offers.values)
     counts = np.bincount(top, minlength=offers.size)
-    beats = _utility_gap_bound(offers[None, :], points[:, None], scenario) > _SEPARATION_MARGIN
-    beaten = _utility_gap_bound(points[:, None], offers[None, :], scenario) > _SEPARATION_MARGIN
-    ties = ~(beats | beaten) & (counts > 0)  # (grid, offers)
+    beats, ties = _separation(points, scenario)
+    ties &= counts > 0  # (grid, offers)
     wins = beats @ counts
 
     tied_offers = np.flatnonzero(ties.any(axis=0))
@@ -533,25 +540,36 @@ def _wins_by_rate_order(points, scenario, rho, top, workers) -> np.ndarray:
             return (eu[1:] > eu[:1]).sum(axis=1)
 
         row = tied.size * scenario.horizon
-        wins[rates] += sum(map_blocks(_count, rho_o.size, row, workers))
+        wins[rates] += sum(map_blocks(_count, rho_o.size, row))
     return wins
 
 
-def _acceptance(points, scenario: PensionScenario, rng: RngStream, workers: int):
+def utility_evaluations(scenario: PensionScenario) -> float:
+    """Bound, without drawing, on the exit-year utility terms that counting
+    acceptance on the offer grid evaluates: draws x horizon x rates per
+    draw.  Full tables hold every rival offer and grid rate; by rate order
+    a draw evaluates its top offer and at most the T grid rates tied with
+    one offer, or nothing when no pair is tied."""
+    points = scenario.offer_grid.points()
+    if _rate_order_applies(scenario):
+        tied = int(_separation(points, scenario)[1].sum(axis=0).max())
+        per_draw = 1 + tied if tied else 0
+    else:
+        per_draw = len(scenario.competitor_offers.values) + points.size
+    return float(scenario.mc_draws) * scenario.horizon * per_draw
+
+
+def _acceptance(points, scenario: PensionScenario, rng: RngStream):
     """Share of the Monte Carlo draws in which each rate of ``points`` wins."""
     by_rate_order = _rate_order_applies(scenario)
     rho, idx = _draw_customers(scenario, rng, top_only=by_rate_order)
     if by_rate_order:  # one or two bytes per draw: less memory, radix-sortable
         idx = idx.astype(np.min_scalar_type(len(scenario.competitor_offers.values) - 1))
     count = _wins_by_rate_order if by_rate_order else _wins_full_table
-    return count(points, scenario, rho, idx, workers) / scenario.mc_draws
+    return count(points, scenario, rho, idx) / scenario.mc_draws
 
 
-def optimize_offer(
-    scenario: PensionScenario,
-    rng: RngStream,
-    workers: int = 1,
-) -> OfferEvaluation:
+def optimize_offer(scenario: PensionScenario, rng: RngStream) -> OfferEvaluation:
     """Evaluate every offer on the grid and pick the expected-utility argmax.
 
     One set of Monte Carlo draws (risk aversions and rival offers) is
@@ -560,14 +578,14 @@ def optimize_offer(
     (scenario, seed).  Acceptance is counted by rate order wherever the
     utility gap between a grid rate and a rival offer is proven (see the
     module docstring); the remaining exact utility comparisons, or the
-    full utility tables when rates cannot order the rivals, may be split
-    over ``workers`` threads with bit-identical results.  Ties on expected
-    utility resolve to the lowest offer.
+    full utility tables when rates cannot order the rivals, run in row
+    blocks on the calling thread.  Ties on expected utility resolve to the
+    lowest offer.
     """
     scenario.validate()
     draws = scenario.mc_draws
     points = scenario.offer_grid.points()
-    accept = _acceptance(points, scenario, rng, workers)
+    accept = _acceptance(points, scenario, rng)
     se = np.sqrt(accept * (1.0 - accept) / draws)
     margin = (scenario.earn_rate - points) * scenario.scaled_capital
     utility_scale = (scenario.earn_rate - points[0]) * scenario.scaled_capital

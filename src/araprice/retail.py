@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import map_blocks, run_sliced
+from ._parallel import map_blocks
 from .core import EvaluationCurve, PriceGrid
 from .randkit import (
     InverseGammaParams,
@@ -276,21 +276,15 @@ def optimize_price(
 
     All grid points are scored against the same competitor-price sample,
     which keeps the acceptance column monotone in price and the whole
-    curve reproducible from (scenario, seed).  The rival forecast and the
-    grid evaluation may be split across ``workers`` threads without
-    changing a single bit of the result (randomness is drawn up front;
-    blocks and slices are pre-assigned).
+    curve reproducible from (scenario, seed).  The rival forecast may be
+    split across ``workers`` threads without changing a single bit of the
+    result (randomness is drawn up front; blocks are pre-assigned); the
+    grid, n2 times smaller, is scored on the calling thread.
     """
     scenario.validate()
     samples = sample_competitor_prices(scenario, rng, workers)
     points = scenario.price_grid.points()
-
-    accept = np.empty((points.size, samples.size))
-
-    def _fill(block: slice) -> None:
-        accept[block] = _acceptance(
-            points[block, None], samples[None, :], scenario, scenario.customer_noise
-        )
-
-    run_sliced(_fill, points.size, workers)
+    accept = _acceptance(
+        points[:, None], samples[None, :], scenario, scenario.customer_noise
+    )
     return EvaluationCurve.from_draws(points, accept, *_margins(points, scenario))

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import PriceGrid
-from .pension import ExitProfile, PensionScenario
+from .pension import ExitProfile, PensionScenario, utility_evaluations
 from .randkit import CategoricalPMF, InverseGammaParams
 from .retail import REFINED_FORECAST_FACTOR, RetailScenario
 
@@ -42,10 +42,11 @@ FORMATS = ("csv", "json")
 _FLOAT_MAX = sys.float_info.max
 
 # Most elements (256 MiB as float64) that one command may allocate or
-# evaluate for a scenario: grid points x draws, draws x rivals.  Counted
-# from the parameters before anything is allocated; an overrun is an
-# invariant violation (exit 4).  ``compare`` is also held to its refined
-# forecast, which ``run`` and ``validate`` never build.
+# evaluate for a scenario: grid points x draws, draws x rivals, pension
+# utility terms.  Counted from the parameters before anything is
+# allocated; an overrun is an invariant violation (exit 4).  ``compare``
+# is also held to its refined forecast, which ``run`` and ``validate``
+# never build.
 WORK_BUDGET = 1 << 25
 
 
@@ -179,52 +180,37 @@ def _literal_problems(node, path: str) -> list[str]:
     return [p for where, v in children for p in _literal_problems(v, where)]
 
 
-def _grid(obj, key, path, problems, invariants):
+def _record(obj, key, path, problems, invariants, names, build, read=_number):
+    """``build`` of the fields ``names`` of the object ``obj[key]``, each
+    read by ``read``; a ValueError from ``build`` is an invariant problem."""
     raw = _require(obj, key, dict, path, problems)
     if raw is None:
         return None
-    lo = _number(raw, "min", f"{path}.{key}", problems)
-    hi = _number(raw, "max", f"{path}.{key}", problems)
-    step = _number(raw, "step", f"{path}.{key}", problems)
-    if None in (lo, hi, step):
+    fields = [read(raw, name, f"{path}.{key}", problems) for name in names]
+    if any(field is None for field in fields):
         return None
     try:
-        return PriceGrid(float(lo), float(hi), float(step))
+        return build(*fields)
     except ValueError as exc:
         invariants.append(f"{path}.{key}: {exc}")
         return None
+
+
+def _grid(obj, key, path, problems, invariants):
+    return _record(obj, key, path, problems, invariants, ("min", "max", "step"),
+                   lambda lo, hi, step: PriceGrid(float(lo), float(hi), float(step)))
 
 
 def _igamma(obj, key, path, problems, invariants, optional=False):
     if optional and key not in obj:
         return None
-    raw = _require(obj, key, dict, path, problems)
-    if raw is None:
-        return None
-    shape = _number(raw, "shape", f"{path}.{key}", problems)
-    scale = _number(raw, "scale", f"{path}.{key}", problems)
-    if None in (shape, scale):
-        return None
-    try:
-        return InverseGammaParams(float(shape), float(scale))
-    except ValueError as exc:
-        invariants.append(f"{path}.{key}: {exc}")
-        return None
+    return _record(obj, key, path, problems, invariants, ("shape", "scale"),
+                   lambda shape, scale: InverseGammaParams(float(shape), float(scale)))
 
 
 def _pmf(obj, key, path, problems, invariants):
-    raw = _require(obj, key, dict, path, problems)
-    if raw is None:
-        return None
-    values = _numbers(raw, "values", f"{path}.{key}", problems)
-    probs = _numbers(raw, "probs", f"{path}.{key}", problems)
-    if values is None or probs is None:
-        return None
-    try:
-        return CategoricalPMF(tuple(values), tuple(probs))
-    except ValueError as exc:
-        invariants.append(f"{path}.{key}: {exc}")
-        return None
+    return _record(obj, key, path, problems, invariants, ("values", "probs"),
+                   lambda v, p: CategoricalPMF(tuple(v), tuple(p)), read=_numbers)
 
 
 def _work_problems(kind: str, params, compare: bool) -> list[str]:
@@ -248,6 +234,10 @@ def _work_problems(kind: str, params, compare: bool) -> list[str]:
             ),
             "mc_draws x n_competitors": float(params.mc_draws) * params.n_competitors,
         }
+        if max(counts.values()) <= WORK_BUDGET:  # counting builds grid x offers
+            counts["mc_draws x horizon x rates compared per draw"] = (
+                utility_evaluations(params)
+            )
     else:
         counts = {"grid x n_draws": params.grid.count() * params.n_draws}
     return [

@@ -555,6 +555,23 @@ class TestValidateProblem:
         names = {c.name: c.passed for c in report.checks}
         assert names["price_set_compact_nonempty"] is False
 
+    @pytest.mark.parametrize(
+        "grid, compact",
+        [(PriceGrid(0.0, 1e308, 1e-300), False), (PriceGrid(0.0, 1e15, 1.0), True)],
+        ids=["unbounded_count", "1e15_points"],
+    )
+    def test_huge_grids_are_reported_without_building_them(self, grid, compact):
+        """An infinite point count fails compactness instead of raising; a
+        finite one is probed point by point, never allocated."""
+        report = validate_problem(
+            grid, RandomUtilitySpec.risk_neutral(), OutcomeModel.point_mass(2),
+            ValidationConfig(10.0),
+        )
+        names = {c.name: c.passed for c in report.checks}
+        assert names["price_set_compact_nonempty"] is compact
+        if not compact:
+            assert names["utilities_bounded"] is False
+
     def test_bound_violation_flagged(self):
         grid = PriceGrid(5.0, 50.0, 0.5)
         spec = RandomUtilitySpec.custom(

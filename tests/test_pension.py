@@ -1,8 +1,8 @@
 """Pension engine: customer utility, acceptance, benefits, optimization."""
 
 import math
-import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -286,13 +286,11 @@ class TestOptimizeOffer:
         ev = optimize_offer(CASE1, RngStream(18))
         assert ev.expected_utility[ev.optimum_index] == ev.expected_utility.max()
 
-    def test_seed_determinism_and_workers(self):
+    def test_seed_determinism(self):
         a = optimize_offer(CASE1, RngStream(19))
         b = optimize_offer(CASE1, RngStream(19))
-        c = optimize_offer(CASE1, RngStream(19), workers=3)
         for name in ("accept_prob", "expected_utility", "benefit_horizon"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
-            assert np.array_equal(getattr(a, name), getattr(c, name))
 
     def test_benefit_columns_match_formulas(self):
         ev = optimize_offer(CASE1, RngStream(20))
@@ -373,19 +371,15 @@ def pension_scenarios(draw):
 
 class TestRateOrderCount:
     @settings(max_examples=300, deadline=None)
-    @given(
-        scenario=pension_scenarios(),
-        seed=st.integers(0, 2**32 - 1),
-        workers=st.sampled_from([1, 2]),
-    )
-    def test_matches_full_tables_bit_for_bit(self, scenario, seed, workers):
+    @given(scenario=pension_scenarios(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_full_tables_bit_for_bit(self, scenario, seed):
         points = scenario.offer_grid.points()
         full = full_table_wins(points, scenario, seed)
         if pension._rate_order_applies(scenario):
             rho, top = pension._draw_customers(scenario, RngStream(seed), top_only=True)
-            fast = pension._wins_by_rate_order(points, scenario, rho, top, workers)
+            fast = pension._wins_by_rate_order(points, scenario, rho, top)
             assert fast.tobytes() == full.tobytes()
-        ev = optimize_offer(scenario, RngStream(seed), workers=workers)
+        ev = optimize_offer(scenario, RngStream(seed))
         assert ev.accept_prob.tobytes() == (full / scenario.mc_draws).tobytes()
         h1 = float(points[-1])
         p, se = acceptance_probability(h1, scenario, RngStream(seed))
@@ -425,9 +419,29 @@ class TestRateOrderCount:
         scenario = make_scenario(**overrides)
         assert not pension._rate_order_applies(scenario)
         points = scenario.offer_grid.points()
-        ev = optimize_offer(scenario, RngStream(4), workers=2)
+        ev = optimize_offer(scenario, RngStream(4))
         expected = full_table_wins(points, scenario, 4) / scenario.mc_draws
         assert ev.accept_prob.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(scenario=pension_scenarios(), seed=st.integers(0, 2**32 - 1))
+    def test_utility_evaluations_bound_the_count(self, scenario, seed):
+        """The work budget's count never falls short of the utility terms
+        that counting evaluates, and matches them on the full tables."""
+        evaluated = []
+        real = pension.customer_expected_utility
+
+        def counting(h, scenario, rho, *args, **kwargs):
+            evaluated.append(np.broadcast(np.asarray(h), np.asarray(rho)).size)
+            return real(h, scenario, rho, *args, **kwargs)
+
+        with mock.patch.object(pension, "customer_expected_utility", counting):
+            optimize_offer(scenario, RngStream(seed))
+        done = sum(evaluated) * scenario.horizon
+        bound = pension.utility_evaluations(scenario)
+        assert done <= bound
+        if not pension._rate_order_applies(scenario):
+            assert done == bound
 
     def test_bundled_cases_take_the_rate_order_path(self):
         names = [n for n in bundled_case_names() if n.startswith("pension")]
@@ -447,24 +461,11 @@ class TestRateOrderCount:
         between = make_scenario(offer_grid=PriceGrid(0.0275, 0.0675, 0.005))
         optimize_offer(between, RngStream(6))
         assert evaluated == []  # no grid rate equals a rival offer
+        assert pension.utility_evaluations(between) == 0
         optimize_offer(CASE1, RngStream(6))
         # each draw is compared once, at the grid rate equal to its top offer
         assert sum(evaluated) == 2 * CASE1.mc_draws
-
-    def test_many_threads_match_one(self):
-        """More workers than cores and a short switch interval: the
-        threads that settle tied offers must not lose an update."""
-        scenario = make_scenario(
-            n_competitors=2, mc_draws=50_000, offer_grid=PriceGrid(0.025, 0.07, 0.0025)
-        )
-        one = optimize_offer(scenario, RngStream(8), workers=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            many = optimize_offer(scenario, RngStream(8), workers=16)
-        finally:
-            sys.setswitchinterval(interval)
-        assert many.accept_prob.tobytes() == one.accept_prob.tobytes()
+        assert pension.utility_evaluations(CASE1) == 2 * CASE1.mc_draws * CASE1.horizon
 
     def test_out_of_range_offer_still_raises(self):
         with pytest.raises(ValueError, match="outside"):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -223,6 +224,20 @@ class TestBlockedForecast:
         expected = single_array_forecast(scenario, RngStream(seed))
         got = sample_competitor_prices(scenario, RngStream(seed), workers=workers)
         assert got.tobytes() == expected.tobytes()
+
+    def test_many_threads_match_one(self):
+        """More workers than cores and a short switch interval: the
+        threads that share the forecast's row blocks must not lose a row.
+        retail_case3 at n1 = 400 has 23 blocks of 18 rows."""
+        scenario = dataclasses.replace(CASE3, n1=400)
+        one = sample_competitor_prices(scenario, RngStream(8), workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = sample_competitor_prices(scenario, RngStream(8), workers=16)
+        finally:
+            sys.setswitchinterval(interval)
+        assert many.tobytes() == one.tobytes()
 
     def test_refined_forecast_memory_is_bounded(self):
         """The 32x-refined retail_case3 forecast of `price compare`: one

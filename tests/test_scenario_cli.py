@@ -255,20 +255,45 @@ class TestCli:
         [
             ("template_example", "n_draws", 41, "grid x n_draws"),
             ("pension_case1", "mc_draws", 1, "mc_draws x n_competitors"),
+            ("pension_case1", "mc_draws", 16, "mc_draws x horizon x rates compared per draw"),
         ],
     )
     def test_work_budget_boundary(self, tmp_path, capsys, case, key, per_unit, message):
-        """The template's 41-point grid times n_draws, and one rival times
+        """The template's 41-point grid times n_draws; one rival times
         mc_draws (no factor of the horizon: no array holds draws x years),
-        on and one past the budget; validate only, so nothing of that size
-        runs."""
+        with the grid rates between the rival offers, so no utility is
+        evaluated; and pension_case1's utility terms, 8 years x 2 rates
+        (a top offer and the grid rate tied with it) per draw.  On and one
+        past the budget; validate only, so nothing of that size runs."""
         raw = json.loads(bundled_case(case).read_text())
+        if message == "mc_draws x n_competitors":
+            raw["params"]["offer_grid"] = {"min": 0.0275, "max": 0.0675, "step": 0.005}
         edge = tmp_path / "edge.json"
         for count, code in ((WORK_BUDGET // per_unit, 0), (WORK_BUDGET // per_unit + 1, 4)):
             raw["params"][key] = count
             edge.write_text(json.dumps(raw))
             assert main(["validate", str(edge)]) == code
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run", "compare"])
+    def test_pension_utility_work_over_budget_exits_4(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        """pension_case1 over a 2000-year horizon at 1e5 draws: the
+        utilities underflow, so the count takes the full tables, 4e9
+        utility terms (minutes of work) in row blocks that each fit."""
+        import araprice.cli as cli
+
+        monkeypatch.setattr(cli, "_run_engine", lambda *args: pytest.fail("engine ran"))
+        raw = json.loads(bundled_case("pension_case1").read_text())
+        raw["params"].update(horizon=2000, exit_profile=[0.0] * 1999, mc_draws=10**5)
+        src = tmp_path / "long.json"
+        src.write_text(json.dumps(raw))
+        out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+        assert main([command, str(src), *out]) == 4
+        err = capsys.readouterr().err
+        assert "mc_draws x horizon x rates compared per draw is 4e+09" in err
+        assert list(tmp_path.iterdir()) == [src]
 
     def test_only_compare_counts_its_refined_forecast(self, tmp_path, monkeypatch, capsys):
         """retail_case3 at n1 = 200 forecasts 200 x 100 x 71 = 1.4e6
@@ -335,6 +360,26 @@ class TestCli:
                 for p in tmp_path.glob(f"{out.name}.*")
             ))
         assert written[0] and written[0] == written[1]
+
+    def test_pension_never_uses_the_thread_pool(self, tmp_path, monkeypatch):
+        """pension_case2_high: 400k draws give tie settlement several row
+        blocks, yet ``--workers 4`` counts them all on the calling thread."""
+        from araprice import _parallel
+
+        case = bundled_case("pension_case2_high")
+        one = tmp_path / "w1"
+        assert main(["run", str(case), "--out", str(one), "--workers", "1"]) == 0
+
+        def no_pool():
+            raise AssertionError("pension asked for the thread pool")
+
+        monkeypatch.setattr(_parallel, "_shared_pool", no_pool)
+        four = tmp_path / "w4"
+        assert main(["run", str(case), "--out", str(four), "--workers", "4"]) == 0
+        for suffix in (".csv", ".summary.json"):
+            assert (
+                one.with_suffix(suffix).read_bytes() == four.with_suffix(suffix).read_bytes()
+            )
 
     def test_determinism_across_runs_and_workers(self, tmp_path):
         case = bundled_case("retail_case3")
@@ -480,7 +525,8 @@ class TestCli:
         assert "OK" in capsys.readouterr().out
 
     def test_workers_env_var_default(self, tmp_path, monkeypatch):
-        case = bundled_case("pension_case1")
+        """retail_case3: PRICE_WORKERS reaches the threaded rival forecast."""
+        case = bundled_case("retail_case3")
         base = tmp_path / "w1"
         assert main(["run", str(case), "--out", str(base), "--workers", "1"]) == 0
         monkeypatch.setenv("PRICE_WORKERS", "3")
