@@ -172,9 +172,7 @@ def _run_engine(scenario: ScenarioFile, seed: int, workers: int):
 def cmd_run(args) -> int:
     scenario = parse_scenario(args.scenario)
     seed = args.seed if args.seed is not None else scenario.seed
-    scenario = ScenarioFile(
-        scenario.kind, scenario.params, seed, scenario.output, scenario.format
-    )
+    scenario = dataclasses.replace(scenario, seed=seed)
     workers = resolve_workers(args.workers)
     out_base = Path(
         args.out

@@ -461,8 +461,6 @@ def sample_competitor_optimal_price(
     is carried for bookkeeping in multi-producer setups.
     """
     points = grid.points()
-    if points.size == 0:
-        raise ValueError("empty price grid")
     if inner_draws < 1:
         raise ValueError("inner_draws must be at least 1")
     theta = spec.sample_parameter(rng.generator)
@@ -503,8 +501,6 @@ def solve_supported_price(
     deterministic given the stream.
     """
     points = grid.points()
-    if points.size == 0:
-        raise ValueError("empty price grid")
     if outcomes is not None:
         problems = outcomes.validate()
         if problems:
@@ -514,12 +510,10 @@ def solve_supported_price(
         if rng is None:
             raise ValueError("sampling beliefs requires an RngStream")
         rivals = beliefs.sample(rng, n_draws)
+    elif isinstance(beliefs, EmpiricalDistribution):
+        rivals = beliefs.samples[:, None]
     else:
-        if isinstance(beliefs, EmpiricalDistribution):
-            rivals = beliefs.samples[:, None]
-        else:
-            rivals = np.atleast_1d(np.asarray(beliefs, dtype=float))
-            rivals = rivals[:, None]
+        rivals = np.atleast_1d(np.asarray(beliefs, dtype=float))[:, None]
 
     curve = EvaluationCurve.from_draws(
         points,

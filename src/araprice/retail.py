@@ -279,12 +279,14 @@ def optimize_price(
     curve reproducible from (scenario, seed).  The rival forecast may be
     split across ``workers`` threads without changing a single bit of the
     result (randomness is drawn up front; blocks are pre-assigned); the
-    grid, n2 times smaller, is scored on the calling thread.
+    grid, n2 times smaller, is scored in row blocks on the calling thread.
     """
     scenario.validate()
     samples = sample_competitor_prices(scenario, rng, workers)
     points = scenario.price_grid.points()
-    accept = _acceptance(
-        points[:, None], samples[None, :], scenario, scenario.customer_noise
-    )
+
+    def _score(rows: slice) -> np.ndarray:
+        return _acceptance(points[rows, None], samples, scenario, scenario.customer_noise)
+
+    accept = np.concatenate(map_blocks(_score, points.size, samples.size))
     return EvaluationCurve.from_draws(points, accept, *_margins(points, scenario))

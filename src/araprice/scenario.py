@@ -43,10 +43,11 @@ _FLOAT_MAX = sys.float_info.max
 
 # Most elements (256 MiB as float64) that one command may allocate or
 # evaluate for a scenario: grid points x draws, draws x rivals, pension
-# utility terms.  Counted from the parameters before anything is
-# allocated; an overrun is an invariant violation (exit 4).  ``compare``
-# is also held to its refined forecast, which ``run`` and ``validate``
-# never build.
+# utility terms.  Counted before the engine runs; only the pension utility
+# count allocates, the offer grid x offers x horizon tie matrix that its
+# own entry bounds.  An overrun is an invariant violation (exit 4).
+# ``compare`` is also held to its refined forecast, which ``run`` and
+# ``validate`` never build.
 WORK_BUDGET = 1 << 25
 
 
@@ -180,42 +181,58 @@ def _literal_problems(node, path: str) -> list[str]:
     return [p for where, v in children for p in _literal_problems(v, where)]
 
 
-def _record(obj, key, path, problems, invariants, names, build, read=_number):
-    """``build`` of the fields ``names`` of the object ``obj[key]``, each
-    read by ``read``; a ValueError from ``build`` is an invariant problem."""
+def _grid(obj, key, path, problems, invariants):
     raw = _require(obj, key, dict, path, problems)
     if raw is None:
         return None
-    fields = [read(raw, name, f"{path}.{key}", problems) for name in names]
-    if any(field is None for field in fields):
+    lo = _number(raw, "min", f"{path}.{key}", problems)
+    hi = _number(raw, "max", f"{path}.{key}", problems)
+    step = _number(raw, "step", f"{path}.{key}", problems)
+    if None in (lo, hi, step):
         return None
     try:
-        return build(*fields)
+        return PriceGrid(float(lo), float(hi), float(step))
     except ValueError as exc:
         invariants.append(f"{path}.{key}: {exc}")
         return None
 
 
-def _grid(obj, key, path, problems, invariants):
-    return _record(obj, key, path, problems, invariants, ("min", "max", "step"),
-                   lambda lo, hi, step: PriceGrid(float(lo), float(hi), float(step)))
-
-
 def _igamma(obj, key, path, problems, invariants, optional=False):
     if optional and key not in obj:
         return None
-    return _record(obj, key, path, problems, invariants, ("shape", "scale"),
-                   lambda shape, scale: InverseGammaParams(float(shape), float(scale)))
+    raw = _require(obj, key, dict, path, problems)
+    if raw is None:
+        return None
+    shape = _number(raw, "shape", f"{path}.{key}", problems)
+    scale = _number(raw, "scale", f"{path}.{key}", problems)
+    if None in (shape, scale):
+        return None
+    try:
+        return InverseGammaParams(float(shape), float(scale))
+    except ValueError as exc:
+        invariants.append(f"{path}.{key}: {exc}")
+        return None
 
 
 def _pmf(obj, key, path, problems, invariants):
-    return _record(obj, key, path, problems, invariants, ("values", "probs"),
-                   lambda v, p: CategoricalPMF(tuple(v), tuple(p)), read=_numbers)
+    raw = _require(obj, key, dict, path, problems)
+    if raw is None:
+        return None
+    values = _numbers(raw, "values", f"{path}.{key}", problems)
+    probs = _numbers(raw, "probs", f"{path}.{key}", problems)
+    if values is None or probs is None:
+        return None
+    try:
+        return CategoricalPMF(tuple(values), tuple(probs))
+    except ValueError as exc:
+        invariants.append(f"{path}.{key}: {exc}")
+        return None
 
 
 def _work_problems(kind: str, params, compare: bool) -> list[str]:
     """Element counts of ``params`` above :data:`WORK_BUDGET`, for ``run``
-    and ``validate`` or, with ``compare``, for ``price compare``."""
+    and ``validate`` or, with ``compare``, for ``price compare`` of a parsed
+    scenario, whose pension utility count is not taken again."""
     if kind == "retail":
         grid = params.price_grid.count()
         forecast = float(params.n1) * params.n2 * params.competitor_grid.count()
@@ -234,7 +251,7 @@ def _work_problems(kind: str, params, compare: bool) -> list[str]:
             ),
             "mc_draws x n_competitors": float(params.mc_draws) * params.n_competitors,
         }
-        if max(counts.values()) <= WORK_BUDGET:  # counting builds grid x offers
+        if not compare and max(counts.values()) <= WORK_BUDGET:
             counts["mc_draws x horizon x rates compared per draw"] = (
                 utility_evaluations(params)
             )
@@ -434,6 +451,14 @@ def _grid_dict(grid: PriceGrid) -> dict:
     return {"min": grid.min, "max": grid.max, "step": grid.step}
 
 
+def _igamma_dict(noise: InverseGammaParams) -> dict:
+    return {"shape": noise.shape, "scale": noise.scale}
+
+
+def _pmf_dict(pmf: CategoricalPMF) -> dict:
+    return {"values": list(pmf.values), "probs": list(pmf.probs)}
+
+
 def scenario_to_dict(sc: ScenarioFile) -> dict:
     params = sc.params
     if sc.kind == "retail":
@@ -442,14 +467,8 @@ def scenario_to_dict(sc: ScenarioFile) -> dict:
             "competitor_cost": params.competitor_cost,
             "max_price": params.max_price,
             "competitor_max_price": params.competitor_max_price,
-            "customer_noise": {
-                "shape": params.customer_noise.shape,
-                "scale": params.customer_noise.scale,
-            },
-            "competitor_noise": {
-                "shape": params.competitor_noise.shape,
-                "scale": params.competitor_noise.scale,
-            },
+            "customer_noise": _igamma_dict(params.customer_noise),
+            "competitor_noise": _igamma_dict(params.competitor_noise),
             "prior_exponent": params.prior_exponent,
             "grid_step": params.grid_step,
             "n1": params.n1,
@@ -468,10 +487,7 @@ def scenario_to_dict(sc: ScenarioFile) -> dict:
             "horizon": params.horizon,
             "penalty_fraction": params.penalty_fraction,
             "exit_profile": list(params.exit_profile.q_exit),
-            "competitor_offers": {
-                "values": list(params.competitor_offers.values),
-                "probs": list(params.competitor_offers.probs),
-            },
+            "competitor_offers": _pmf_dict(params.competitor_offers),
             "n_competitors": params.n_competitors,
             "risk_aversion": list(params.risk_aversion),
             "money_unit": params.money_unit,
@@ -485,21 +501,13 @@ def scenario_to_dict(sc: ScenarioFile) -> dict:
             "n_draws": params.n_draws,
         }
         if isinstance(params.competitor_prices, CategoricalPMF):
-            body["competitor_prices"] = {
-                "values": list(params.competitor_prices.values),
-                "probs": list(params.competitor_prices.probs),
-            }
+            body["competitor_prices"] = _pmf_dict(params.competitor_prices)
         else:
             body["competitor_prices"] = list(params.competitor_prices)
         if params.choice_sigma is not None:
             body["choice"] = {"sigma": params.choice_sigma}
         else:
-            body["choice"] = {
-                "t_noise": {
-                    "shape": params.choice_noise.shape,
-                    "scale": params.choice_noise.scale,
-                }
-            }
+            body["choice"] = {"t_noise": _igamma_dict(params.choice_noise)}
     out = {"kind": sc.kind, "seed": sc.seed, "format": sc.format, "params": body}
     if sc.output is not None:
         out["output"] = sc.output

@@ -13,8 +13,11 @@ from scipy import integrate
 
 from araprice._parallel import BLOCK_ELEMENTS
 from araprice.randkit import InverseGammaParams, RngStream
+from araprice.core import EvaluationCurve
 from araprice.retail import (
     RetailScenario,
+    _acceptance,
+    _margins,
     estimate_expected_utility,
     optimize_price,
     probit_choice_prob,
@@ -313,6 +316,21 @@ class TestOptimizePrice:
         b = optimize_price(CASE3, RngStream(33), workers=4)
         assert np.array_equal(a.expected_utility, b.expected_utility)
         assert np.array_equal(a.accept_prob, b.accept_prob)
+
+    def test_grid_blocks_match_one_call(self):
+        """At n1 = 1500 a row block holds 87 of the 91 grid prices: scored
+        in two blocks, the curve has the bits of one grid x draws call."""
+        scenario = dataclasses.replace(CASE3, n1=1500, n2=10)
+        points = scenario.price_grid.points()
+        assert BLOCK_ELEMENTS // scenario.n1 < points.size
+        samples = sample_competitor_prices(scenario, RngStream(34))
+        accept = _acceptance(
+            points[:, None], samples[None, :], scenario, scenario.customer_noise
+        )
+        expected = EvaluationCurve.from_draws(points, accept, *_margins(points, scenario))
+        got = optimize_price(scenario, RngStream(34))
+        for column in ("accept_prob", "expected_utility", "std_err"):
+            assert getattr(got, column).tobytes() == getattr(expected, column).tobytes()
 
     def test_invalid_scenario_rejected(self):
         bad = make_scenario(n1=0)
