@@ -199,20 +199,136 @@ class EmpiricalDistribution:
 # ---------------------------------------------------------------------------
 
 
+def _t1_lower_tail(y: np.ndarray) -> np.ndarray:
+    """F(-y) at 1 degree of freedom: atan(1/y)/pi."""
+    np.divide(1.0, y, out=y)
+    np.arctan(y, out=y)
+    y /= math.pi
+    return y
+
+
+def _t2_lower_tail(y: np.ndarray) -> np.ndarray:
+    """F(-y) at 2 degrees of freedom: 1/(t + y*sqrt(t)) with t = 2 + y^2,
+    which is (1 - y/sqrt(t))/2 without its cancellation."""
+    t = y * y
+    t += 2.0
+    s = np.sqrt(t)
+    s *= y
+    s += t
+    return np.divide(1.0, s, out=y)
+
+
+# F(-y) at 3 degrees of freedom is (phi - sin(phi) cos(phi))/pi with
+# phi = atan(sqrt(3)/y), which cancels for small phi.  Its Taylor series,
+# phi^3 * sum_k b_k phi^(2k-2) with b_k = (-1)^(k+1) 4^k / (pi (2k+1)!),
+# has terms shrinking like 1/(2k+1)!, and 13 of them reach double
+# precision for every phi up to pi/2 (y = 0).
+_T3_SERIES = tuple(
+    (-1) ** (k + 1) * 4.0**k / (math.pi * math.factorial(2 * k + 1))
+    for k in range(1, 14)
+)
+
+
+def _t3_lower_tail(y: np.ndarray) -> np.ndarray:
+    """F(-y) at 3 degrees of freedom, by the series in phi (Horner in
+    phi^2; phi is taken back as sqrt(phi^2), so two arrays suffice)."""
+    np.divide(math.sqrt(3.0), y, out=y)
+    np.arctan(y, out=y)
+    v = y * y
+    np.multiply(v, _T3_SERIES[-1], out=y)
+    for b in reversed(_T3_SERIES[1:-1]):
+        y += b
+        y *= v
+    y += _T3_SERIES[0]
+    y *= v
+    np.sqrt(v, out=v)
+    y *= v
+    return y
+
+
+def _t4_lower_tail(y: np.ndarray) -> np.ndarray:
+    """F(-y) at 4 degrees of freedom: (1 - s(1 + c/2))/2 with
+    s = y/sqrt(4 + y^2) and c = 4/(4 + y^2), written as
+    h^2 e (1 + e) with h = c/2 and e = 1/(1 + s).  s is taken as
+    1/sqrt(1 + 4/y^2), so a y^2 past the float range gives s = 1, h = 0
+    and a tail of exactly 0, never inf/inf."""
+    y *= y
+    e = np.divide(4.0, y)
+    e += 1.0
+    np.sqrt(e, out=e)
+    np.divide(1.0, e, out=e)
+    e += 1.0
+    np.divide(1.0, e, out=e)
+    y += 4.0
+    np.divide(2.0, y, out=y)
+    y *= y
+    y *= e
+    e += 1.0
+    y *= e
+    return y
+
+
+# Closed forms of the lower tail (Abramowitz & Stegun 26.7.3-4), by dof.
+# Each takes |x| as a fresh flat array, overwrites it with the tail and
+# allocates at most two more arrays of its size (one at dof 3 and 4).
+_T_LOWER_TAILS = {
+    1.0: _t1_lower_tail,
+    2.0: _t2_lower_tail,
+    3.0: _t3_lower_tail,
+    4.0: _t4_lower_tail,
+}
+
+
+def _t_cdf_betainc(x: np.ndarray, dof: float) -> np.ndarray:
+    """Student t CDF at any dof through one ``betainc`` call.
+
+    Where x^2 >= dof, F(-|x|) = I_{dof/(dof+x^2)}(dof/2, 1/2) / 2.  Closer
+    to 0 that argument rounds toward 1 and loses the distance from 1/2, so
+    there F = 1/2 + sign(x) I_{x^2/(dof+x^2)}(1/2, dof/2) / 2 instead; both
+    branches share the call through array-valued ``a`` and ``b``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        x2 = x * x
+        near = x2 < dof
+        z = np.where(near, x2, dof)
+        x2 += dof
+        z /= x2
+        del x2  # freed before a and b: three arrays of x's size at most
+        a = np.where(near, 0.5, 0.5 * dof)
+        b = np.where(near, 0.5 * dof, 0.5)
+        half = betainc(a, b, z, out=z)
+        del a, b
+        half *= 0.5
+        above = x > 0
+        np.negative(half, out=half, where=near ^ above)
+        np.add(half, 0.5, out=half, where=near)
+        np.add(half, 1.0, out=half, where=above & ~near)
+    return half
+
+
 def student_t_cdf(x, dof: float):
     """CDF of the Student t distribution with ``dof`` degrees of freedom.
 
-    Evaluated through the regularized incomplete beta function
-    I_{dof/(dof+x^2)}(dof/2, 1/2), which is exact to machine precision and
-    vectorizes over ``x``.  Scalar in, scalar out.
+    At dof 1, 2, 3 and 4 (``int`` or ``float``) a closed form gives the
+    lower tail L = F(-|x|) without cancellation, to within a few units in
+    the last place; F is L for x <= 0 and 1 - L above.  Every other dof
+    goes through the regularized incomplete beta function.  Vectorizes
+    over ``x``; scalar in, scalar out.
     """
     if not (dof > 0 and math.isfinite(dof)):
         raise ValueError(f"degrees of freedom must be positive, got {dof}")
     x_arr = np.asarray(x, dtype=float)
-    with np.errstate(invalid="ignore"):
-        ib = betainc(dof / 2.0, 0.5, dof / (dof + x_arr * x_arr))
-    ib = np.where(np.isinf(x_arr), 0.0, ib)
-    out = np.where(x_arr <= 0, 0.5 * ib, 1.0 - 0.5 * ib)
+    lower_tail = _T_LOWER_TAILS.get(float(dof))
+    if lower_tail is None:
+        out = _t_cdf_betainc(x_arr.reshape(-1), dof).reshape(x_arr.shape)
+    else:
+        # |x| in a fresh C-ordered array, so that its flat view, in which
+        # the tail is computed in place, shares the output's memory; the
+        # view is 1-d even for a scalar, so every ufunc returns an array
+        y = np.absolute(x_arr, out=np.empty(x_arr.shape))
+        with np.errstate(divide="ignore", over="ignore"):
+            out = lower_tail(y.reshape(-1)).reshape(x_arr.shape)
+        np.putmask(out, x_arr > 0, 1.0 - out)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out

@@ -243,9 +243,9 @@ class TestCustomerChoice:
         digest = hashlib.sha256(probs.astype("<f8").tobytes()).hexdigest()
         if "demo_shares" not in recorded:
             pytest.fail(
-                f'{GOLDEN.name} has no "demo_shares" digest: re-recording it '
-                "with test_golden_outputs.py does not write one.  If these "
-                f'shares are right, add "demo_shares": "{digest}" to it.'
+                f'{GOLDEN.name} has no "demo_shares" digest; re-recording '
+                "with test_golden_outputs.py keeps one but does not make one.  "
+                f'If these shares are right, add "demo_shares": "{digest}" to it.'
             )
         assert digest == recorded["demo_shares"]
 

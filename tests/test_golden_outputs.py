@@ -6,7 +6,11 @@ with the numpy and scipy versions stored next to them.  Other versions
 may round differently, so the test skips there instead of failing.
 
 To re-record after an intended output change:
-    PYTHONPATH=src python tests/test_golden_outputs.py > tests/golden_outputs.json
+    PYTHONPATH=src python tests/test_golden_outputs.py
+which rewrites golden_outputs.json in place.  It replaces the versions
+and the case digests and carries every other recorded key over
+unchanged, such as the "demo_shares" digest that tests/test_core.py
+checks.
 """
 
 import hashlib
@@ -48,6 +52,11 @@ def _versions() -> dict:
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
+def rerecorded(recorded: dict, cases: dict) -> dict:
+    """``recorded`` with new versions and case digests, its other keys kept."""
+    return {**recorded, "versions": _versions(), "cases": cases}
+
+
 def test_bundled_outputs_match_recorded_digests(tmp_path, capsys):
     recorded = json.loads(GOLDEN.read_text())
     if recorded["versions"] != _versions():
@@ -63,7 +72,16 @@ def test_bundled_outputs_match_recorded_digests(tmp_path, capsys):
         assert got[name] == expected, name
 
 
+def test_rerecording_keeps_the_other_recorded_keys():
+    recorded = {"versions": {"numpy": "0", "scipy": "0"}, "cases": {"a": {}},
+                "demo_shares": "ab12"}
+    new = rerecorded(recorded, {"b": {}})
+    assert new == {"versions": _versions(), "cases": {"b": {}}, "demo_shares": "ab12"}
+    assert list(new) == list(recorded)
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
         cases = written_digests(Path(tmp))
-    print(json.dumps({"versions": _versions(), "cases": cases}, indent=2))
+    recorded = json.loads(GOLDEN.read_text())
+    GOLDEN.write_text(json.dumps(rerecorded(recorded, cases), indent=2) + "\n")

@@ -1,9 +1,14 @@
 """Distribution primitives: exactness, determinism, stream independence."""
 
 import math
+import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from araprice.randkit import (
@@ -12,6 +17,7 @@ from araprice.randkit import (
     InverseGammaParams,
     PowerPricePrior,
     RngStream,
+    _t_cdf_betainc,
     ecdf,
     ecdf_eval,
     sample_categorical,
@@ -19,6 +25,24 @@ from araprice.randkit import (
     sample_power_prior,
     student_t_cdf,
 )
+
+ULP_HALF = 2.0**-53  # half the spacing of doubles at 1: one ulp at 0.5
+
+
+def t_cdf_reference(x: float, dof: float) -> float:
+    """The t CDF at 40 digits, with x taken exactly: near 0 through
+    I_{x^2/(dof+x^2)}(1/2, dof/2), in the tails through
+    I_{dof/(dof+x^2)}(dof/2, 1/2), so neither side loses digits."""
+    if math.isinf(x):
+        return 0.0 if x < 0 else 1.0
+    with mpmath.workdps(40):
+        xm, nu = mpmath.mpf(x), mpmath.mpf(dof)
+        x2 = xm * xm
+        if x2 < nu:
+            half = mpmath.betainc(0.5, nu / 2, 0, x2 / (nu + x2), regularized=True) / 2
+            return float(0.5 + half if x > 0 else 0.5 - half)
+        tail = mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + x2), regularized=True) / 2
+        return float(1 - tail if x > 0 else tail)
 
 
 def t_density(x, dof):
@@ -59,11 +83,15 @@ class TestStudentTCdf:
         assert abs(student_t_cdf(x, dof) - tail) < 1e-10
 
     def test_monotone_and_bounded(self):
-        xs = np.linspace(-30, 30, 2001)
-        for dof in (0.5, 1.0, 2.0, 4.0, 25.0):
-            values = student_t_cdf(xs, dof)
-            assert np.all(np.diff(values) >= 0)
-            assert values.min() >= 0.0 and values.max() <= 1.0
+        grids = [np.linspace(-30, 30, 2001)] + [
+            np.linspace(lo, hi, 200_001)
+            for lo, hi in ((-1e-6, 1e-6), (-3.0, 3.0), (-60.0, 60.0), (-1e6, -1.0))
+        ]
+        for xs in grids:
+            for dof in (0.5, 1.0, 2.0, 2.6, 3.0, 4.0, 25.0):
+                values = student_t_cdf(xs, dof)
+                assert np.all(np.diff(values) >= 0), (xs[0], dof)
+                assert values.min() >= 0.0 and values.max() <= 1.0
 
     def test_matches_scipy(self):
         xs = np.linspace(-12, 12, 97)
@@ -71,6 +99,93 @@ class TestStudentTCdf:
             assert np.allclose(
                 student_t_cdf(xs, dof), stats.t.cdf(xs, dof), atol=5e-14
             )
+
+    @pytest.mark.parametrize("dof", [2.6, 6.0, 9.5])
+    @pytest.mark.parametrize("x", [1e-8, -1e-8, 1e-5, -1e-5])
+    def test_beta_route_keeps_the_distance_from_one_half(self, x, dof):
+        # dof/(dof+x^2) rounds to 1 here; the route switches to x^2/(dof+x^2)
+        assert abs(student_t_cdf(x, dof) - t_cdf_reference(x, dof)) <= 2 * ULP_HALF
+
+
+SAMPLE_X = st.one_of(
+    st.floats(-60.0, 60.0),
+    st.floats(-1e-6, 1e-6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestStudentTCdfClosedForms:
+    """dof 1-4 take closed forms, at least as accurate as the beta route."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=SAMPLE_X, dof=st.sampled_from([1, 2, 3, 4]))
+    @example(x=-1e-8, dof=1)
+    @example(x=-1e-8, dof=4)
+    @example(x=0.0, dof=2)
+    @example(x=-1e75, dof=4)
+    @example(x=-1e99, dof=3)
+    @example(x=-1e150, dof=2)
+    def test_against_mpmath(self, x, dof):
+        got = student_t_cdf(x, float(dof))
+        ref = t_cdf_reference(x, dof)
+        assert abs(got - ref) <= 4 * ULP_HALF
+        if x <= 0 and ref >= 1e-300:
+            assert abs(got - ref) <= 1e-13 * ref
+        assert abs(got + student_t_cdf(-x, float(dof)) - 1.0) <= np.spacing(1.0)
+        assert np.float64(student_t_cdf(x, dof)).tobytes() == np.float64(got).tobytes()
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 4, 1.0, 2.0, 3.0, 4.0])
+    def test_limits_nan_and_scalars_without_warnings(self, dof):
+        xs = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300, -1e300, 5e-324])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = student_t_cdf(xs, dof)
+            scalar = student_t_cdf(np.array(-2.0), dof)
+        assert out[0] == 1.0 and out[1] == 0.0 and math.isnan(out[2])
+        # atan(inf) rounds pi/2 down, so dof 3 gives 1/2 - 2^-54 at 0
+        assert out[3] == out[4] and abs(out[3] - 0.5) <= ULP_HALF / 2
+        assert out[5] == 1.0 and 0.0 <= out[6] < 1e-299
+        assert type(scalar) is float and type(student_t_cdf(-2, dof)) is float
+        assert scalar == student_t_cdf(np.array([-2.0]), dof)[0]
+        # the beta route rounds F(-1e-8) to exactly 1/2; the closed forms do not
+        assert student_t_cdf(-1e-8, dof) < 0.5
+
+    def test_closed_forms_no_less_accurate_than_the_beta_route(self):
+        rng = np.random.default_rng(20)
+        mags = np.concatenate([10.0 ** rng.uniform(-12, 75, 400), rng.uniform(0, 8, 400)])
+        xs = np.concatenate([-mags, mags])
+        for dof in (1.0, 2.0, 3.0, 4.0):
+            ref = np.array([t_cdf_reference(x, dof) for x in xs])
+            lower = (xs <= 0) & (ref >= 1e-300)
+            errors = {}
+            for name, got in (
+                ("closed", student_t_cdf(xs, dof)),
+                ("beta", _t_cdf_betainc(xs, dof)),
+            ):
+                err = np.abs(got - ref)
+                errors[name] = (err.max(), (err[lower] / ref[lower]).max())
+            # the beta route is off by up to a few ulps; the relative test
+            # allows the closed forms that much too
+            assert errors["closed"][0] <= errors["beta"][0], dof
+            assert errors["closed"][1] <= max(errors["beta"][1], 4 * ULP_HALF), dof
+
+    def test_peak_memory_no_more_than_the_beta_route(self):
+        # the shape of the market solve in the benchmark: 37 own prices
+        # against 4,000 draws of two rivals' prices
+        rng = np.random.default_rng(4)
+        own = 11.0 + 0.5 * np.arange(37)
+        gaps = own[:, None, None] - rng.uniform(10.0, 30.0, (4000, 2))
+
+        def peak(dof: float) -> int:
+            tracemalloc.start()
+            try:
+                student_t_cdf(gaps, dof)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        beta = peak(2.6)
+        assert peak(3.0) <= beta and peak(4.0) <= beta
 
 
 class TestInverseGamma:
