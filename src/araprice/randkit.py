@@ -207,17 +207,6 @@ def _t1_lower_tail(y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _t2_lower_tail(y: np.ndarray) -> np.ndarray:
-    """F(-y) at 2 degrees of freedom: 1/(t + y*sqrt(t)) with t = 2 + y^2,
-    which is (1 - y/sqrt(t))/2 without its cancellation."""
-    t = y * y
-    t += 2.0
-    s = np.sqrt(t)
-    s *= y
-    s += t
-    return np.divide(1.0, s, out=y)
-
-
 # F(-y) at 3 degrees of freedom is (phi - sin(phi) cos(phi))/pi with
 # phi = atan(sqrt(3)/y), which cancels for small phi.  Its Taylor series,
 # phi^3 * sum_k b_k phi^(2k-2) with b_k = (-1)^(k+1) 4^k / (pi (2k+1)!),
@@ -270,10 +259,9 @@ def _t4_lower_tail(y: np.ndarray) -> np.ndarray:
 
 # Closed forms of the lower tail (Abramowitz & Stegun 26.7.3-4), by dof.
 # Each takes |x| as a fresh flat array, overwrites it with the tail and
-# allocates at most two more arrays of its size (one at dof 3 and 4).
+# allocates at most one more array of its size (none at dof 1).
 _T_LOWER_TAILS = {
     1.0: _t1_lower_tail,
-    2.0: _t2_lower_tail,
     3.0: _t3_lower_tail,
     4.0: _t4_lower_tail,
 }
@@ -309,7 +297,7 @@ def _t_cdf_betainc(x: np.ndarray, dof: float) -> np.ndarray:
 def student_t_cdf(x, dof: float):
     """CDF of the Student t distribution with ``dof`` degrees of freedom.
 
-    At dof 1, 2, 3 and 4 (``int`` or ``float``) a closed form gives the
+    At dof 1, 3 and 4 (``int`` or ``float``) a closed form gives the
     lower tail L = F(-|x|) without cancellation, to within a few units in
     the last place; F is L for x <= 0 and 1 - L above.  Every other dof
     goes through the regularized incomplete beta function.  Vectorizes
@@ -328,7 +316,7 @@ def student_t_cdf(x, dof: float):
         y = np.absolute(x_arr, out=np.empty(x_arr.shape))
         with np.errstate(divide="ignore", over="ignore"):
             out = lower_tail(y.reshape(-1)).reshape(x_arr.shape)
-        np.putmask(out, x_arr > 0, 1.0 - out)
+        np.subtract(1.0, out, out=out, where=x_arr > 0)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out

@@ -100,7 +100,7 @@ class TestStudentTCdf:
                 student_t_cdf(xs, dof), stats.t.cdf(xs, dof), atol=5e-14
             )
 
-    @pytest.mark.parametrize("dof", [2.6, 6.0, 9.5])
+    @pytest.mark.parametrize("dof", [2, 2.6, 6.0, 9.5])
     @pytest.mark.parametrize("x", [1e-8, -1e-8, 1e-5, -1e-5])
     def test_beta_route_keeps_the_distance_from_one_half(self, x, dof):
         # dof/(dof+x^2) rounds to 1 here; the route switches to x^2/(dof+x^2)
@@ -115,16 +115,17 @@ SAMPLE_X = st.one_of(
 
 
 class TestStudentTCdfClosedForms:
-    """dof 1-4 take closed forms, at least as accurate as the beta route."""
+    """dof 1, 3 and 4 take closed forms, at least as accurate as the beta
+    route."""
 
     @settings(max_examples=300, deadline=None)
-    @given(x=SAMPLE_X, dof=st.sampled_from([1, 2, 3, 4]))
+    @given(x=SAMPLE_X, dof=st.sampled_from([1, 3, 4]))
     @example(x=-1e-8, dof=1)
     @example(x=-1e-8, dof=4)
-    @example(x=0.0, dof=2)
+    @example(x=0.0, dof=3)
     @example(x=-1e75, dof=4)
     @example(x=-1e99, dof=3)
-    @example(x=-1e150, dof=2)
+    @example(x=-1e150, dof=1)
     def test_against_mpmath(self, x, dof):
         got = student_t_cdf(x, float(dof))
         ref = t_cdf_reference(x, dof)
@@ -134,7 +135,7 @@ class TestStudentTCdfClosedForms:
         assert abs(got + student_t_cdf(-x, float(dof)) - 1.0) <= np.spacing(1.0)
         assert np.float64(student_t_cdf(x, dof)).tobytes() == np.float64(got).tobytes()
 
-    @pytest.mark.parametrize("dof", [1, 2, 3, 4, 1.0, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("dof", [1, 3, 4, 1.0, 3.0, 4.0])
     def test_limits_nan_and_scalars_without_warnings(self, dof):
         xs = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300, -1e300, 5e-324])
         with warnings.catch_warnings():
@@ -154,7 +155,7 @@ class TestStudentTCdfClosedForms:
         rng = np.random.default_rng(20)
         mags = np.concatenate([10.0 ** rng.uniform(-12, 75, 400), rng.uniform(0, 8, 400)])
         xs = np.concatenate([-mags, mags])
-        for dof in (1.0, 2.0, 3.0, 4.0):
+        for dof in (1.0, 3.0, 4.0):
             ref = np.array([t_cdf_reference(x, dof) for x in xs])
             lower = (xs <= 0) & (ref >= 1e-300)
             errors = {}
