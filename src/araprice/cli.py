@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 missing file, 3 schema violation, 4 invariant
 violation, 5 numeric failure; ``compare`` exits 1 when the engine and
 oracle disagree beyond the z threshold.  Outputs embed seed, draw counts
 and engine version, and are byte-identical across reruns with the same
-seed, whatever the worker count.
+seed.  Every run uses one thread; ``--workers`` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._parallel import resolve_workers
 from .core import (
     AgentBeliefs,
     EvaluationCurve,
@@ -160,10 +159,10 @@ def _run_template(params: TemplateScenario, rng: RngStream) -> EvaluationCurve:
     return curve
 
 
-def _run_engine(scenario: ScenarioFile, seed: int, workers: int):
+def _run_engine(scenario: ScenarioFile, seed: int):
     rng = RngStream(seed)
     if scenario.kind == "retail":
-        return optimize_price(scenario.params, rng, workers=workers)
+        return optimize_price(scenario.params, rng)
     if scenario.kind == "pension":
         return optimize_offer(scenario.params, rng)
     return _run_template(scenario.params, rng)
@@ -173,7 +172,6 @@ def cmd_run(args) -> int:
     scenario = parse_scenario(args.scenario)
     seed = args.seed if args.seed is not None else scenario.seed
     scenario = dataclasses.replace(scenario, seed=seed)
-    workers = resolve_workers(args.workers)
     out_base = Path(
         args.out
         or scenario.output
@@ -182,7 +180,7 @@ def cmd_run(args) -> int:
     started = time.perf_counter()
     try:  # no numpy warnings: _check_finite reports a non-finite value
         with np.errstate(all="ignore"):
-            result = _run_engine(scenario, seed, workers)
+            result = _run_engine(scenario, seed)
             wall_ms = int(round(1000 * (time.perf_counter() - started)))
             outputs = _render_outputs(result, scenario, out_base)
     except (FloatingPointError, ValueError, ArithmeticError) as exc:
@@ -193,14 +191,14 @@ def cmd_run(args) -> int:
     print(
         f"optimum={result.optimum} accept={result.accept_at_optimum:.4f} "
         f"expected_utility={result.optimum_utility:.6g} seed={seed} "
-        f"workers={workers} wall_ms={wall_ms}"
+        f"wall_ms={wall_ms}"
     )
     for path in outputs:
         print(f"wrote {path}")
     return 0
 
 
-def _oracle_values(scenario: ScenarioFile, result, seed: int, workers: int):
+def _oracle_values(scenario: ScenarioFile, result, seed: int):
     """Per-grid-point oracle values and the engine columns to test them against."""
     params = scenario.params
     if scenario.kind == "pension":
@@ -216,7 +214,6 @@ def _oracle_values(scenario: ScenarioFile, result, seed: int, workers: int):
             density = sample_competitor_prices(
                 dataclasses.replace(params, n1=REFINED_FORECAST_FACTOR * params.n1),
                 RngStream(seed, stream_id=0xFACE),
-                workers,
             )
         oracle = [
             quadrature_retail_utility(float(p), params, density=density)
@@ -239,13 +236,10 @@ def cmd_compare(args) -> int:
     scenario = parse_scenario(args.scenario)
     check_compare_budget(scenario)
     seed = args.seed if args.seed is not None else scenario.seed
-    workers = resolve_workers(args.workers)
     try:  # no numpy warnings: _check_finite reports a non-finite value
         with np.errstate(all="ignore"):
-            result = _run_engine(scenario, seed, workers)
-            prices, estimates, std_errs, oracle = _oracle_values(
-                scenario, result, seed, workers
-            )
+            result = _run_engine(scenario, seed)
+            prices, estimates, std_errs, oracle = _oracle_values(scenario, result, seed)
             _check_finite(
                 ("price", "estimate", "std_err", "oracle"),
                 zip(prices, estimates, std_errs, oracle),
@@ -298,11 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--seed", type=int, default=None)
     cmp_.add_argument("--out", default=None)
     cmp_.set_defaults(fn=cmd_compare)
-    for command in (run, cmp_):  # compare also threads its refined forecast
+    for command in (run, cmp_):
         command.add_argument(
             "--workers", type=int, default=None,
-            help="threads for the retail rival forecast (default: PRICE_WORKERS "
-            "or 1); never changes results",
+            help="accepted and ignored; every run uses one thread",
         )
 
     val = sub.add_parser("validate", help="parse and check every invariant")

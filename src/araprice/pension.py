@@ -436,7 +436,7 @@ def _draw_customers(scenario: PensionScenario, rng: RngStream, top_only: bool):
             u = functools.reduce(np.maximum, u.T)
         return _cdf_index(cdf, u)
 
-    # one worker: the blocks must draw from the stream in order
+    # the blocks draw from the stream, so they must run in order
     return rho, np.concatenate(map_blocks(_lookup, draws, rivals))
 
 

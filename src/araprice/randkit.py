@@ -48,10 +48,9 @@ class RngStream:
     """A named, splittable randomness source.
 
     The pair (seed, stream_id) keys a Philox counter-based generator, so
-    streams can be handed to parallel tasks without any jumping or shared
-    state.  ``derive`` produces a child stream whose id is a 64-bit hash
-    of (stream_id, index); collisions are negligible at the stream counts
-    used here.
+    independent streams need no jumping or shared state.  ``derive``
+    produces a child stream whose id is a 64-bit hash of (stream_id,
+    index); collisions are negligible at the stream counts used here.
     """
 
     seed: int

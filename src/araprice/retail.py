@@ -8,8 +8,8 @@ solving her own pricing problem repeatedly under sampled beliefs, and the
 retailer grid-searches her expected margin against those forecasts.
 
 The forecast scores its draws in fixed-size row blocks
-(``_parallel.map_blocks``), so its memory does not grow with n1 * n2 *
-grid and ``workers`` threads can share the work with the same bits.
+(``_parallel.map_blocks``) on the calling thread, so its memory does not
+grow with n1 * n2 * grid and its bits are those of one call.
 Within a block it bisects the rival's grid and skips the prices that a
 monotonicity bound proves cannot hold her argmax (see
 :func:`sample_competitor_prices`).
@@ -176,9 +176,7 @@ def _acceptance(p1, p2, scenario: RetailScenario, noise: InverseGammaParams):
     return t_choice_prob(p1, p2, noise)
 
 
-def sample_competitor_prices(
-    scenario: RetailScenario, rng: RngStream, workers: int = 1
-) -> np.ndarray:
+def sample_competitor_prices(scenario: RetailScenario, rng: RngStream) -> np.ndarray:
     """Forecast the rival's price: ``n1`` draws of her optimal response.
 
     Each draw realizes ``n2`` prices we might set (from the rival's power
@@ -186,8 +184,8 @@ def sample_competitor_prices(
     estimated sale probability, and keeps the argmax, the lowest index on
     ties.  A known rival price short-circuits to a degenerate forecast.
     All uniforms are drawn up front; the draws are then scored in row
-    blocks of at most ``n2`` x grid temporaries, split over ``workers``
-    threads without changing a bit of the result.
+    blocks of at most ``n2`` x grid temporaries without changing a bit of
+    the result.
 
     The margin is nondecreasing in the grid index and the mean win is
     nonincreasing (monotone CDFs, monotone rounding, one summation order),
@@ -240,7 +238,7 @@ def sample_competitor_prices(
             lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         return np.argmax(objective, axis=1)
 
-    blocks = map_blocks(_best, scenario.n1, scenario.n2 * grid.size, workers)
+    blocks = map_blocks(_best, scenario.n1, scenario.n2 * grid.size)
     return grid[np.concatenate(blocks)]
 
 
@@ -269,20 +267,16 @@ def estimate_expected_utility(
     return float(curve.expected_utility[0]), float(curve.std_err[0])
 
 
-def optimize_price(
-    scenario: RetailScenario, rng: RngStream, workers: int = 1
-) -> EvaluationCurve:
+def optimize_price(scenario: RetailScenario, rng: RngStream) -> EvaluationCurve:
     """Full pipeline: forecast the rival once, then grid-search our price.
 
     All grid points are scored against the same competitor-price sample,
     which keeps the acceptance column monotone in price and the whole
-    curve reproducible from (scenario, seed).  The rival forecast may be
-    split across ``workers`` threads without changing a single bit of the
-    result (randomness is drawn up front; blocks are pre-assigned); the
-    grid, n2 times smaller, is scored in row blocks on the calling thread.
+    curve reproducible from (scenario, seed).  The rival forecast and the
+    grid, n2 times smaller, are both scored in row blocks.
     """
     scenario.validate()
-    samples = sample_competitor_prices(scenario, rng, workers)
+    samples = sample_competitor_prices(scenario, rng)
     points = scenario.price_grid.points()
 
     def _score(rows: slice) -> np.ndarray:

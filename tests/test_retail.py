@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -160,10 +159,9 @@ class TestBlockedForecast:
         shape=st.floats(0.3, 5.0),
         exponent=st.floats(0.0, 4.0),
         seed=st.integers(0, 2**32 - 1),
-        workers=st.sampled_from([1, 2, 16]),
     )
     def test_matches_single_array_bit_for_bit(
-        self, blocks, offset, n2, top, step, fixed_sigma, shape, exponent, seed, workers
+        self, blocks, offset, n2, top, step, fixed_sigma, shape, exponent, seed
     ):
         """n1 lands on, one row below or one row above 0 to 3 whole row
         blocks of the forecast."""
@@ -179,7 +177,7 @@ class TestBlockedForecast:
         rows = max(1, BLOCK_ELEMENTS // (n2 * len(scenario.competitor_grid)))
         scenario = dataclasses.replace(scenario, n1=max(1, blocks * rows + offset))
         expected = single_array_forecast(scenario, RngStream(seed))
-        got = sample_competitor_prices(scenario, RngStream(seed), workers=workers)
+        got = sample_competitor_prices(scenario, RngStream(seed))
         assert got.tobytes() == expected.tobytes()
 
     @settings(max_examples=200, deadline=None)
@@ -195,16 +193,15 @@ class TestBlockedForecast:
         | st.tuples(st.floats(0.3, 5.0), st.just(1e-12) | st.floats(0.3, 5.0)),
         exponent=st.floats(0.0, 4.0),
         seed=st.integers(0, 2**32 - 1),
-        workers=st.sampled_from([1, 2]),
     )
     # an exact tie between two grid prices, met after the higher one is scored
-    @example(17, 11, 21, 1.0, 64, 2, 1e-9, 0.0, 1302211876, 1)
+    @example(17, 11, 21, 1.0, 64, 2, 1e-9, 0.0, 1302211876)
     # saturated noise, every rival price above ours: every objective is 0
-    @example(10, 12, 8, 0.5, 5, 3, 1e-9, 1.0, 0, 2)
-    @example(10, 12, 8, 0.5, 5, 3, (2.0, 1e-12), 1.0, 0, 2)
-    @example(10, 0, 1, 1.0, 3, 1, 0.5, 0.0, 0, 1)  # a one-point grid
+    @example(10, 12, 8, 0.5, 5, 3, 1e-9, 1.0, 0)
+    @example(10, 12, 8, 0.5, 5, 3, (2.0, 1e-12), 1.0, 0)
+    @example(10, 0, 1, 1.0, 3, 1, 0.5, 0.0, 0)  # a one-point grid
     def test_pruned_search_keeps_the_lowest_argmax(
-        self, width, shift, points, step, n1, n2, noise, exponent, seed, workers
+        self, width, shift, points, step, n1, n2, noise, exponent, seed
     ):
         """Saturated probit noise (sigma 1e-9) and half or whole grid steps
         make the objectives multiples of 1/n2 and ties common; the rival's
@@ -225,22 +222,8 @@ class TestBlockedForecast:
             **noise_fields,
         )
         expected = single_array_forecast(scenario, RngStream(seed))
-        got = sample_competitor_prices(scenario, RngStream(seed), workers=workers)
+        got = sample_competitor_prices(scenario, RngStream(seed))
         assert got.tobytes() == expected.tobytes()
-
-    def test_many_threads_match_one(self):
-        """More workers than cores and a short switch interval: the
-        threads that share the forecast's row blocks must not lose a row.
-        retail_case3 at n1 = 400 has 23 blocks of 18 rows."""
-        scenario = dataclasses.replace(CASE3, n1=400)
-        one = sample_competitor_prices(scenario, RngStream(8), workers=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            many = sample_competitor_prices(scenario, RngStream(8), workers=16)
-        finally:
-            sys.setswitchinterval(interval)
-        assert many.tobytes() == one.tobytes()
 
     def test_refined_forecast_memory_is_bounded(self):
         """The 32x-refined retail_case3 forecast of `price compare`: one
@@ -248,7 +231,7 @@ class TestBlockedForecast:
         scenario = dataclasses.replace(CASE3, n1=3200)
         tracemalloc.start()
         try:
-            sample_competitor_prices(scenario, RngStream(5), workers=2)
+            sample_competitor_prices(scenario, RngStream(5))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -310,12 +293,6 @@ class TestOptimizePrice:
         assert np.array_equal(a.std_err, b.std_err)
         c = optimize_price(CASE3, RngStream(32))
         assert not np.array_equal(a.expected_utility, c.expected_utility)
-
-    def test_worker_count_does_not_change_results(self):
-        a = optimize_price(CASE3, RngStream(33), workers=1)
-        b = optimize_price(CASE3, RngStream(33), workers=4)
-        assert np.array_equal(a.expected_utility, b.expected_utility)
-        assert np.array_equal(a.accept_prob, b.accept_prob)
 
     def test_grid_blocks_match_one_call(self):
         """At n1 = 1500 a row block holds 87 of the 91 grid prices: scored

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -348,38 +349,26 @@ class TestCli:
         assert list(tmp_path.iterdir()) == [src]
 
     @pytest.mark.parametrize("command", ["run", "compare"])
-    def test_worker_counts_write_identical_bytes(self, tmp_path, command):
-        """The compare exercises the 32x-refined rival forecast."""
-        written = []
-        for workers in ("1", "2"):
-            out = tmp_path / f"w{workers}"
-            main([command, str(bundled_case("retail_case3")), "--out", str(out),
-                  "--workers", workers])
-            written.append(sorted(
-                (p.name.removeprefix(out.name), p.read_bytes())
-                for p in tmp_path.glob(f"{out.name}.*")
-            ))
-        assert written[0] and written[0] == written[1]
+    def test_worker_counts_write_identical_bytes(self, tmp_path, monkeypatch, command):
+        """``--workers`` is accepted and ignored: no run starts a thread.
+        retail_case3's compare exercises the 32x-refined rival forecast;
+        pension_case2_high's 400k draws give tie settlement several row
+        blocks."""
+        def no_thread(thread):
+            raise AssertionError(f"{command} started thread {thread.name}")
 
-    def test_pension_never_uses_the_thread_pool(self, tmp_path, monkeypatch):
-        """pension_case2_high: 400k draws give tie settlement several row
-        blocks, yet ``--workers 4`` counts them all on the calling thread."""
-        from araprice import _parallel
-
-        case = bundled_case("pension_case2_high")
-        one = tmp_path / "w1"
-        assert main(["run", str(case), "--out", str(one), "--workers", "1"]) == 0
-
-        def no_pool():
-            raise AssertionError("pension asked for the thread pool")
-
-        monkeypatch.setattr(_parallel, "_shared_pool", no_pool)
-        four = tmp_path / "w4"
-        assert main(["run", str(case), "--out", str(four), "--workers", "4"]) == 0
-        for suffix in (".csv", ".summary.json"):
-            assert (
-                one.with_suffix(suffix).read_bytes() == four.with_suffix(suffix).read_bytes()
-            )
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        for case in ("retail_case3", "pension_case2_high"):
+            written = []
+            for workers in ("1", "4"):
+                out = tmp_path / f"{case}_w{workers}"
+                assert main([command, str(bundled_case(case)), "--out", str(out),
+                             "--workers", workers]) == 0
+                written.append(sorted(
+                    (p.name.removeprefix(out.name), p.read_bytes())
+                    for p in tmp_path.glob(f"{out.name}.*")
+                ))
+            assert written[0] and written[0] == written[1], case
 
     def test_determinism_across_runs_and_workers(self, tmp_path):
         case = bundled_case("retail_case3")
@@ -448,14 +437,14 @@ class TestCli:
         [
             ("template_example", {"cost": 1e300}, 1, "std_err is inf at price 10.0"),
             (
-                "retail_case3",  # the t CDF squares gaps of 1e200 in worker threads
+                "retail_case3",  # the t CDF squares gaps of 1e200; --workers 2 is ignored
                 {"max_price": 1e200, "competitor_max_price": 1e200, "grid_step": 1e199,
                  "n1": 20, "n2": 20},
                 2,
                 "std_err is inf at price 3e+199",
             ),
         ],
-        ids=["template", "retail_2_workers"],
+        ids=["template", "retail_overflow"],
     )
     def test_numeric_failure_is_the_only_stderr_line(
         self, tmp_path, command, case, overrides, workers, message
@@ -523,18 +512,6 @@ class TestCli:
     def test_validate(self, capsys):
         assert main(["validate", str(bundled_case("pension_case2_low"))]) == 0
         assert "OK" in capsys.readouterr().out
-
-    def test_workers_env_var_default(self, tmp_path, monkeypatch):
-        """retail_case3: PRICE_WORKERS reaches the threaded rival forecast."""
-        case = bundled_case("retail_case3")
-        base = tmp_path / "w1"
-        assert main(["run", str(case), "--out", str(base), "--workers", "1"]) == 0
-        monkeypatch.setenv("PRICE_WORKERS", "3")
-        env = tmp_path / "wenv"
-        assert main(["run", str(case), "--out", str(env)]) == 0
-        assert (
-            base.with_suffix(".csv").read_bytes() == env.with_suffix(".csv").read_bytes()
-        )
 
     def test_numeric_failure_exit_code(self, monkeypatch, capsys):
         import araprice.cli as cli
