@@ -348,27 +348,37 @@ class TestCli:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == [src]
 
-    @pytest.mark.parametrize("command", ["run", "compare"])
-    def test_worker_counts_write_identical_bytes(self, tmp_path, monkeypatch, command):
-        """``--workers`` is accepted and ignored: no run starts a thread.
-        retail_case3's compare exercises the 32x-refined rival forecast;
-        pension_case2_high's 400k draws give tie settlement several row
-        blocks."""
+    @staticmethod
+    def _assert_workers_ignored(tmp_path, monkeypatch, command, case):
+        """``--workers`` is accepted and ignored: ``command`` on ``case``
+        starts no thread and writes the same bytes at 1 and 4."""
         def no_thread(thread):
-            raise AssertionError(f"{command} started thread {thread.name}")
+            raise AssertionError(f"{command} {case} started thread {thread.name}")
 
         monkeypatch.setattr(threading.Thread, "start", no_thread)
-        for case in ("retail_case3", "pension_case2_high"):
-            written = []
-            for workers in ("1", "4"):
-                out = tmp_path / f"{case}_w{workers}"
-                assert main([command, str(bundled_case(case)), "--out", str(out),
-                             "--workers", workers]) == 0
-                written.append(sorted(
-                    (p.name.removeprefix(out.name), p.read_bytes())
-                    for p in tmp_path.glob(f"{out.name}.*")
-                ))
-            assert written[0] and written[0] == written[1], case
+        written = []
+        for workers in ("1", "4"):
+            out = tmp_path / f"{command}_{case}_w{workers}"
+            assert main([command, str(bundled_case(case)), "--out", str(out),
+                         "--workers", workers]) == 0
+            written.append(sorted(
+                (p.name.removeprefix(out.name), p.read_bytes())
+                for p in tmp_path.glob(f"{out.name}.*")
+            ))
+        assert written[0] and written[0] == written[1]
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_worker_counts_write_identical_bytes(self, tmp_path, monkeypatch, command):
+        """retail_case3's compare exercises the 32x-refined rival forecast."""
+        self._assert_workers_ignored(tmp_path, monkeypatch, command, "retail_case3")
+
+    def test_pension_never_uses_the_thread_pool(self, tmp_path, monkeypatch):
+        """pension_case2_high: 400k draws give tie settlement several row
+        blocks, all counted on the calling thread."""
+        for command in ("run", "compare"):
+            self._assert_workers_ignored(
+                tmp_path, monkeypatch, command, "pension_case2_high"
+            )
 
     def test_determinism_across_runs_and_workers(self, tmp_path):
         case = bundled_case("retail_case3")
