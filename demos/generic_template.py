@@ -14,6 +14,7 @@ import numpy as np
 
 from araprice import (
     AgentBeliefs,
+    EmpiricalDistribution,
     OutcomeModel,
     PowerPricePrior,
     PriceGrid,
@@ -26,7 +27,6 @@ from araprice import (
     student_t_cdf,
     validate_problem,
     ValidationConfig,
-    ecdf,
 )
 
 rng = RngStream(2024)
@@ -89,7 +89,7 @@ win_prob = lambda own, rivals: 1.0 - student_t_cdf(own - rivals, 4.0)
 optimum, curve = solve_supported_price(
     grid=our_grid,
     u1=ProducerUtility.margin(12.0),
-    beliefs=ecdf(forecast),
+    beliefs=EmpiricalDistribution(forecast),
     choice_model=win_prob,
 )
 print(f"3. our optimal price: {optimum} (expected margin {curve.optimum_utility:.2f},"

@@ -52,12 +52,8 @@ from .randkit import (
     InverseGammaParams,
     PowerPricePrior,
     RngStream,
-    ecdf,
-    ecdf_eval,
     normal_cdf,
-    sample_categorical,
     sample_inverse_gamma,
-    sample_power_prior,
     student_t_cdf,
 )
 from .retail import (
@@ -74,7 +70,6 @@ from .scenario import (
     bundled_case,
     bundled_case_names,
     parse_scenario,
-    scenario_to_dict,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -89,6 +89,12 @@ class PriceGrid:
         return int(self.count())
 
 
+# How far an outcome distribution's total mass may stray from one: a pmf
+# sums exactly up to rounding, a trapezoid rule only to its quadrature error.
+_MASS_TOL_DISCRETE = 1e-9
+_MASS_TOL_QUADRATURE = 1e-6
+
+
 class OutcomeModel:
     """Per-choice distribution of the outcome feature affecting utility.
 
@@ -132,15 +138,15 @@ class OutcomeModel:
         dw[-1] *= 0.5
         return s, w * dw
 
-    def validate(self, tol_discrete: float = 1e-9, tol_quadrature: float = 1e-6):
+    def validate(self):
         """Check every conditional distribution integrates to one."""
         problems = []
         for c, entry in self.per_choice.items():
             total = float(np.sum(self._nodes_weights(c)[1]))
             tol = (
-                tol_discrete
+                _MASS_TOL_DISCRETE
                 if isinstance(entry, tuple) and len(entry) == 2
-                else tol_quadrature
+                else _MASS_TOL_QUADRATURE
             )
             if abs(total - 1.0) > tol:
                 problems.append(f"choice {c}: mass {total!r} differs from 1")
@@ -167,24 +173,18 @@ class RandomUtilitySpec:
     i.e. the customer applies a single utility function to all offers.
     """
 
-    family: str
     builder: Callable[[object], Callable]
     prior: object = None
-    bound: float | None = None
     per_product: bool = False
 
     @classmethod
     def risk_neutral(cls, value: float = 0.0) -> "RandomUtilitySpec":
         """u(price, s) = value + s - price, no parameter uncertainty."""
-        return cls(
-            family="risk_neutral",
-            builder=lambda _t: (lambda p, s: value + np.asarray(s, float) - p),
-            prior=None,
-        )
+        return cls(lambda _t: (lambda p, s: value + np.asarray(s, float) - p))
 
     @classmethod
-    def custom(cls, builder, prior=None, bound=None, per_product=False) -> "RandomUtilitySpec":
-        return cls("custom", builder, prior, bound, per_product)
+    def custom(cls, builder, prior=None, per_product=False) -> "RandomUtilitySpec":
+        return cls(builder, prior, per_product)
 
     def sample_parameter(self, g: np.random.Generator):
         prior = self.prior
@@ -218,11 +218,8 @@ class AgentBeliefs:
     """
 
     price_priors: tuple
-    independent: bool = True
 
     def __post_init__(self) -> None:
-        if not self.independent:
-            raise ValueError("only independent joint beliefs are supported")
         object.__setattr__(self, "price_priors", tuple(self.price_priors))
 
     def sample(self, rng: RngStream, size: int) -> np.ndarray:
@@ -488,7 +485,6 @@ def solve_supported_price(
     u1: ProducerUtility,
     beliefs,
     choice_model: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    outcomes: OutcomeModel | None = None,
     n_draws: int = 1000,
     rng: RngStream | None = None,
 ) -> tuple[float, EvaluationCurve]:
@@ -498,14 +494,10 @@ def solve_supported_price(
     EmpiricalDistribution / array of already-sampled competitor prices
     (used verbatim), or a single float.  All grid points are evaluated on
     the same competitor sample, so curves are smooth in price and
-    deterministic given the stream.
+    deterministic given the stream.  Raises ValueError when there is no
+    rival draw to score against.
     """
     points = grid.points()
-    if outcomes is not None:
-        problems = outcomes.validate()
-        if problems:
-            raise ValueError("degenerate outcome model: " + "; ".join(problems))
-
     if isinstance(beliefs, AgentBeliefs):
         if rng is None:
             raise ValueError("sampling beliefs requires an RngStream")
@@ -514,6 +506,8 @@ def solve_supported_price(
         rivals = beliefs.samples[:, None]
     else:
         rivals = np.atleast_1d(np.asarray(beliefs, dtype=float))[:, None]
+    if not len(rivals):
+        raise ValueError("need at least one rival price draw")
 
     curve = EvaluationCurve.from_draws(
         points,

@@ -39,6 +39,9 @@ __all__ = [
 # 512 nodes).
 _GAUSS_RULES_KEPT = 32
 
+# Gauss-Legendre nodes over the pension customer's risk-aversion interval.
+_PENSION_RHO_NODES = 64
+
 
 @functools.lru_cache(maxsize=_GAUSS_RULES_KEPT, typed=True)
 def _gauss_legendre(lo: float, hi: float, nodes: int):
@@ -86,24 +89,21 @@ def quadrature_retail_utility(
         density = float(scenario.known_competitor_price)
 
     if isinstance(density, (int, float)):
-        accept = float(_retail_accept(p1, float(density), scenario))
-        return float(_retail_payoff(p1, accept, scenario))
+        density = CategoricalPMF((density,), (1.0,))
+    elif isinstance(density, PowerPricePrior):
+        density = (density.pdf, density.lower, density.upper)
+
     if isinstance(density, CategoricalPMF):
         values = np.asarray(density.values)
-        accept = float(np.dot(_retail_accept(p1, values, scenario), density.probs))
-        return float(_retail_payoff(p1, accept, scenario))
-    if isinstance(density, PowerPricePrior):
-        x, w = _gauss_legendre(density.lower, density.upper, nodes)
-        accept = float(np.dot(_retail_accept(p1, x, scenario) * density.pdf(x), w))
-        return float(_retail_payoff(p1, accept, scenario))
-    if isinstance(density, tuple) and len(density) == 3 and callable(density[0]):
+        accept = np.dot(_retail_accept(p1, values, scenario), density.probs)
+    elif isinstance(density, tuple) and len(density) == 3 and callable(density[0]):
         pdf, lo, hi = density
         x, w = _gauss_legendre(lo, hi, nodes)
-        accept = float(np.dot(_retail_accept(p1, x, scenario) * pdf(x), w))
-        return float(_retail_payoff(p1, accept, scenario))
-    values = np.asarray(density, dtype=float)  # equally weighted price sample
-    accept = float(_retail_accept(p1, values, scenario).mean())
-    return float(_retail_payoff(p1, accept, scenario))
+        accept = np.dot(_retail_accept(p1, x, scenario) * pdf(x), w)
+    else:
+        values = np.asarray(density, dtype=float)  # equally weighted price sample
+        accept = _retail_accept(p1, values, scenario).mean()
+    return float(_retail_payoff(p1, float(accept), scenario))
 
 
 def quadrature_competitor_objective(
@@ -132,9 +132,7 @@ def quadrature_competitor_objective(
     return grid, (grid - scenario.competitor_cost) * accept
 
 
-def exact_pension_acceptance(
-    h1: float, scenario: PensionScenario, rho_nodes: int = 64
-) -> float:
+def exact_pension_acceptance(h1: float, scenario: PensionScenario) -> float:
     """Exact acceptance probability for the pension problem.
 
     The customer's risk aversion integrates out by Gauss-Legendre; rival
@@ -143,11 +141,9 @@ def exact_pension_acceptance(
     raised to the rival count.  No sampling, no combinatorial blowup.
     """
     scenario.validate()
-    if rho_nodes < 2:
-        raise ValueError("need at least 2 quadrature nodes")
     lo, hi = scenario.risk_aversion
     if hi > lo:
-        rho, w = _gauss_legendre(lo, hi, rho_nodes)
+        rho, w = _gauss_legendre(lo, hi, _PENSION_RHO_NODES)
         w = w / (hi - lo)
     else:
         rho, w = np.array([lo]), np.array([1.0])

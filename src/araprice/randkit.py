@@ -25,10 +25,6 @@ __all__ = [
     "student_t_cdf",
     "normal_cdf",
     "sample_inverse_gamma",
-    "sample_power_prior",
-    "sample_categorical",
-    "ecdf",
-    "ecdf_eval",
 ]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -140,10 +136,6 @@ class PowerPricePrior:
         return np.where(
             inside, (n + 1.0) / width ** (n + 1.0) * (x - self.lower) ** n, 0.0
         )
-
-    def mean(self) -> float:
-        n = self.exponent
-        return self.lower + (self.upper - self.lower) * (n + 1.0) / (n + 2.0)
 
 
 @dataclass(frozen=True)
@@ -338,28 +330,3 @@ def sample_inverse_gamma(params: InverseGammaParams, rng: RngStream, size=None):
     """
     g = rng.generator.gamma(params.shape, 1.0 / params.scale, size=size)
     return 1.0 / g
-
-
-def sample_power_prior(prior: PowerPricePrior, rng: RngStream, size=None):
-    """Inverse-transform draw: ``prior.ppf`` of uniforms."""
-    return prior.ppf(rng.generator.random(size))
-
-
-def sample_categorical(pmf: CategoricalPMF, rng: RngStream, size=None):
-    """Draw values from a finite pmf."""
-    idx = rng.generator.choice(len(pmf.values), size=size, p=pmf.probs)
-    values = np.asarray(pmf.values)
-    return values[idx]
-
-
-def ecdf(samples) -> EmpiricalDistribution:
-    """Empirical distribution of a sample batch."""
-    return EmpiricalDistribution(np.asarray(samples, dtype=float))
-
-
-def ecdf_eval(dist: EmpiricalDistribution, x):
-    """Evaluate an empirical CDF at ``x`` (fraction of samples <= x)."""
-    out = dist.cdf(x)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out

@@ -3,8 +3,7 @@
 A scenario file carries a ``kind`` discriminator (retail, pension, or
 template), the full parameter record for that engine, a seed, and output
 preferences.  Parsing validates the schema first and then every domain
-invariant, reporting all violations with field paths; the same record
-round-trips back to JSON unchanged.
+invariant, reporting all violations with field paths.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ __all__ = [
     "ScenarioFile",
     "parse_scenario",
     "check_compare_budget",
-    "scenario_to_dict",
     "bundled_case",
     "bundled_case_names",
 ]
@@ -440,78 +438,6 @@ def check_compare_budget(scenario: ScenarioFile) -> None:
     problems = _work_problems(scenario.kind, scenario.params, compare=True)
     if problems:
         raise InvariantError("; ".join(problems))
-
-
-# ---------------------------------------------------------------------------
-# serialization (round-trip partner of parse_scenario)
-# ---------------------------------------------------------------------------
-
-
-def _grid_dict(grid: PriceGrid) -> dict:
-    return {"min": grid.min, "max": grid.max, "step": grid.step}
-
-
-def _igamma_dict(noise: InverseGammaParams) -> dict:
-    return {"shape": noise.shape, "scale": noise.scale}
-
-
-def _pmf_dict(pmf: CategoricalPMF) -> dict:
-    return {"values": list(pmf.values), "probs": list(pmf.probs)}
-
-
-def scenario_to_dict(sc: ScenarioFile) -> dict:
-    params = sc.params
-    if sc.kind == "retail":
-        body = {
-            "cost": params.cost,
-            "competitor_cost": params.competitor_cost,
-            "max_price": params.max_price,
-            "competitor_max_price": params.competitor_max_price,
-            "customer_noise": _igamma_dict(params.customer_noise),
-            "competitor_noise": _igamma_dict(params.competitor_noise),
-            "prior_exponent": params.prior_exponent,
-            "grid_step": params.grid_step,
-            "n1": params.n1,
-            "n2": params.n2,
-            "utility_variant": params.utility_variant,
-        }
-        if params.fixed_sigma is not None:
-            body["fixed_sigma"] = params.fixed_sigma
-        if params.known_competitor_price is not None:
-            body["known_competitor_price"] = params.known_competitor_price
-    elif sc.kind == "pension":
-        body = {
-            "capital": params.capital,
-            "earn_rate": params.earn_rate,
-            "offer_grid": _grid_dict(params.offer_grid),
-            "horizon": params.horizon,
-            "penalty_fraction": params.penalty_fraction,
-            "exit_profile": list(params.exit_profile.q_exit),
-            "competitor_offers": _pmf_dict(params.competitor_offers),
-            "n_competitors": params.n_competitors,
-            "risk_aversion": list(params.risk_aversion),
-            "money_unit": params.money_unit,
-            "score_class": params.score_class,
-            "mc_draws": params.mc_draws,
-        }
-    else:
-        body = {
-            "cost": params.cost,
-            "grid": _grid_dict(params.grid),
-            "n_draws": params.n_draws,
-        }
-        if isinstance(params.competitor_prices, CategoricalPMF):
-            body["competitor_prices"] = _pmf_dict(params.competitor_prices)
-        else:
-            body["competitor_prices"] = list(params.competitor_prices)
-        if params.choice_sigma is not None:
-            body["choice"] = {"sigma": params.choice_sigma}
-        else:
-            body["choice"] = {"t_noise": _igamma_dict(params.choice_noise)}
-    out = {"kind": sc.kind, "seed": sc.seed, "format": sc.format, "params": body}
-    if sc.output is not None:
-        out["output"] = sc.output
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -507,6 +507,21 @@ class TestSolveSupportedPrice:
         assert np.array_equal(a.expected_utility, b.expected_utility)
         assert np.array_equal(a.accept_prob, b.accept_prob)
 
+    @pytest.mark.parametrize("sampled", [False, True], ids=["empty_array", "zero_n_draws"])
+    def test_zero_rival_draws_rejected(self, sampled):
+        """No draws would average an empty slice into a NaN curve."""
+        _, beliefs, _, _ = _retail_like_inputs()
+        grid = PriceGrid(5.0, 6.0, 0.5)
+        win = lambda own, rivals: student_t_cdf(rivals - own, 4.0)
+        kwargs = {"n_draws": 0, "rng": RngStream(9)} if sampled else {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rival price draw"):
+                solve_supported_price(
+                    grid, ProducerUtility.margin(5.0),
+                    beliefs if sampled else [], win, **kwargs,
+                )
+
 
 class TestEvaluationCurve:
     def test_from_draws_matches_row_by_row_formula(self):
@@ -540,7 +555,7 @@ class TestValidateProblem:
     def test_bounded_retail_utility_passes(self):
         grid = PriceGrid(5.0, 50.0, 0.5)
         spec = RandomUtilitySpec.custom(
-            builder=lambda _t: (lambda p, s: p - 5.0), prior=None, bound=50.0
+            builder=lambda _t: (lambda p, s: p - 5.0), prior=None
         )
         report = validate_problem(
             grid, spec, OutcomeModel.point_mass(2), ValidationConfig(50.0, 512)

@@ -129,10 +129,6 @@ class TestPensionExact:
         b = exact_pension_acceptance(0.05, scenario)
         assert a == b
 
-    def test_node_floor(self):
-        with pytest.raises(ValueError, match="nodes"):
-            exact_pension_acceptance(0.05, pension_scenario(), rho_nodes=1)
-
 
 class TestGaussLegendreMemo:
     @pytest.mark.parametrize(

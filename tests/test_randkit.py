@@ -18,11 +18,7 @@ from araprice.randkit import (
     PowerPricePrior,
     RngStream,
     _t_cdf_betainc,
-    ecdf,
-    ecdf_eval,
-    sample_categorical,
     sample_inverse_gamma,
-    sample_power_prior,
     student_t_cdf,
 )
 
@@ -226,18 +222,18 @@ class TestPowerPrior:
         lo = prior.lower + (prior.upper - prior.lower) * 0.0 ** (1 / 3)
         hi = prior.lower + (prior.upper - prior.lower) * 1.0 ** (1 / 3)
         assert lo == prior.lower and hi == prior.upper
-        draws = sample_power_prior(prior, RngStream(3), size=10_000)
+        draws = prior.ppf(RngStream(3).generator.random(10_000))
         assert draws.min() >= prior.lower and draws.max() <= prior.upper
 
     def test_exponent_zero_is_uniform(self):
         prior = PowerPricePrior(10.0, 20.0, 0.0)
-        draws = sample_power_prior(prior, RngStream(17), size=1_000_000)
+        draws = prior.ppf(RngStream(17).generator.random(1_000_000))
         se = (prior.upper - prior.lower) / math.sqrt(12) / math.sqrt(draws.size)
         assert abs(draws.mean() - 15.0) <= 3 * se
 
     def test_ks_against_analytic_cdf(self):
         prior = PowerPricePrior(5.0, 50.0, 2.0)
-        draws = sample_power_prior(prior, RngStream(23), size=1_000_000)
+        draws = prior.ppf(RngStream(23).generator.random(1_000_000))
         d = ks_statistic(draws, lambda x: ((x - 5.0) / 45.0) ** 3)
         assert d < 0.002
 
@@ -260,13 +256,6 @@ class TestPowerPrior:
 
 
 class TestCategorical:
-    def test_frequencies(self):
-        pmf = CategoricalPMF((1.0, 2.0, 4.0), (0.2, 0.5, 0.3))
-        draws = sample_categorical(pmf, RngStream(29), size=200_000)
-        for v, p in zip(pmf.values, pmf.probs):
-            freq = np.mean(draws == v)
-            assert abs(freq - p) <= 3 * math.sqrt(p * (1 - p) / draws.size)
-
     def test_prob_below(self):
         pmf = CategoricalPMF((0.025, 0.03, 0.035), (0.3, 0.3, 0.4))
         assert pmf.prob_below(0.025) == 0.0
@@ -284,17 +273,17 @@ class TestCategorical:
 
 class TestEmpirical:
     def test_step_function(self):
-        dist = ecdf([3.0, 1.0, 2.0, 2.0])
+        dist = EmpiricalDistribution([3.0, 1.0, 2.0, 2.0])
         assert dist.samples.tolist() == [1.0, 2.0, 2.0, 3.0]
-        assert ecdf_eval(dist, 0.5) == 0.0
-        assert ecdf_eval(dist, 1.0) == 0.25  # right-continuous: includes the atom
-        assert ecdf_eval(dist, 2.0) == 0.75
-        assert ecdf_eval(dist, 99.0) == 1.0
+        assert dist.cdf(0.5) == 0.0
+        assert dist.cdf(1.0) == 0.25  # right-continuous: includes the atom
+        assert dist.cdf(2.0) == 0.75
+        assert dist.cdf(99.0) == 1.0
 
     def test_monotone(self):
-        dist = ecdf(np.random.default_rng(1).normal(size=500))
+        dist = EmpiricalDistribution(np.random.default_rng(1).normal(size=500))
         xs = np.linspace(-4, 4, 200)
-        values = ecdf_eval(dist, xs)
+        values = dist.cdf(xs)
         assert np.all(np.diff(values) >= 0)
 
     def test_empty_rejected(self):

@@ -24,7 +24,6 @@ from araprice.scenario import (
     bundled_case,
     bundled_case_names,
     parse_scenario,
-    scenario_to_dict,
 )
 
 RETAIL_HEADER = "price,accept_prob,expected_utility,std_err"
@@ -93,18 +92,6 @@ class TestParsing:
         with pytest.raises(InvariantError) as err:
             parse_scenario(bad)
         assert "n1" in str(err.value) and "grid_step" in str(err.value)
-
-    @pytest.mark.parametrize(
-        "name", ["retail_case1", "pension_case1", "template_example"]
-    )
-    def test_round_trip(self, name, tmp_path):
-        sc = parse_scenario(bundled_case(name))
-        encoded = tmp_path / "again.json"
-        encoded.write_text(json.dumps(scenario_to_dict(sc)))
-        again = parse_scenario(encoded)
-        assert again.kind == sc.kind
-        assert again.seed == sc.seed
-        assert again.params == sc.params
 
 
 class TestCli:
@@ -379,22 +366,6 @@ class TestCli:
             self._assert_workers_ignored(
                 tmp_path, monkeypatch, command, "pension_case2_high"
             )
-
-    def test_determinism_across_runs_and_workers(self, tmp_path):
-        case = bundled_case("retail_case3")
-        paths = []
-        for tag, workers in (("a", "1"), ("b", "4")):
-            out = tmp_path / f"run_{tag}"
-            assert main(
-                ["run", str(case), "--out", str(out), "--workers", workers]
-            ) == 0
-            paths.append(
-                (
-                    out.with_suffix(".csv").read_bytes(),
-                    out.with_suffix(".summary.json").read_bytes(),
-                )
-            )
-        assert paths[0] == paths[1]
 
     def test_seed_override_changes_result(self, tmp_path):
         case = bundled_case("retail_case3")
