@@ -41,7 +41,6 @@ from .pension import (
     PensionScenario,
     acceptance_probability,
     acceptance_probability_reduced,
-    bank_expected_utility,
     customer_expected_utility,
     expected_benefit,
     optimize_offer,

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +35,9 @@ from .pension import OfferEvaluation, optimize_offer
 from .randkit import CategoricalPMF, RngStream
 from .retail import (
     REFINED_FORECAST_FACTOR,
+    _sale_prob,
     optimize_price,
-    probit_choice_prob,
     sample_competitor_prices,
-    t_choice_prob,
 )
 from .scenario import (
     ScenarioError,
@@ -132,13 +132,6 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-def _template_choice(params: TemplateScenario):
-    """P(the customer buys at ``own`` against ``rivals``), as the file sets it."""
-    if params.choice_sigma is not None:
-        return lambda own, rivals: probit_choice_prob(own, rivals, params.choice_sigma)
-    return lambda own, rivals: t_choice_prob(own, rivals, params.choice_noise)
-
-
 def _run_template(params: TemplateScenario, rng: RngStream) -> EvaluationCurve:
     """A pmf of rival prices is sampled by the solver; a list is resampled
     here and used verbatim."""
@@ -152,7 +145,7 @@ def _run_template(params: TemplateScenario, rng: RngStream) -> EvaluationCurve:
         params.grid,
         ProducerUtility.margin(params.cost),
         beliefs,
-        _template_choice(params),
+        partial(_sale_prob, sigma=params.choice_sigma, noise=params.choice_noise),
         n_draws=params.n_draws,
         rng=rng,
     )
@@ -227,7 +220,9 @@ def _oracle_values(scenario: ScenarioFile, result, seed: int):
     else:
         values = np.asarray(params.competitor_prices, dtype=float)
         weights = np.full(values.size, 1.0 / values.size)
-    win = _template_choice(params)(result.prices[:, None], values[None, :])
+    win = _sale_prob(
+        result.prices[:, None], values[None, :], params.choice_sigma, params.choice_noise
+    )
     oracle = (result.prices - params.cost) * (win @ weights)
     return result.prices, result.expected_utility, result.std_err, list(oracle)
 

@@ -8,8 +8,9 @@ competitors are modeled as expected-utility maximizers themselves, and
 the supported producer grid-searches her own expected utility against
 Monte Carlo forecasts of everyone else's behavior.
 
-Retail and pension specialize it with closed-form choice models; the solver
-here and retail both score Monte Carlo curves with EvaluationCurve.from_draws.
+Retail and pension specialize it with closed-form choice models.  Retail's
+price grid is a call of :func:`solve_supported_price`, the one scorer of a
+Monte Carlo producer grid.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._parallel import map_blocks
 from .randkit import (
     CategoricalPMF,
     EmpiricalDistribution,
@@ -496,6 +498,10 @@ def solve_supported_price(
     the same competitor sample, so curves are smooth in price and
     deterministic given the stream.  Raises ValueError when there is no
     rival draw to score against.
+
+    Grid rows are scored in blocks (``_parallel.map_blocks``), so memory
+    does not grow with grid x draws; every column reduces within one row,
+    so the curve has the bits of one ``EvaluationCurve.from_draws`` call.
     """
     points = grid.points()
     if isinstance(beliefs, AgentBeliefs):
@@ -509,12 +515,18 @@ def solve_supported_price(
     if not len(rivals):
         raise ValueError("need at least one rival price draw")
 
-    curve = EvaluationCurve.from_draws(
-        points,
-        _win_matrix(choice_model, points, rivals),
-        np.array([u1.on_sale(p) for p in points]),
-        np.array([u1.on_no_sale(p) for p in points]),
-    )
+    def _score(rows: slice) -> tuple:
+        prices = points[rows]
+        block = EvaluationCurve.from_draws(
+            prices,
+            _win_matrix(choice_model, prices, rivals),
+            np.array([u1.on_sale(p) for p in prices]),
+            np.array([u1.on_no_sale(p) for p in prices]),
+        )
+        return block.accept_prob, block.expected_utility, block.std_err
+
+    columns = zip(*map_blocks(_score, points.size, rivals.size))
+    curve = EvaluationCurve(points, *map(np.concatenate, columns))
     return curve.optimum, curve
 
 

@@ -54,15 +54,14 @@ def _gauss_legendre(lo: float, hi: float, nodes: int):
     return rule
 
 
-def _retail_accept(p1, p2, scenario: RetailScenario):
-    """Sale probability via scipy's t / normal CDFs (independent code path)."""
+def _sale_prob(p1, p2, sigma, noise):
+    """P(sale at p1 against p2) via scipy's normal / t CDFs (independent
+    code path): probit at a fixed ``sigma``, else the t marginal under
+    ``noise``."""
     diff = np.asarray(p1, float) - np.asarray(p2, float)
-    if scenario.fixed_sigma is not None:
-        return stats.norm.sf(diff / scenario.fixed_sigma)
-    noise = scenario.customer_noise
-    return stats.t.sf(
-        math.sqrt(noise.shape / noise.scale) * diff, 2.0 * noise.shape
-    )
+    if sigma is not None:
+        return stats.norm.sf(diff / sigma)
+    return stats.t.sf(math.sqrt(noise.shape / noise.scale) * diff, 2.0 * noise.shape)
 
 
 def _retail_payoff(p1, accept, scenario: RetailScenario):
@@ -93,16 +92,17 @@ def quadrature_retail_utility(
     elif isinstance(density, PowerPricePrior):
         density = (density.pdf, density.lower, density.upper)
 
+    sigma, noise = scenario.fixed_sigma, scenario.customer_noise
     if isinstance(density, CategoricalPMF):
         values = np.asarray(density.values)
-        accept = np.dot(_retail_accept(p1, values, scenario), density.probs)
+        accept = np.dot(_sale_prob(p1, values, sigma, noise), density.probs)
     elif isinstance(density, tuple) and len(density) == 3 and callable(density[0]):
         pdf, lo, hi = density
         x, w = _gauss_legendre(lo, hi, nodes)
-        accept = np.dot(_retail_accept(p1, x, scenario) * pdf(x), w)
+        accept = np.dot(_sale_prob(p1, x, sigma, noise) * pdf(x), w)
     else:
         values = np.asarray(density, dtype=float)  # equally weighted price sample
-        accept = _retail_accept(p1, values, scenario).mean()
+        accept = _sale_prob(p1, values, sigma, noise).mean()
     return float(_retail_payoff(p1, float(accept), scenario))
 
 
@@ -118,16 +118,9 @@ def quadrature_competitor_objective(
     grid = scenario.competitor_grid.points()
     prior = scenario.our_price_prior
     x, w = _gauss_legendre(prior.lower, prior.upper, nodes)
-    if scenario.fixed_sigma is not None:
-        rival_win = stats.norm.cdf(
-            (x[None, :] - grid[:, None]) / scenario.fixed_sigma
-        )
-    else:
-        noise = scenario.competitor_noise
-        rival_win = stats.t.cdf(
-            math.sqrt(noise.shape / noise.scale) * (x[None, :] - grid[:, None]),
-            2.0 * noise.shape,
-        )
+    rival_win = _sale_prob(
+        grid[:, None], x[None, :], scenario.fixed_sigma, scenario.competitor_noise
+    )
     accept = rival_win @ (prior.pdf(x) * w)
     return grid, (grid - scenario.competitor_cost) * accept
 

@@ -60,7 +60,6 @@ __all__ = [
     "customer_expected_utility",
     "acceptance_probability",
     "acceptance_probability_reduced",
-    "bank_expected_utility",
     "expected_benefit",
     "optimize_offer",
 ]
@@ -328,19 +327,6 @@ def acceptance_probability_reduced(
     if n_competitors < 1:
         raise ValueError("n_competitors must be >= 1")
     return offers.prob_below(h1) ** n_competitors
-
-
-def bank_expected_utility(
-    h1: float, accept_prob: float, scenario: PensionScenario
-) -> float:
-    """Bank's next-year expected utility of offering ``h1``.
-
-    Risk-neutral: margin (earn_rate - h1) on the scaled capital times the
-    acceptance probability; declining the offer is worth zero.
-    """
-    if not 0.0 <= accept_prob <= 1.0:
-        raise ValueError(f"acceptance probability {accept_prob} outside [0, 1]")
-    return (scenario.earn_rate - h1) * scenario.scaled_capital * accept_prob
 
 
 def expected_benefit(

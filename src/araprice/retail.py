@@ -7,11 +7,12 @@ Student-t acceptance curve.  The competitor's price is forecast by
 solving her own pricing problem repeatedly under sampled beliefs, and the
 retailer grid-searches her expected margin against those forecasts.
 
-The forecast scores its draws in fixed-size row blocks
-(``_parallel.map_blocks``) on the calling thread, so its memory does not
-grow with n1 * n2 * grid and its bits are those of one call.
-Within a block it bisects the rival's grid and skips the prices that a
-monotonicity bound proves cannot hold her argmax (see
+Retail is one specification of the generic template: the price grid is
+scored by :func:`araprice.core.solve_supported_price`.  The forecast
+scores its draws in fixed-size row blocks (``_parallel.map_blocks``), so
+its memory does not grow with n1 * n2 * grid and its bits are those of
+one call.  Within a block it bisects the rival's grid and skips the
+prices that a monotonicity bound proves cannot hold her argmax (see
 :func:`sample_competitor_prices`).
 """
 
@@ -19,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ._parallel import map_blocks
-from .core import EvaluationCurve, PriceGrid
+from .core import EvaluationCurve, PriceGrid, ProducerUtility, solve_supported_price
 from .randkit import (
     InverseGammaParams,
     PowerPricePrior,
@@ -162,18 +164,19 @@ def t_choice_prob(p1, p2, noise: InverseGammaParams):
     return 1.0 - student_t_cdf(z, 2.0 * noise.shape)
 
 
-def _margins(prices: np.ndarray, scenario: RetailScenario):
-    """Per-price payoff on a sale and on a lost sale: the perishable
-    variant writes the unit cost off on every lost sale."""
-    lost = -scenario.cost if scenario.utility_variant == "perishable" else 0.0
-    return prices - scenario.cost, np.full(prices.size, lost)
-
-
-def _acceptance(p1, p2, scenario: RetailScenario, noise: InverseGammaParams):
-    """P(sale at price p1 against rival price p2), vectorized."""
-    if scenario.fixed_sigma is not None:
-        return probit_choice_prob(p1, p2, scenario.fixed_sigma)
+def _sale_prob(p1, p2, sigma: float | None, noise: InverseGammaParams | None):
+    """P(sale at price p1 against rival price p2), vectorized: probit at a
+    fixed ``sigma``, else the t marginal of the probit under ``noise``."""
+    if sigma is not None:
+        return probit_choice_prob(p1, p2, sigma)
     return t_choice_prob(p1, p2, noise)
+
+
+def _payoff(scenario: RetailScenario) -> ProducerUtility:
+    """The retailer's margin on a sale; the perishable variant writes the
+    unit cost off on every lost sale."""
+    lost = -scenario.cost if scenario.utility_variant == "perishable" else 0.0
+    return ProducerUtility(lambda p: p - scenario.cost, lambda p: lost)
 
 
 def sample_competitor_prices(scenario: RetailScenario, rng: RngStream) -> np.ndarray:
@@ -215,8 +218,8 @@ def sample_competitor_prices(scenario: RetailScenario, rng: RngStream) -> np.nda
         def _score(row: np.ndarray, col: np.ndarray) -> None:
             # sale probability for the rival: customer takes her product when
             # it is cheaper, up to the rival's own (vaguer) noise model
-            win = 1.0 - _acceptance(
-                ours[:, row], grid[col], scenario, scenario.competitor_noise
+            win = 1.0 - _sale_prob(
+                ours[:, row], grid[col], scenario.fixed_sigma, scenario.competitor_noise
             )
             # add.accumulate sums the draws in order, as the mean over the
             # draw axis of a (rows, n2, grid) array does
@@ -259,10 +262,11 @@ def estimate_expected_utility(
             f"price {p1} outside feasible range "
             f"[{scenario.cost}, {scenario.max_price}]"
         )
-    price = np.array([float(p1)])
-    accept = _acceptance(p1, samples, scenario, scenario.customer_noise)
+    price, payoff = float(p1), _payoff(scenario)
+    accept = _sale_prob(price, samples, scenario.fixed_sigma, scenario.customer_noise)
     curve = EvaluationCurve.from_draws(
-        price, accept[None, :], *_margins(price, scenario)
+        np.array([price]), accept[None, :],
+        np.array([payoff.on_sale(price)]), np.array([payoff.on_no_sale(price)]),
     )
     return float(curve.expected_utility[0]), float(curve.std_err[0])
 
@@ -270,17 +274,18 @@ def estimate_expected_utility(
 def optimize_price(scenario: RetailScenario, rng: RngStream) -> EvaluationCurve:
     """Full pipeline: forecast the rival once, then grid-search our price.
 
-    All grid points are scored against the same competitor-price sample,
-    which keeps the acceptance column monotone in price and the whole
-    curve reproducible from (scenario, seed).  The rival forecast and the
-    grid, n2 times smaller, are both scored in row blocks.
+    The grid is scored by :func:`araprice.core.solve_supported_price`
+    against the one competitor-price sample, which keeps the acceptance
+    column monotone in price and the whole curve reproducible from
+    (scenario, seed).  The rival forecast and the grid are both scored in
+    row blocks.
     """
     scenario.validate()
     samples = sample_competitor_prices(scenario, rng)
-    points = scenario.price_grid.points()
-
-    def _score(rows: slice) -> np.ndarray:
-        return _acceptance(points[rows, None], samples, scenario, scenario.customer_noise)
-
-    accept = np.concatenate(map_blocks(_score, points.size, samples.size))
-    return EvaluationCurve.from_draws(points, accept, *_margins(points, scenario))
+    accept = partial(
+        _sale_prob, sigma=scenario.fixed_sigma, noise=scenario.customer_noise
+    )
+    _, curve = solve_supported_price(
+        scenario.price_grid, _payoff(scenario), samples, accept
+    )
+    return curve

@@ -39,13 +39,15 @@ KINDS = ("retail", "pension", "template")
 FORMATS = ("csv", "json")
 _FLOAT_MAX = sys.float_info.max
 
-# Most elements (256 MiB as float64) that one command may allocate or
-# evaluate for a scenario: grid points x draws, draws x rivals, pension
-# utility terms.  Counted before the engine runs; only the pension utility
-# count allocates, the offer grid x offers x horizon tie matrix that its
-# own entry bounds.  An overrun is an invariant violation (exit 4).
-# ``compare`` is also held to its refined forecast, which ``run`` and
-# ``validate`` never build.
+# Most elements (2^25) that one command may evaluate for a scenario: grid
+# points x draws, draws x rivals, pension utility terms.  Counted before
+# the engine runs.  The grid scorers and the rival forecast work in row
+# blocks, so none holds a grid x draws array whole; held whole are draw
+# samples, the forecast's n1 x n2 uniforms and the pension offer grid x
+# offers x horizon tie matrix, which its own entry bounds.  An overrun is
+# an invariant violation (exit 4).  ``compare`` is also held to its refined
+# forecast and the template oracle's grid x competitor-price win table,
+# which ``run`` and ``validate`` never build.
 WORK_BUDGET = 1 << 25
 
 
@@ -254,7 +256,12 @@ def _work_problems(kind: str, params, compare: bool) -> list[str]:
                 utility_evaluations(params)
             )
     else:
-        counts = {"grid x n_draws": params.grid.count() * params.n_draws}
+        grid = params.grid.count()
+        counts = {"grid x n_draws": grid * params.n_draws}
+        if compare:
+            prices = params.competitor_prices
+            prices = prices.values if isinstance(prices, CategoricalPMF) else prices
+            counts["grid x competitor prices (compare)"] = grid * len(prices)
     return [
         f"params: {what} is {count:.4g} elements, over the work budget of {WORK_BUDGET}"
         for what, count in counts.items()
@@ -433,8 +440,9 @@ def parse_scenario(path) -> ScenarioFile:
 
 def check_compare_budget(scenario: ScenarioFile) -> None:
     """Raise InvariantError if ``price compare`` would overrun the work
-    budget on a parsed scenario: it also builds the refined rival forecast,
-    which ``run`` and ``validate`` never build."""
+    budget on a parsed scenario: it also builds the refined rival forecast
+    and the template oracle's win table, which ``run`` and ``validate``
+    never build."""
     problems = _work_problems(scenario.kind, scenario.params, compare=True)
     if problems:
         raise InvariantError("; ".join(problems))

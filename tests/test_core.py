@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import araprice.core as core
 
+from araprice._parallel import BLOCK_ELEMENTS
 from araprice.core import (
     AgentBeliefs,
     EvaluationCurve,
@@ -521,6 +523,46 @@ class TestSolveSupportedPrice:
                     grid, ProducerUtility.margin(5.0),
                     beliefs if sampled else [], win, **kwargs,
                 )
+
+
+    def test_row_blocks_match_one_call(self):
+        """Two rivals at 5,000 draws: a row block holds 13 of the 41 grid
+        prices, and the four blocks give the bits of one ``from_draws``
+        call over the whole (grid x draws) win matrix."""
+        beliefs = AgentBeliefs(
+            (PowerPricePrior(5.0, 15.0, 2.0), CategoricalPMF((8.0, 9.0), (0.3, 0.7)))
+        )
+        grid, draws = PriceGrid(0.0, 10.0, 0.25), 5_000
+        points = grid.points()
+        u1 = ProducerUtility(on_sale=lambda p: p - 1.0, on_no_sale=lambda p: -0.5)
+        win = lambda own, rivals: student_t_cdf(rivals - own, 4.0)
+        assert BLOCK_ELEMENTS // (2 * draws) == 13
+        rivals = beliefs.sample(RngStream(12), draws)
+        expected = EvaluationCurve.from_draws(
+            points,
+            win(points[:, None, None], rivals[None, :, :]).prod(axis=2),
+            points - 1.0,
+            np.full(points.size, -0.5),
+        )
+        _, got = solve_supported_price(grid, u1, beliefs, win, draws, RngStream(12))
+        for column in ("accept_prob", "expected_utility", "std_err"):
+            assert getattr(got, column).tobytes() == getattr(expected, column).tobytes()
+
+    def test_memory_is_bounded(self):
+        """41 prices x 200,000 draws: one float64 win matrix alone would
+        take 63 MiB."""
+        beliefs = AgentBeliefs((PowerPricePrior(5.0, 15.0, 2.0),))
+        win = lambda own, rivals: student_t_cdf(rivals - own, 4.0)
+        tracemalloc.start()
+        try:
+            solve_supported_price(
+                PriceGrid(0.0, 10.0, 0.25), ProducerUtility.margin(1.0),
+                beliefs, win, n_draws=200_000, rng=RngStream(13),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestEvaluationCurve:

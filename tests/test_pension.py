@@ -17,7 +17,6 @@ from araprice.pension import (
     PensionScenario,
     acceptance_probability,
     acceptance_probability_reduced,
-    bank_expected_utility,
     customer_expected_utility,
     expected_benefit,
     optimize_offer,
@@ -237,12 +236,6 @@ class TestAcceptance:
 
 
 class TestBankSide:
-    def test_zero_acceptance(self):
-        assert bank_expected_utility(0.04, 0.0, CASE1) == 0.0
-
-    def test_zero_margin(self):
-        assert bank_expected_utility(0.07, 0.83, CASE1) == pytest.approx(0.0, abs=1e-12)
-
     def test_next_year_benefit_formula(self):
         value = expected_benefit(0.045, 0.55, CASE1, "next_year")
         assert value == pytest.approx((0.07 - 0.045) * 30_000 * 0.55, rel=1e-12)
@@ -271,8 +264,8 @@ class TestBankSide:
             )
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            bank_expected_utility(0.04, 1.2, CASE1)
+        with pytest.raises(ValueError, match="outside"):
+            expected_benefit(0.04, 1.2, CASE1)
         with pytest.raises(ValueError):
             expected_benefit(0.04, 0.5, CASE1, "weekly")
 
@@ -308,7 +301,7 @@ class TestOptimizeOffer:
         ev = optimize_offer(CASE1, RngStream(21))
         scale = (0.07 - 0.025) * CASE1.scaled_capital
         for h, p, eu in zip(ev.offers, ev.accept_prob, ev.expected_utility):
-            raw = bank_expected_utility(float(h), float(p), CASE1)
+            raw = (CASE1.earn_rate - h) * CASE1.scaled_capital * p
             assert eu == pytest.approx(raw / scale, rel=1e-12)
 
 

@@ -15,8 +15,6 @@ from araprice.randkit import InverseGammaParams, RngStream
 from araprice.core import EvaluationCurve
 from araprice.retail import (
     RetailScenario,
-    _acceptance,
-    _margins,
     estimate_expected_utility,
     optimize_price,
     probit_choice_prob,
@@ -295,19 +293,35 @@ class TestOptimizePrice:
         assert not np.array_equal(a.expected_utility, c.expected_utility)
 
     def test_grid_blocks_match_one_call(self):
-        """At n1 = 1500 a row block holds 87 of the 91 grid prices: scored
-        in two blocks, the curve has the bits of one grid x draws call."""
-        scenario = dataclasses.replace(CASE3, n1=1500, n2=10)
+        """At n1 = 1500 a row block of the grid solver holds 87 of the 91
+        grid prices: scored in two blocks, the curve has the bits of one
+        grid x draws ``from_draws`` call (perishable, so a lost sale pays)."""
+        scenario = dataclasses.replace(
+            CASE3, n1=1500, n2=10, utility_variant="perishable"
+        )
         points = scenario.price_grid.points()
         assert BLOCK_ELEMENTS // scenario.n1 < points.size
         samples = sample_competitor_prices(scenario, RngStream(34))
-        accept = _acceptance(
-            points[:, None], samples[None, :], scenario, scenario.customer_noise
+        accept = t_choice_prob(points[:, None], samples[None, :], scenario.customer_noise)
+        expected = EvaluationCurve.from_draws(
+            points, accept, points - scenario.cost, np.full(points.size, -scenario.cost)
         )
-        expected = EvaluationCurve.from_draws(points, accept, *_margins(points, scenario))
         got = optimize_price(scenario, RngStream(34))
         for column in ("accept_prob", "expected_utility", "std_err"):
             assert getattr(got, column).tobytes() == getattr(expected, column).tobytes()
+
+    def test_grid_memory_is_bounded(self):
+        """The benchmark case at n1 = 200,000: one 91 x 200,000 float64
+        acceptance matrix alone would take 139 MiB."""
+        scenario = dataclasses.replace(CASE1, n1=200_000)
+        tracemalloc.start()
+        try:
+            curve = optimize_price(scenario, RngStream(35))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert curve.optimum == 29.5
+        assert peak < 16 * 2**20
 
     def test_invalid_scenario_rejected(self):
         bad = make_scenario(n1=0)

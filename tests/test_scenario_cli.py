@@ -301,6 +301,29 @@ class TestCli:
         assert "n1 x n2 x competitor grid x 32 (compare) is 4.544e+07" in err
         assert not (tmp_path / "cmp.oracle.json").exists()
 
+    def test_compare_counts_the_template_oracle_table(self, tmp_path, monkeypatch, capsys):
+        """A 10,000-point template grid against a list of 3,400 rival prices
+        at one draw scores 1e4 elements in run; the oracle of compare builds
+        a 10,000 x 3,400 win table (3.4e7 elements)."""
+        import araprice.cli as cli
+
+        raw = json.loads(bundled_case("template_example").read_text())
+        raw["params"].update(
+            grid={"min": 0.0, "max": 9999.0, "step": 1.0},
+            competitor_prices=[float(v) for v in range(3400)],
+            n_draws=1,
+        )
+        case = tmp_path / "wide.json"
+        case.write_text(json.dumps(raw))
+        assert main(["validate", str(case)]) == 0
+        assert main(["run", str(case), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out.csv").is_file()
+        monkeypatch.setattr(cli, "_run_engine", lambda *args: pytest.fail("engine ran"))
+        assert main(["compare", str(case), "--out", str(tmp_path / "cmp")]) == 4
+        err = capsys.readouterr().err
+        assert "grid x competitor prices (compare) is 3.4e+07" in err
+        assert not (tmp_path / "cmp.oracle.json").exists()
+
     def test_bundled_cases_fit_the_work_budget(self):
         """Including the refined forecast of ``compare retail_case3``:
         32 x 100 x 100 x 71 = 2.27e7 elements."""
