@@ -29,6 +29,7 @@ from .core import (
 from .oracle import (
     compare,
     exact_pension_acceptance,
+    exact_template_utility,
     quadrature_retail_utility,
 )
 from .pension import OfferEvaluation, optimize_offer
@@ -192,12 +193,11 @@ def cmd_run(args) -> int:
 
 
 def _oracle_values(scenario: ScenarioFile, result, seed: int):
-    """Per-grid-point oracle values and the engine columns to test them against."""
+    """Oracle values over the whole grid, one oracle call, and the engine
+    columns to test them against."""
     params = scenario.params
     if scenario.kind == "pension":
-        oracle = [
-            exact_pension_acceptance(float(h), params) for h in result.offers
-        ]
+        oracle = exact_pension_acceptance(result.offers, params)
         return result.offers, result.accept_prob, result.std_err, oracle
     if scenario.kind == "retail":
         if params.known_competitor_price is not None:
@@ -208,23 +208,10 @@ def _oracle_values(scenario: ScenarioFile, result, seed: int):
                 dataclasses.replace(params, n1=REFINED_FORECAST_FACTOR * params.n1),
                 RngStream(seed, stream_id=0xFACE),
             )
-        oracle = [
-            quadrature_retail_utility(float(p), params, density=density)
-            for p in result.prices
-        ]
-        return result.prices, result.expected_utility, result.std_err, oracle
-    # template: exact integration over the finite competitor-price distribution
-    if isinstance(params.competitor_prices, CategoricalPMF):
-        values = np.asarray(params.competitor_prices.values)
-        weights = np.asarray(params.competitor_prices.probs)
-    else:
-        values = np.asarray(params.competitor_prices, dtype=float)
-        weights = np.full(values.size, 1.0 / values.size)
-    win = _sale_prob(
-        result.prices[:, None], values[None, :], params.choice_sigma, params.choice_noise
-    )
-    oracle = (result.prices - params.cost) * (win @ weights)
-    return result.prices, result.expected_utility, result.std_err, list(oracle)
+        oracle = quadrature_retail_utility(result.prices, params, density=density)
+    else:  # template: exact sum over the finite competitor-price distribution
+        oracle = exact_template_utility(result.prices, params)
+    return result.prices, result.expected_utility, result.std_err, oracle
 
 
 def cmd_compare(args) -> int:

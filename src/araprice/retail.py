@@ -179,6 +179,20 @@ def _payoff(scenario: RetailScenario) -> ProducerUtility:
     return ProducerUtility(lambda p: p - scenario.cost, lambda p: lost)
 
 
+def _sum_draws(win: np.ndarray) -> np.ndarray:
+    """Column sums of a (draws, columns) table, adding the draws in order,
+    as the mean over the draw axis of a (rows, n2, grid) array does.
+
+    Over a C-ordered table of two or more columns, ``sum(axis=0)`` adds
+    row after row, in draw order.  A single column or another layout puts
+    the draws on numpy's inner loop, which sums pairwise, so those go
+    through ``cumsum``, which always adds in order.
+    """
+    if win.shape[1] > 1 and win.flags.c_contiguous:
+        return win.sum(axis=0)
+    return np.cumsum(win, axis=0)[-1]
+
+
 def sample_competitor_prices(scenario: RetailScenario, rng: RngStream) -> np.ndarray:
     """Forecast the rival's price: ``n1`` draws of her optimal response.
 
@@ -217,13 +231,13 @@ def sample_competitor_prices(scenario: RetailScenario, rng: RngStream) -> np.nda
 
         def _score(row: np.ndarray, col: np.ndarray) -> None:
             # sale probability for the rival: customer takes her product when
-            # it is cheaper, up to the rival's own (vaguer) noise model
+            # it is cheaper, up to the rival's own (vaguer) noise model; take()
+            # keeps the (n2, columns) table C-ordered, which _sum_draws needs
             win = 1.0 - _sale_prob(
-                ours[:, row], grid[col], scenario.fixed_sigma, scenario.competitor_noise
+                ours.take(row, axis=1), grid[col],
+                scenario.fixed_sigma, scenario.competitor_noise,
             )
-            # add.accumulate sums the draws in order, as the mean over the
-            # draw axis of a (rows, n2, grid) array does
-            mean_win[row, col] = np.cumsum(win, axis=0)[-1] / scenario.n2
+            mean_win[row, col] = _sum_draws(win) / scenario.n2
             objective[row, col] = margin[col] * mean_win[row, col]
 
         # Bisect gaps (lo, hi) between scored indices, all rows at once.

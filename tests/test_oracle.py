@@ -1,15 +1,22 @@
 """Oracle module: quadrature/enumeration twins of the Monte Carlo estimators."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
-from araprice import oracle
+from araprice import _parallel, oracle
+from araprice.cli import main
 from araprice.core import PriceGrid
 from araprice.oracle import (
     compare,
     exact_pension_acceptance,
+    exact_template_utility,
     quadrature_competitor_objective,
     quadrature_retail_utility,
 )
@@ -19,7 +26,12 @@ from araprice.pension import (
     acceptance_probability_reduced,
 )
 from araprice.randkit import CategoricalPMF, InverseGammaParams, RngStream
-from araprice.retail import RetailScenario, estimate_expected_utility
+from araprice.retail import (
+    REFINED_FORECAST_FACTOR,
+    RetailScenario,
+    estimate_expected_utility,
+)
+from araprice.scenario import TemplateScenario, bundled_case, parse_scenario
 
 CASE1_OFFERS = CategoricalPMF(
     (0.025, 0.03, 0.035, 0.04, 0.045, 0.05, 0.055, 0.06, 0.065, 0.07),
@@ -94,6 +106,134 @@ class TestRetailQuadrature:
             quadrature_retail_utility(20.0, retail_scenario(), nodes=8, density=30.0)
 
 
+@pytest.fixture
+def sale_prob_calls(monkeypatch):
+    """The rival-price count of each call of the oracle's `_sale_prob`."""
+    calls = []
+    sale_prob = oracle._sale_prob
+
+    def recorded(p1, p2, sigma, noise):
+        calls.append(np.size(p2))
+        return sale_prob(p1, p2, sigma, noise)
+
+    monkeypatch.setattr(oracle, "_sale_prob", recorded)
+    return calls
+
+
+def _density(kind: str, values: list, seed: int):
+    """A rival-price density of each kind the retail oracle takes."""
+    if kind == "pmf":
+        points = sorted(set(values))
+        probs = np.random.default_rng(seed).dirichlet(np.ones(len(points)))
+        return CategoricalPMF(tuple(points), tuple(float(p) for p in probs))
+    if kind == "gauss":
+        return (lambda x: 0.05 + 0.001 * np.asarray(x), 10.0, 40.0)
+    if kind == "point":
+        return values[0]
+    return np.asarray(values)  # equally weighted sample, repeats included
+
+
+class TestRetailGrid:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kind=st.sampled_from(["pmf", "gauss", "point", "sample"]),
+        values=st.lists(st.sampled_from([12.0, 17.5, 20.0, 23.25, 31.0]), min_size=1,
+                        max_size=40)
+        | st.lists(st.just(23.25), min_size=1, max_size=40)
+        | st.lists(st.floats(5.0, 45.0), min_size=1, max_size=40),
+        prices=st.lists(st.floats(5.0, 50.0), min_size=1, max_size=30),
+        sigma=st.none() | st.floats(0.05, 5.0),
+        shape=st.sampled_from([0.5, 1.5, 2.0, 2.5]),
+        variant=st.sampled_from(["non_perishable", "perishable"]),
+        block=st.sampled_from([1, 7, 40, _parallel.BLOCK_ELEMENTS]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_grid_call_equals_one_price_calls_bit_for_bit(
+        self, kind, values, prices, sigma, shape, variant, block, seed
+    ):
+        """Small row blocks put block edges inside the grid; value lists
+        cover one value, all-equal samples and samples with repeats."""
+        scenario = retail_scenario(
+            fixed_sigma=sigma,
+            customer_noise=InverseGammaParams(shape, 2.0),
+            utility_variant=variant,
+        )
+        density = _density(kind, values, seed)
+        with mock.patch.object(_parallel, "BLOCK_ELEMENTS", block):
+            grid = quadrature_retail_utility(np.array(prices), scenario, density=density)
+        one = [quadrature_retail_utility(p, scenario, density=density) for p in prices]
+        assert all(isinstance(v, float) for v in one)
+        assert grid.tobytes() == np.array(one).tobytes()
+
+    def test_empty_grid_gives_an_empty_curve(self):
+        scenario = retail_scenario(known_competitor_price=30.0)
+        assert quadrature_retail_utility(np.array([]), scenario).shape == (0,)
+
+    def test_sample_prices_are_evaluated_once(self, sale_prob_calls):
+        samples = np.repeat([21.0, 24.5, 30.0], 500)
+        quadrature_retail_utility(np.linspace(10.0, 40.0, 61), retail_scenario(),
+                                  density=samples)
+        assert sale_prob_calls == [3]
+
+    def test_grid_memory_is_bounded(self):
+        """2^17 prices against 256 Gauss-Legendre nodes: the whole table
+        alone would take 256 MiB.  Probit choice, scipy's fastest CDF."""
+        prices = np.linspace(5.0, 50.0, 1 << 17)
+        pdf = lambda x: np.full_like(np.asarray(x, float), 1.0 / 20.0)
+        tracemalloc.start()
+        try:
+            quadrature_retail_utility(
+                prices, retail_scenario(fixed_sigma=2.0), nodes=256,
+                density=(pdf, 20.0, 40.0),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_compare_calls_scipy_once_per_row_block(
+        self, sale_prob_calls, tmp_path, capsys
+    ):
+        """`compare retail_case3`: 91 prices against the 3,200-draw refined
+        forecast, one `_sale_prob` call per row block, not one per price."""
+        path = bundled_case("retail_case3")
+        assert main(["compare", str(path), "--out", str(tmp_path / "c3")]) == 0
+        capsys.readouterr()
+        params = parse_scenario(path).params
+        grid = int(params.price_grid.count())
+        rows = _parallel.BLOCK_ELEMENTS // (REFINED_FORECAST_FACTOR * params.n1)
+        assert len(sale_prob_calls) == len(range(0, grid, rows)) < grid
+
+
+class TestTemplateExact:
+    def template(self, competitor_prices, **choice) -> TemplateScenario:
+        return TemplateScenario(
+            cost=10.0, grid=PriceGrid(10.0, 30.0, 0.5),
+            competitor_prices=competitor_prices, **choice,
+        )
+
+    def test_pmf_sum_on_scipy_t(self):
+        pmf = CategoricalPMF((18.0, 20.0, 22.0, 24.0), (0.2, 0.4, 0.3, 0.1))
+        scenario = self.template(pmf, choice_noise=InverseGammaParams(2.0, 2.0))
+        prices = scenario.grid.points()
+        got = exact_template_utility(prices, scenario)
+        for p, value in zip(prices, got):
+            sale = [stats.t.sf(p - v, 4.0) for v in pmf.values]
+            assert value == pytest.approx((p - 10.0) * np.dot(sale, pmf.probs), rel=1e-12)
+
+    def test_list_is_equally_weighted(self):
+        scenario = self.template([19.0, 23.0, 23.0], choice_sigma=2.0)
+        got = exact_template_utility(np.array([15.0, 21.0]), scenario)
+        for p, value in zip((15.0, 21.0), got):
+            sale = np.mean([stats.norm.sf((p - v) / 2.0) for v in (19.0, 23.0, 23.0)])
+            assert value == pytest.approx((p - 10.0) * sale, rel=1e-12)
+
+    def test_runs_on_scipy_not_the_engine_cdf(self, sale_prob_calls):
+        scenario = parse_scenario(bundled_case("template_example")).params
+        exact_template_utility(scenario.grid.points(), scenario)
+        assert sale_prob_calls == [4]
+
+
 class TestCompetitorQuadrature:
     def test_argmax_in_range_and_stable(self):
         scenario = retail_scenario()
@@ -128,6 +268,40 @@ class TestPensionExact:
         a = exact_pension_acceptance(0.05, scenario)
         b = exact_pension_acceptance(0.05, scenario)
         assert a == b
+
+
+class TestPensionGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rivals=st.integers(1, 12),
+        lo=st.floats(0.05, 3.0),
+        width=st.just(0.0) | st.floats(0.01, 3.0),
+        horizon=st.integers(2, 12),
+        offers=st.lists(st.sampled_from(range(10)), min_size=1, max_size=12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_grid_call_equals_one_offer_calls_bit_for_bit(
+        self, rivals, lo, width, horizon, offers, seed
+    ):
+        exits = np.random.default_rng(seed).uniform(0.0, 0.08, horizon - 1)
+        scenario = pension_scenario(
+            n_competitors=rivals,
+            risk_aversion=(lo, lo + width),
+            horizon=horizon,
+            exit_profile=ExitProfile(tuple(float(q) for q in exits)),
+        )
+        h = scenario.offer_grid.points()[offers]
+        grid = exact_pension_acceptance(h, scenario)
+        one = [exact_pension_acceptance(float(x), scenario) for x in h]
+        assert all(isinstance(v, float) for v in one)
+        assert grid.tobytes() == np.array(one).tobytes()
+
+    def test_empty_grid_gives_an_empty_curve(self):
+        assert exact_pension_acceptance(np.array([]), pension_scenario()).shape == (0,)
+
+    def test_grid_call_rejects_an_offer_out_of_range(self):
+        with pytest.raises(ValueError, match="outside the modeled range"):
+            exact_pension_acceptance(np.array([0.03, 0.5]), pension_scenario())
 
 
 class TestGaussLegendreMemo:

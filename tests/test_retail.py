@@ -15,6 +15,7 @@ from araprice.randkit import InverseGammaParams, RngStream
 from araprice.core import EvaluationCurve
 from araprice.retail import (
     RetailScenario,
+    _sum_draws,
     estimate_expected_utility,
     optimize_price,
     probit_choice_prob,
@@ -234,6 +235,35 @@ class TestBlockedForecast:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+class TestDrawSum:
+    # eight draws that numpy's pairwise sum adds as (1 + 2^-53) + 2^-52 +
+    # 2^-51 = 1 + 3 * 2^-52, while adding them in order keeps 1.0
+    DRAWS = np.array([1.0] + [2.0**-53] * 7)
+
+    def test_one_column_adds_the_draws_in_order(self):
+        win = self.DRAWS[:, None]
+        assert win.sum(axis=0).tobytes() != np.cumsum(win, axis=0)[-1].tobytes()
+        assert _sum_draws(win).tobytes() == np.cumsum(win, axis=0)[-1].tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_columns_add_the_draws_in_order_in_either_layout(self, order):
+        win = np.array(np.stack([self.DRAWS, self.DRAWS[::-1], self.DRAWS], axis=1),
+                       order=order)
+        assert _sum_draws(win).tobytes() == np.cumsum(win, axis=0)[-1].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n2=st.integers(1, 300),
+        columns=st.integers(1, 9),
+        order=st.sampled_from(["C", "F"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_cumsum_bit_for_bit(self, n2, columns, order, seed):
+        g = np.random.default_rng(seed)
+        win = np.array(g.random((n2, columns)) ** g.uniform(1.0, 60.0), order=order)
+        assert _sum_draws(win).tobytes() == np.cumsum(win, axis=0)[-1].tobytes()
 
 
 class TestExpectedUtility:
