@@ -8,9 +8,10 @@ competitors are modeled as expected-utility maximizers themselves, and
 the supported producer grid-searches her own expected utility against
 Monte Carlo forecasts of everyone else's behavior.
 
-Retail and pension specialize it with closed-form choice models.  Retail's
-price grid is a call of :func:`solve_supported_price`, the one scorer of a
-Monte Carlo producer grid.
+Retail and pension specialize it with closed-form choice models.  Every
+price grid of the engine and the oracle is scored by :func:`score_grid`:
+a mean over states of payoff x acceptance, with equal weights on Monte
+Carlo draws and pmf or quadrature weights in the oracle.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,6 +45,7 @@ __all__ = [
     "realize_choice",
     "customer_choice_probs",
     "sample_competitor_optimal_price",
+    "score_grid",
     "solve_supported_price",
     "validate_problem",
 ]
@@ -311,14 +314,19 @@ class EvaluationCurve:
                 raise ValueError(f"column {column.name} has mismatched length")
 
     @classmethod
-    def from_draws(cls, prices, win, on_sale, on_no_sale) -> "EvaluationCurve":
-        """Score a (grid x draws) acceptance matrix ``win``.
+    def from_draws(cls, prices, win, on_sale, on_no_sale, weights=None):
+        """Score a (grid x states) acceptance matrix ``win``.
 
-        Each draw pays ``on_sale`` or ``on_no_sale`` (per-price arrays)
+        Each state pays ``on_sale`` or ``on_no_sale`` (per-price arrays)
         weighted by its acceptance; the curve holds the mean over draws,
         its standard error (zero for a single draw) and the mean acceptance.
+        Given ``weights``, one per state, a row reduces to ``np.dot(row,
+        weights)`` instead, with a standard error of zero.
         """
         payoff = on_sale[:, None] * win + on_no_sale[:, None] * (1.0 - win)
+        if weights is not None:
+            means = ([np.dot(row, weights) for row in t] for t in (win, payoff))
+            return cls(prices, *map(np.array, means), np.zeros(len(prices)))
         draws = payoff.shape[1]
         if draws > 1:
             se = payoff.std(axis=1, ddof=1) / math.sqrt(draws)
@@ -482,6 +490,28 @@ def sample_competitor_optimal_price(
 # ---------------------------------------------------------------------------
 
 
+def score_grid(prices, win_rows, u1: ProducerUtility, states: int, weights=None):
+    """Score every price of the 1-d ``prices`` by ``u1``'s expected payoff.
+
+    ``win_rows(block)`` gives a block's (prices x states) acceptance table;
+    ``states`` is a row's size in its largest temporary.  Blocks of rows
+    (``_parallel.map_blocks``) go through :meth:`EvaluationCurve.from_draws`
+    with ``weights`` (None weighs the states equally), so memory stays at
+    block size and, as every column reduces within a row, the curve has
+    the bits of one ``from_draws`` call.
+    """
+
+    def _score(rows: slice) -> tuple:
+        block = prices[rows]
+        pays = (np.array([u(p) for p in block]) for u in (u1.on_sale, u1.on_no_sale))
+        curve = EvaluationCurve.from_draws(block, win_rows(block), *pays, weights)
+        return curve.accept_prob, curve.expected_utility, curve.std_err
+
+    # an empty grid scores one empty block, so its columns are empty arrays
+    blocks = map_blocks(_score, prices.size, states) or [_score(slice(0, 0))]
+    return EvaluationCurve(prices, *map(np.concatenate, zip(*blocks)))
+
+
 def solve_supported_price(
     grid: PriceGrid,
     u1: ProducerUtility,
@@ -497,13 +527,9 @@ def solve_supported_price(
     (used verbatim), or a single float.  All grid points are evaluated on
     the same competitor sample, so curves are smooth in price and
     deterministic given the stream.  Raises ValueError when there is no
-    rival draw to score against.
-
-    Grid rows are scored in blocks (``_parallel.map_blocks``), so memory
-    does not grow with grid x draws; every column reduces within one row,
-    so the curve has the bits of one ``EvaluationCurve.from_draws`` call.
+    rival draw to score against.  The grid is scored by
+    :func:`score_grid` with equal weights on the draws.
     """
-    points = grid.points()
     if isinstance(beliefs, AgentBeliefs):
         if rng is None:
             raise ValueError("sampling beliefs requires an RngStream")
@@ -514,19 +540,9 @@ def solve_supported_price(
         rivals = np.atleast_1d(np.asarray(beliefs, dtype=float))[:, None]
     if not len(rivals):
         raise ValueError("need at least one rival price draw")
-
-    def _score(rows: slice) -> tuple:
-        prices = points[rows]
-        block = EvaluationCurve.from_draws(
-            prices,
-            _win_matrix(choice_model, prices, rivals),
-            np.array([u1.on_sale(p) for p in prices]),
-            np.array([u1.on_no_sale(p) for p in prices]),
-        )
-        return block.accept_prob, block.expected_utility, block.std_err
-
-    columns = zip(*map_blocks(_score, points.size, rivals.size))
-    curve = EvaluationCurve(points, *map(np.concatenate, columns))
+    win_rows = partial(_win_matrix, choice_model, rivals=rivals)
+    # a row of the pairwise win table holds every rival of every draw
+    curve = score_grid(grid.points(), win_rows, u1, rivals.size)
     return curve.optimum, curve
 
 

@@ -6,13 +6,15 @@ the package's own CDF path.  Nothing in this module touches an RNG, so
 oracle values are bit-stable across runs and safe to compare against.
 
 The retail, template and pension oracles take a whole grid of prices in
-one call.  Retail and template grids are scored in ``_parallel.map_blocks``
-row blocks: rows are prices, a row holds one sale probability per point
-of the rival-price density, and each block is one scipy call, so memory
-stays at block size for any grid.  An equally weighted price sample is
-evaluated once per distinct price and gathered back in sample order.  A
-row reduces with the ``np.dot`` or ``mean`` of a one-price call, so every
-value of a grid call has the bits of that call.
+one call.  Retail, template and rival-objective grids are scored by the
+engine's own scorer, :func:`araprice.core.score_grid`, with the engine's
+payoffs: rows are prices, a row holds scipy's sale probability against
+each point of the rival-price density, and each row reduces with
+``np.dot`` against the density's pmf or Gauss-Legendre weights x pdf,
+or with the mean over an equally weighted sample.  Each row block is one
+scipy call, so memory stays at block size for any grid, and every value
+of a grid call has the bits of a one-price call.  A sample is evaluated
+once per distinct price and gathered back in sample order.
 
 A Gauss-Legendre rule is an eigenproblem solved once per rule (Golub &
 Welsch, 1969), not once per call: ``_gauss_legendre`` keeps the
@@ -31,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from ._parallel import map_blocks
+from .core import ProducerUtility, score_grid
 from .pension import PensionScenario, customer_expected_utility
 from .randkit import CategoricalPMF, PowerPricePrior
-from .retail import RetailScenario
+from .retail import RetailScenario, _payoff
 from .scenario import TemplateScenario
 
 __all__ = [
@@ -76,39 +78,36 @@ def _sale_prob(p1, p2, sigma, noise):
     return stats.t.sf(math.sqrt(noise.shape / noise.scale) * diff, 2.0 * noise.shape)
 
 
-def _retail_payoff(p1, accept, scenario: RetailScenario):
-    if scenario.utility_variant == "perishable":
-        return (p1 - scenario.cost) * accept - scenario.cost * (1.0 - accept)
-    return (p1 - scenario.cost) * accept
+def _expected_payoff(prices, density, sigma, noise, payoff, nodes=None):
+    """Expected ``payoff`` at each of the 1-d ``prices`` against a
+    rival-price density, scored by :func:`araprice.core.score_grid` on
+    scipy's sale probabilities.
 
-
-def _sale_curve(prices, points, sigma, noise, weights=None, pdf=None) -> np.ndarray:
-    """Expected sale probability at each price of the 1-d ``prices``.
-
-    Rows are prices, and a row holds the sale probability against each
-    rival price in ``points``, times ``pdf`` when given.  A row reduces
-    to ``np.dot(row, weights)``, or, when ``weights`` is None (an equally
-    weighted sample), to ``row.mean()``; a sample's distinct prices are
-    evaluated once and gathered back in sample order.  Rows are scored in
-    ``_parallel.map_blocks`` blocks, one scipy call per block, and every
-    reduction stays within one row, so a price has the bits of a
-    one-price call and memory stays at block size for any grid.
+    A float is a point mass and a CategoricalPMF weighs its values by their
+    probabilities; a PowerPricePrior or a (pdf, lo, hi) triple takes the
+    ``nodes``-point Gauss-Legendre rule, with weights x pdf; anything else
+    is an equally weighted sample, evaluated once per distinct price.
     """
-    inverse = None
-    if weights is None:
-        points, inverse = np.unique(points, return_inverse=True)
+    if isinstance(density, PowerPricePrior):
+        density = (density.pdf, density.lower, density.upper)
+    weights = inverse = None
+    if isinstance(density, (int, float)):
+        points, weights = np.array([float(density)]), np.array([1.0])
+    elif isinstance(density, CategoricalPMF):
+        points, weights = np.asarray(density.values), np.asarray(density.probs)
+    elif isinstance(density, tuple) and len(density) == 3 and callable(density[0]):
+        pdf, lo, hi = density
+        points, weights = _gauss_legendre(lo, hi, nodes)
+        weights = weights * pdf(points)
+    else:
+        points, inverse = np.unique(np.asarray(density, float), return_inverse=True)
 
-    def _block(rows: slice) -> np.ndarray:
-        table = _sale_prob(prices[rows, None], points, sigma, noise)
-        if pdf is not None:
-            table *= pdf
-        if inverse is not None:
-            return table.take(inverse, axis=1).mean(axis=1)
-        return np.array([np.dot(row, weights) for row in table])
+    def _win_rows(block: np.ndarray) -> np.ndarray:
+        table = _sale_prob(block[:, None], points, sigma, noise)
+        return table if inverse is None else table.take(inverse, axis=1)
 
-    row_elements = points.size if inverse is None else inverse.size
-    # the empty leading piece makes an empty grid an empty curve
-    return np.concatenate([prices[:0], *map_blocks(_block, prices.size, row_elements)])
+    states = points.size if inverse is None else inverse.size
+    return score_grid(prices, _win_rows, payoff, states, weights).expected_utility
 
 
 def quadrature_retail_utility(
@@ -123,7 +122,8 @@ def quadrature_retail_utility(
     (point mass), a CategoricalPMF or an array of equally weighted prices
     (exact sums; a sample's distinct prices are evaluated once), a
     PowerPricePrior, or a (pdf, lo, hi) triple handled by Gauss-Legendre
-    with ``nodes`` points.
+    with ``nodes`` points.  The payoff is the engine's, so the perishable
+    write-off is integrated as (1 - sale) x weight like every other term.
     """
     if nodes < 16:
         raise ValueError("need at least 16 quadrature nodes")
@@ -131,26 +131,10 @@ def quadrature_retail_utility(
         if scenario.known_competitor_price is None:
             raise ValueError("no density supplied and no known competitor price")
         density = float(scenario.known_competitor_price)
-
-    if isinstance(density, (int, float)):
-        density = CategoricalPMF((density,), (1.0,))
-    elif isinstance(density, PowerPricePrior):
-        density = (density.pdf, density.lower, density.upper)
-
-    weights = pdf = None
-    if isinstance(density, CategoricalPMF):
-        points, weights = np.asarray(density.values), np.asarray(density.probs)
-    elif isinstance(density, tuple) and len(density) == 3 and callable(density[0]):
-        density_fn, lo, hi = density
-        points, weights = _gauss_legendre(lo, hi, nodes)
-        pdf = density_fn(points)
-    else:
-        points = np.asarray(density, dtype=float)  # equally weighted price sample
-    prices = np.atleast_1d(np.asarray(p1, dtype=float))
-    accept = _sale_curve(
-        prices, points, scenario.fixed_sigma, scenario.customer_noise, weights, pdf
+    utility = _expected_payoff(
+        np.atleast_1d(np.asarray(p1, dtype=float)), density,
+        scenario.fixed_sigma, scenario.customer_noise, _payoff(scenario), nodes,
     )
-    utility = _retail_payoff(prices, accept, scenario)
     return float(utility[0]) if np.ndim(p1) == 0 else utility
 
 
@@ -158,20 +142,14 @@ def exact_template_utility(prices, scenario: TemplateScenario) -> np.ndarray:
     """Expected margin of a generic template scenario at each price.
 
     Sums margin times sale probability exactly over the finite rival
-    price distribution (a pmf, or a list of equally weighted prices),
-    with scipy's CDFs, as :func:`quadrature_retail_utility` does for a
-    pmf or a sample.
+    price distribution (a pmf, or a list of equally weighted prices), on
+    scipy's CDFs.
     """
-    competitor = scenario.competitor_prices
-    prices = np.asarray(prices, dtype=float)
-    if isinstance(competitor, CategoricalPMF):
-        points, weights = np.asarray(competitor.values), np.asarray(competitor.probs)
-    else:
-        points, weights = np.asarray(competitor, dtype=float), None
-    accept = _sale_curve(
-        prices, points, scenario.choice_sigma, scenario.choice_noise, weights
+    return _expected_payoff(
+        np.asarray(prices, dtype=float), scenario.competitor_prices,
+        scenario.choice_sigma, scenario.choice_noise,
+        ProducerUtility.margin(scenario.cost),
     )
-    return (prices - scenario.cost) * accept
 
 
 def quadrature_competitor_objective(
@@ -184,13 +162,11 @@ def quadrature_competitor_objective(
     competitor-price forecast.  Returns (grid, objective values).
     """
     grid = scenario.competitor_grid.points()
-    prior = scenario.our_price_prior
-    x, w = _gauss_legendre(prior.lower, prior.upper, nodes)
-    rival_win = _sale_prob(
-        grid[:, None], x[None, :], scenario.fixed_sigma, scenario.competitor_noise
+    return grid, _expected_payoff(
+        grid, scenario.our_price_prior,
+        scenario.fixed_sigma, scenario.competitor_noise,
+        ProducerUtility.margin(scenario.competitor_cost), nodes,
     )
-    accept = rival_win @ (prior.pdf(x) * w)
-    return grid, (grid - scenario.competitor_cost) * accept
 
 
 def exact_pension_acceptance(h1, scenario: PensionScenario):

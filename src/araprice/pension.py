@@ -330,37 +330,40 @@ def acceptance_probability_reduced(
 
 
 def expected_benefit(
-    h1: float,
-    accept_prob: float,
+    h1,
+    accept_prob,
     scenario: PensionScenario,
     mode: str = "next_year",
-) -> float:
+):
     """Expected monetary benefit (EUR) of offering ``h1``.
 
     ``next_year``: margin on the capital for one year, weighted by
     acceptance.  ``horizon``: the spread between earning and paying the
     offer over the customer's (uncertain) stay, plus penalties collected
-    on early exits, weighted by acceptance.
+    on early exits, weighted by acceptance.  One offer gives a float;
+    aligned 1-d arrays of offers and acceptances give the array of
+    one-offer values, bit for bit.
     """
     if mode not in BENEFIT_MODES:
         raise ValueError(f"mode {mode!r} not in {BENEFIT_MODES}")
-    if not 0.0 <= accept_prob <= 1.0:
+    h, p = np.asarray(h1, dtype=float), np.asarray(accept_prob, dtype=float)
+    if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ValueError(f"acceptance probability {accept_prob} outside [0, 1]")
-    x = scenario.capital
-    z = scenario.earn_rate
+    x, z, T = scenario.capital, scenario.earn_rate, scenario.horizon
     if mode == "next_year":
-        return (z - h1) * x * accept_prob
-    T = scenario.horizon
-    js = np.arange(1, T)
-    q = np.asarray(scenario.exit_profile.q_exit)
-    stay_term = scenario.exit_profile.stay_prob * (
-        (1.0 + z) ** T - (1.0 + h1) ** T
-    ) * x
-    early_terms = q * (
-        ((1.0 + z) ** js - (1.0 + h1) ** js) * x
-        + scenario.penalty_fraction * ((1.0 + h1) ** js - 1.0) * x
-    )
-    return accept_prob * float(stay_term + early_terms.sum())
+        benefit = (z - h) * x * p
+    else:
+        js = np.arange(1, T)
+        growth = (1.0 + h[..., None]) ** js  # (offers, exit years)
+        stay_term = scenario.exit_profile.stay_prob * (
+            (1.0 + z) ** T - (1.0 + h) ** T
+        ) * x
+        early_terms = np.asarray(scenario.exit_profile.q_exit) * (
+            ((1.0 + z) ** js - growth) * x
+            + scenario.penalty_fraction * (growth - 1.0) * x
+        )
+        benefit = p * (stay_term + early_terms.sum(axis=-1))
+    return float(benefit) if benefit.ndim == 0 else benefit
 
 
 @dataclass(frozen=True)
@@ -579,8 +582,7 @@ def optimize_offer(scenario: PensionScenario, rng: RngStream) -> OfferEvaluation
         utility_scale = 1.0
     eu = margin * accept / utility_scale
     next_year, horizon = (
-        np.array([expected_benefit(h, p, scenario, mode) for h, p in zip(points, accept)])
-        for mode in BENEFIT_MODES
+        expected_benefit(points, accept, scenario, mode) for mode in BENEFIT_MODES
     )
     return OfferEvaluation(
         prices=points,

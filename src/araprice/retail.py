@@ -25,7 +25,9 @@ from functools import partial
 import numpy as np
 
 from ._parallel import map_blocks
-from .core import EvaluationCurve, PriceGrid, ProducerUtility, solve_supported_price
+from .core import (
+    EvaluationCurve, PriceGrid, ProducerUtility, score_grid, solve_supported_price,
+)
 from .randkit import (
     InverseGammaParams,
     PowerPricePrior,
@@ -201,8 +203,8 @@ def sample_competitor_prices(scenario: RetailScenario, rng: RngStream) -> np.nda
     estimated sale probability, and keeps the argmax, the lowest index on
     ties.  A known rival price short-circuits to a degenerate forecast.
     All uniforms are drawn up front; the draws are then scored in row
-    blocks of at most ``n2`` x grid temporaries without changing a bit of
-    the result.
+    blocks sized for the pruned search without changing a bit of the
+    result.
 
     The margin is nondecreasing in the grid index and the mean win is
     nonincreasing (monotone CDFs, monotone rounding, one summation order),
@@ -255,7 +257,10 @@ def sample_competitor_prices(scenario: RetailScenario, rng: RngStream) -> np.nda
             lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         return np.argmax(objective, axis=1)
 
-    blocks = map_blocks(_best, scenario.n1, scenario.n2 * grid.size)
+    # per row: grid elements in mean_win and objective, and n2 per price
+    # scored at one level: 2, then one per live gap (at most 5 in
+    # retail_case3's refined forecast; grid / 2 if nothing is pruned)
+    blocks = map_blocks(_best, scenario.n1, max(8 * scenario.n2, grid.size))
     return grid[np.concatenate(blocks)]
 
 
@@ -264,9 +269,10 @@ def estimate_expected_utility(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the retailer's expected utility at ``p1``.
 
-    Averages margin times acceptance over the competitor-price sample.
-    The perishable variant charges the write-off cost on every lost sale.
-    Returns (estimate, standard error).
+    Averages margin times acceptance over the competitor-price sample with
+    :func:`araprice.core.score_grid`, the scorer of the engine's grids and
+    the oracle's.  The perishable variant charges the write-off cost on
+    every lost sale.  Returns (estimate, standard error).
     """
     samples = np.atleast_1d(np.asarray(competitor_prices, dtype=float))
     if samples.size == 0:
@@ -276,12 +282,10 @@ def estimate_expected_utility(
             f"price {p1} outside feasible range "
             f"[{scenario.cost}, {scenario.max_price}]"
         )
-    price, payoff = float(p1), _payoff(scenario)
-    accept = _sale_prob(price, samples, scenario.fixed_sigma, scenario.customer_noise)
-    curve = EvaluationCurve.from_draws(
-        np.array([price]), accept[None, :],
-        np.array([payoff.on_sale(price)]), np.array([payoff.on_no_sale(price)]),
+    accept = lambda price: _sale_prob(
+        price[:, None], samples, scenario.fixed_sigma, scenario.customer_noise
     )
+    curve = score_grid(np.array([float(p1)]), accept, _payoff(scenario), samples.size)
     return float(curve.expected_utility[0]), float(curve.std_err[0])
 
 

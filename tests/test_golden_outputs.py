@@ -7,7 +7,8 @@ may round differently, so the test skips there instead of failing.
 
 To re-record after an intended output change:
     PYTHONPATH=src python tests/test_golden_outputs.py
-which rewrites golden_outputs.json in place.  It replaces the versions
+which prints each case and file whose digest changed and rewrites
+golden_outputs.json in place.  It replaces the versions
 and the case digests and carries every other recorded key over
 unchanged, such as the "demo_shares" digest that tests/test_core.py
 checks.
@@ -80,8 +81,34 @@ def test_rerecording_keeps_the_other_recorded_keys():
     assert list(new) == list(recorded)
 
 
+def changed_entries(old: dict, new: dict) -> list:
+    """"case key" for every exit code or file digest that differs between
+    two case tables, including entries present in only one of them."""
+    changed = []
+    for name in sorted(old.keys() | new.keys()):
+        for part in ("exit", "sha256"):
+            before = old.get(name, {}).get(part, {})
+            after = new.get(name, {}).get(part, {})
+            changed += [
+                f"{name} {key}"
+                for key in sorted(before.keys() | after.keys())
+                if before.get(key) != after.get(key)
+            ]
+    return changed
+
+
+def test_changed_entries_name_each_moved_file():
+    old = {"a": {"exit": {"run": 0}, "sha256": {".csv": "1", ".json": "2"}}}
+    new = {"a": {"exit": {"run": 0}, "sha256": {".csv": "1", ".json": "3"}},
+           "b": {"exit": {"run": 0}, "sha256": {}}}
+    assert changed_entries(old, new) == ["a .json", "b run"]
+    assert changed_entries(old, old) == []
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
         cases = written_digests(Path(tmp))
     recorded = json.loads(GOLDEN.read_text())
+    for entry in changed_entries(recorded["cases"], cases):
+        print(f"changed: {entry}")
     GOLDEN.write_text(json.dumps(rerecorded(recorded, cases), indent=2) + "\n")

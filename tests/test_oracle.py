@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from araprice import _parallel, oracle
+from araprice import _parallel, oracle, retail
 from araprice.cli import main
 from araprice.core import PriceGrid
 from araprice.oracle import (
@@ -176,20 +176,31 @@ class TestRetailGrid:
         assert sale_prob_calls == [3]
 
     def test_grid_memory_is_bounded(self):
-        """2^17 prices against 256 Gauss-Legendre nodes: the whole table
-        alone would take 256 MiB.  Probit choice, scipy's fastest CDF."""
+        """2^17 prices against 256 Gauss-Legendre nodes, for our price and
+        for the rival's: the whole table alone would take 256 MiB.  Probit
+        choice, scipy's fastest CDF."""
         prices = np.linspace(5.0, 50.0, 1 << 17)
         pdf = lambda x: np.full_like(np.asarray(x, float), 1.0 / 20.0)
-        tracemalloc.start()
-        try:
-            quadrature_retail_utility(
+        rival = retail_scenario(
+            fixed_sigma=2.0, grid_step=2.0**-10,
+            competitor_max_price=5.0 + ((1 << 17) - 1) * 2.0**-10,
+        )
+        assert rival.competitor_grid.count() == 1 << 17
+        calls = {
+            "retail": lambda: quadrature_retail_utility(
                 prices, retail_scenario(fixed_sigma=2.0), nodes=256,
                 density=(pdf, 20.0, 40.0),
-            )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+            ),
+            "rival": lambda: quadrature_competitor_objective(rival, nodes=256),
+        }
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, name
 
     def test_compare_calls_scipy_once_per_row_block(
         self, sale_prob_calls, tmp_path, capsys
@@ -228,10 +239,33 @@ class TestTemplateExact:
             sale = np.mean([stats.norm.sf((p - v) / 2.0) for v in (19.0, 23.0, 23.0)])
             assert value == pytest.approx((p - 10.0) * sale, rel=1e-12)
 
-    def test_runs_on_scipy_not_the_engine_cdf(self, sale_prob_calls):
+    def test_runs_on_scipy_not_the_engine_cdf(self, sale_prob_calls, monkeypatch):
+        """The template, retail and rival oracles share the engine's scorer
+        but not its CDF: each makes one call of the oracle's scipy
+        `_sale_prob` and none of the engine's `retail._sale_prob`."""
+
+        def engine_cdf(*args, **kwargs):
+            raise AssertionError("the oracle ran the engine's CDF")
+
+        monkeypatch.setattr(retail, "_sale_prob", engine_cdf)
         scenario = parse_scenario(bundled_case("template_example")).params
         exact_template_utility(scenario.grid.points(), scenario)
         assert sale_prob_calls == [4]
+        market = retail_scenario()
+        densities = {
+            "point": 30.0,
+            "pmf": CategoricalPMF((18.0, 24.0, 30.0), (0.25, 0.5, 0.25)),
+            "sample": np.array([21.0, 24.5, 24.5, 30.0]),
+            "prior": market.our_price_prior,
+        }
+        prices = np.linspace(5.0, 50.0, 7)
+        for name, density in densities.items():
+            sale_prob_calls.clear()
+            quadrature_retail_utility(prices, market, density=density)
+            assert len(sale_prob_calls) == 1, name
+        sale_prob_calls.clear()
+        quadrature_competitor_objective(market)
+        assert sale_prob_calls == [512]
 
 
 class TestCompetitorQuadrature:

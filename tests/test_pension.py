@@ -50,6 +50,11 @@ def make_scenario(**overrides) -> PensionScenario:
 
 
 CASE1 = make_scenario()
+LONG = make_scenario(
+    horizon=12,
+    exit_profile=ExitProfile((0.1, 0.05, 0.04, 0.03, 0.03, 0.02, 0.02, 0.01, 0.01,
+                              0.01, 0.01)),
+)
 
 
 def reference_customer_eu(h, scenario, rho):
@@ -266,6 +271,9 @@ class TestBankSide:
     def test_validation(self):
         with pytest.raises(ValueError, match="outside"):
             expected_benefit(0.04, 1.2, CASE1)
+        for accept in ([0.5, 1.2], [0.5, np.nan]):
+            with pytest.raises(ValueError, match="outside"):
+                expected_benefit(np.array([0.03, 0.04]), np.array(accept), CASE1)
         with pytest.raises(ValueError):
             expected_benefit(0.04, 0.5, CASE1, "weekly")
 
@@ -286,16 +294,21 @@ class TestOptimizeOffer:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_benefit_columns_match_formulas(self):
-        ev = optimize_offer(CASE1, RngStream(20))
-        for h, p, nxt, hor in zip(
-            ev.offers, ev.accept_prob, ev.benefit_next_year, ev.benefit_horizon
-        ):
-            assert nxt == pytest.approx(
-                expected_benefit(float(h), float(p), CASE1, "next_year"), rel=1e-12
-            )
-            assert hor == pytest.approx(
-                expected_benefit(float(h), float(p), CASE1, "horizon"), rel=1e-12
-            )
+        """The whole-grid benefit columns have the bits of one-offer calls;
+        at horizon 12 numpy sums the 11 exit years pairwise."""
+        for scenario in (CASE1, LONG):
+            ev = optimize_offer(scenario, RngStream(20))
+            for column, mode in zip(
+                (ev.benefit_next_year, ev.benefit_horizon), ("next_year", "horizon")
+            ):
+                one = [
+                    expected_benefit(float(h), float(p), scenario, mode)
+                    for h, p in zip(ev.offers, ev.accept_prob)
+                ]
+                assert all(isinstance(v, float) for v in one)
+                assert column.tobytes() == np.array(one).tobytes(), (
+                    scenario.horizon, mode,
+                )
 
     def test_utility_column_is_normalized_margin_times_acceptance(self):
         ev = optimize_offer(CASE1, RngStream(21))
