@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 missing file, 3 schema violation, 4 invariant
 violation, 5 numeric failure; ``compare`` exits 1 when the engine and
-oracle disagree beyond the z threshold.  Outputs embed seed, draw counts
+oracle disagree beyond the z threshold.  An engine warning is written to
+stderr as one ``warning:`` line.  Outputs embed seed, draw counts
 and engine version, and are byte-identical across reruns with the same
 seed.  Every run uses one thread; ``--workers`` is accepted and ignored.
 """
@@ -14,6 +15,7 @@ import dataclasses
 import json
 import sys
 import time
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -286,14 +288,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, *_location, **_kwargs) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+    with warnings.catch_warnings():  # the engine's warnings, one line each
+        warnings.showwarning = _warning_line
+        try:
+            return args.fn(args)
+        except ScenarioError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
 
 
 if __name__ == "__main__":

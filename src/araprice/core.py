@@ -320,13 +320,14 @@ class EvaluationCurve:
         Each state pays ``on_sale`` or ``on_no_sale`` (per-price arrays)
         weighted by its acceptance; the curve holds the mean over draws,
         its standard error (zero for a single draw) and the mean acceptance.
-        Given ``weights``, one per state, a row reduces to ``np.dot(row,
-        weights)`` instead, with a standard error of zero.
+        Given ``weights``, one per state, a row reduces to ``np.vecdot(row,
+        weights)`` instead (the bits of ``np.dot``), with a standard error
+        of zero.
         """
         payoff = on_sale[:, None] * win + on_no_sale[:, None] * (1.0 - win)
         if weights is not None:
-            means = ([np.dot(row, weights) for row in t] for t in (win, payoff))
-            return cls(prices, *map(np.array, means), np.zeros(len(prices)))
+            means = (np.vecdot(t, weights) for t in (win, payoff))
+            return cls(prices, *means, np.zeros(len(prices)))
         draws = payoff.shape[1]
         if draws > 1:
             se = payoff.std(axis=1, ddof=1) / math.sqrt(draws)

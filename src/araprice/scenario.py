@@ -2,8 +2,12 @@
 
 A scenario file carries a ``kind`` discriminator (retail, pension, or
 template), the full parameter record for that engine, a seed, and output
-preferences.  Parsing validates the schema first and then every domain
-invariant, reporting all violations with field paths.
+preferences.  The top level and each kind's ``params`` are read through
+field tables, which map every key to ``(reader, required)``.  A reader
+takes ``(value, path, problems, invariants)`` and returns what it read, or
+None once it has recorded why not.  Parsing checks the schema first (a
+missing or unknown key, a wrong JSON type, a bool, a non-finite number)
+and then every domain invariant, reporting all violations with field paths.
 """
 
 from __future__ import annotations
@@ -113,120 +117,187 @@ class ScenarioFile:
 
 
 # ---------------------------------------------------------------------------
-# parsing helpers
+# the schema: ``problems`` are schema violations (exit 3), ``invariants``
+# domain invariant violations (exit 4)
 # ---------------------------------------------------------------------------
 
 
-_NUMBER = (int, float)
-_TYPE_NAMES = {
-    _NUMBER: "number",
-    int: "integer",
-    str: "string",
-    dict: "object",
-    list: "array",
-}
-
-
-def _require(obj: dict, key: str, types, path: str, problems: list):
-    """``obj[key]`` if present and of JSON type ``types``, else None with a
-    schema problem recorded."""
-    if key not in obj:
-        problems.append(f"{path}.{key}: missing")
-        return None
-    value = obj[key]
-    if not isinstance(value, types):
-        problems.append(
-            f"{path}.{key}: expected {_TYPE_NAMES[types]}, got {type(value).__name__}"
-        )
-        return None
-    return value
-
-
-def _number(obj, key, path, problems, optional=False):
-    if optional and key not in obj:
-        return None
-    return _require(obj, key, _NUMBER, path, problems)
-
-
-def _numbers(obj, key, path, problems):
-    """A list of numbers at ``obj[key]``, else None with a schema problem."""
-    values = _require(obj, key, list, path, problems)
-    if values is None:
-        return None
-    for i, v in enumerate(values):
-        if not isinstance(v, _NUMBER):
-            kind = type(v).__name__
-            problems.append(f"{path}.{key}[{i}]: expected number, got {kind}")
-            return None
-    return values
-
-
-def _literal_problems(node, path: str) -> list[str]:
-    """Booleans and non-finite numbers anywhere in the file.
-
-    No scenario field takes either, and JSON ``true`` would otherwise pass
-    as the integer 1, ``NaN``/``Infinity`` as floats, and an integer
-    beyond the float range would overflow its conversion.
-    """
-    if isinstance(node, bool):
-        return [f"{path}: a bool is not a valid value"]
-    if isinstance(node, (int, float)) and not -_FLOAT_MAX <= node <= _FLOAT_MAX:
-        return [f"{path}: {node!r:.24} is not a finite number"]
-    if isinstance(node, dict):
-        children = ((f"{path}.{k}", v) for k, v in node.items())
-    elif isinstance(node, list):
-        children = ((f"{path}[{i}]", v) for i, v in enumerate(node))
+def _typed(value, types, name: str, path: str, problems: list):
+    """``value`` if it has JSON type ``types``, else None with a schema
+    problem.  No field takes a bool, which would pass as the integer 1, or
+    a number beyond the float range (NaN, the infinities, an integer that
+    would overflow its conversion)."""
+    if isinstance(value, bool):
+        problems.append(f"{path}: a bool is not a valid value")
+    elif not isinstance(value, types):
+        problems.append(f"{path}: expected {name}, got {type(value).__name__}")
+    elif isinstance(value, (int, float)) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        problems.append(f"{path}: {value!r:.24} is not a finite number")
     else:
-        return []
-    return [p for where, v in children for p in _literal_problems(v, where)]
+        return value
+    return None
 
 
-def _grid(obj, key, path, problems, invariants):
-    raw = _require(obj, key, dict, path, problems)
-    if raw is None:
-        return None
-    lo = _number(raw, "min", f"{path}.{key}", problems)
-    hi = _number(raw, "max", f"{path}.{key}", problems)
-    step = _number(raw, "step", f"{path}.{key}", problems)
-    if None in (lo, hi, step):
-        return None
-    try:
-        return PriceGrid(float(lo), float(hi), float(step))
-    except ValueError as exc:
-        invariants.append(f"{path}.{key}: {exc}")
-        return None
+def _number(value, path, problems, invariants):
+    value = _typed(value, (int, float), "number", path, problems)
+    return None if value is None else float(value)
 
 
-def _igamma(obj, key, path, problems, invariants, optional=False):
-    if optional and key not in obj:
-        return None
-    raw = _require(obj, key, dict, path, problems)
-    if raw is None:
-        return None
-    shape = _number(raw, "shape", f"{path}.{key}", problems)
-    scale = _number(raw, "scale", f"{path}.{key}", problems)
-    if None in (shape, scale):
-        return None
-    try:
-        return InverseGammaParams(float(shape), float(scale))
-    except ValueError as exc:
-        invariants.append(f"{path}.{key}: {exc}")
-        return None
+def _integer(value, path, problems, invariants):
+    return _typed(value, int, "integer", path, problems)
 
 
-def _pmf(obj, key, path, problems, invariants):
-    raw = _require(obj, key, dict, path, problems)
-    if raw is None:
+def _string(value, path, problems, invariants):
+    return _typed(value, str, "string", path, problems)
+
+
+def _object(value, path, problems, invariants):
+    return _typed(value, dict, "object", path, problems)
+
+
+def _numbers(value, path, problems, invariants):
+    """A list of numbers, as a tuple of floats."""
+    if _typed(value, list, "array", path, problems) is None:
         return None
-    values = _numbers(raw, "values", f"{path}.{key}", problems)
-    probs = _numbers(raw, "probs", f"{path}.{key}", problems)
-    if values is None or probs is None:
+    items = [_number(v, f"{path}[{i}]", problems, invariants) for i, v in enumerate(value)]
+    return None if None in items else tuple(items)
+
+
+def _one_of(options: tuple):
+    """A reader of a string in ``options``."""
+    def read(value, path, problems, invariants):
+        value = _string(value, path, problems, invariants)
+        if value is None or value in options:
+            return value
+        problems.append(f"{path}: {value!r} not one of {options}")
         return None
-    try:
-        return CategoricalPMF(tuple(values), tuple(probs))
-    except ValueError as exc:
-        invariants.append(f"{path}.{key}: {exc}")
+    return read
+
+
+def _seed(value, path, problems, invariants):
+    seed = _integer(value, path, problems, invariants)
+    if seed is None or 0 <= seed < 2**64:
+        return seed
+    problems.append(f"{path}: must fit in 64 unsigned bits")
+    return None
+
+
+def _read_object(value, fields: dict, path: str, problems: list, invariants: list):
+    """The keys of the JSON object ``value``, each read by its reader in
+    ``fields``; None if ``value`` is not an object.  A missing required
+    key and an unknown key are schema problems."""
+    if _object(value, path, problems, invariants) is None:
         return None
+    read = {}
+    for key, (reader, required) in fields.items():
+        if key in value:
+            read[key] = reader(value[key], f"{path}.{key}", problems, invariants)
+        elif required:
+            problems.append(f"{path}.{key}: missing")
+    problems.extend(f"{path}.{key}: unknown field" for key in value if key not in fields)
+    return read
+
+
+def _record(build, **fields):
+    """A reader of a JSON object into ``build(**values)``, with ``fields``
+    as its table.  A missing optional key stays out of the call, so that
+    ``build``'s default applies; a ValueError from ``build`` is an
+    invariant violation."""
+    def read(value, path, problems, invariants):
+        seen = len(problems)
+        values = _read_object(value, fields, path, problems, invariants)
+        if len(problems) > seen or None in values.values():
+            return None
+        try:
+            return build(**values)
+        except ValueError as exc:
+            invariants.append(f"{path}: {exc}")
+            return None
+    return read
+
+
+def _exit_profile(value, path, problems, invariants):
+    q_exit = _numbers(value, path, problems, invariants)
+    return None if q_exit is None else ExitProfile(q_exit)
+
+
+def _low_high(value, path, problems, invariants):
+    pair = _numbers(value, path, problems, invariants)
+    if pair is None or len(pair) == 2:
+        return pair
+    problems.append(f"{path}: expected [low, high]")
+    return None
+
+
+_IGAMMA = _record(InverseGammaParams, shape=(_number, True), scale=(_number, True))
+_GRID = _record(PriceGrid, min=(_number, True), max=(_number, True), step=(_number, True))
+_PMF = _record(CategoricalPMF, values=(_numbers, True), probs=(_numbers, True))
+
+
+def _rival_prices(value, path, problems, invariants):
+    """The template's rival prices: a pmf object or a nonempty list."""
+    if isinstance(value, dict):
+        return _PMF(value, path, problems, invariants)
+    if isinstance(value, list) and value:
+        return _numbers(value, path, problems, invariants)
+    problems.append(f"{path}: expected a list or a pmf object")
+    return None
+
+
+def _template(choice: dict, **fields) -> TemplateScenario:
+    return TemplateScenario(
+        choice_sigma=choice.get("sigma"), choice_noise=choice.get("t_noise"), **fields
+    )
+
+
+_PARAMS = {
+    "retail": _record(
+        RetailScenario,
+        cost=(_number, True),
+        competitor_cost=(_number, True),
+        max_price=(_number, True),
+        competitor_max_price=(_number, True),
+        customer_noise=(_IGAMMA, True),
+        competitor_noise=(_IGAMMA, True),
+        prior_exponent=(_number, True),
+        grid_step=(_number, True),
+        n1=(_integer, True),
+        n2=(_integer, True),
+        fixed_sigma=(_number, False),
+        known_competitor_price=(_number, False),
+        utility_variant=(_string, False),
+    ),
+    "pension": _record(
+        PensionScenario,
+        capital=(_number, True),
+        earn_rate=(_number, True),
+        offer_grid=(_GRID, True),
+        horizon=(_integer, True),
+        penalty_fraction=(_number, True),
+        exit_profile=(_exit_profile, True),
+        competitor_offers=(_PMF, True),
+        n_competitors=(_integer, True),
+        risk_aversion=(_low_high, True),
+        money_unit=(_number, True),
+        score_class=(_string, False),
+        mc_draws=(_integer, True),
+    ),
+    "template": _record(
+        _template,
+        cost=(_number, True),
+        grid=(_GRID, True),
+        competitor_prices=(_rival_prices, True),
+        choice=(_record(dict, sigma=(_number, False), t_noise=(_IGAMMA, False)), True),
+        n_draws=(_integer, True),
+    ),
+}
+_TOP = {
+    "kind": (_one_of(KINDS), True),
+    "params": (_object, True),  # read by the table of its kind
+    "seed": (_seed, True),
+    "output": (_string, False),
+    "format": (_one_of(FORMATS), False),
+}
 
 
 def _work_problems(kind: str, params, compare: bool) -> list[str]:
@@ -269,128 +340,15 @@ def _work_problems(kind: str, params, compare: bool) -> list[str]:
     ]
 
 
-def _parse_retail(
-    params: dict, problems: list, invariants: list
-) -> RetailScenario | None:
-    path = "params"
-    cost = _number(params, "cost", path, problems)
-    competitor_cost = _number(params, "competitor_cost", path, problems)
-    max_price = _number(params, "max_price", path, problems)
-    competitor_max_price = _number(params, "competitor_max_price", path, problems)
-    customer_noise = _igamma(params, "customer_noise", path, problems, invariants)
-    competitor_noise = _igamma(params, "competitor_noise", path, problems, invariants)
-    prior_exponent = _number(params, "prior_exponent", path, problems)
-    grid_step = _number(params, "grid_step", path, problems)
-    n1 = _require(params, "n1", int, path, problems)
-    n2 = _require(params, "n2", int, path, problems)
-    fixed_sigma = _number(params, "fixed_sigma", path, problems, optional=True)
-    known = _number(params, "known_competitor_price", path, problems, optional=True)
-    variant = params.get("utility_variant", "non_perishable")
-    if problems or invariants:
-        return None
-    scenario = RetailScenario(
-        cost=float(cost),
-        competitor_cost=float(competitor_cost),
-        max_price=float(max_price),
-        competitor_max_price=float(competitor_max_price),
-        customer_noise=customer_noise,
-        competitor_noise=competitor_noise,
-        prior_exponent=float(prior_exponent),
-        grid_step=float(grid_step),
-        n1=int(n1),
-        n2=int(n2),
-        fixed_sigma=None if fixed_sigma is None else float(fixed_sigma),
-        known_competitor_price=None if known is None else float(known),
-        utility_variant=str(variant),
-    )
-    invariants.extend(f"params.{v}" for v in scenario.violations())
-    return scenario
-
-
-def _parse_pension(
-    params: dict, problems: list, invariants: list
-) -> PensionScenario | None:
-    path = "params"
-    capital = _number(params, "capital", path, problems)
-    earn_rate = _number(params, "earn_rate", path, problems)
-    offer_grid = _grid(params, "offer_grid", path, problems, invariants)
-    horizon = _require(params, "horizon", int, path, problems)
-    penalty = _number(params, "penalty_fraction", path, problems)
-    exit_raw = _numbers(params, "exit_profile", path, problems)
-    offers = _pmf(params, "competitor_offers", path, problems, invariants)
-    n_comp = _require(params, "n_competitors", int, path, problems)
-    rho = _numbers(params, "risk_aversion", path, problems)
-    money_unit = _number(params, "money_unit", path, problems)
-    score = params.get("score_class", "none")
-    draws = _require(params, "mc_draws", int, path, problems)
-    if rho is not None and len(rho) != 2:
-        problems.append("params.risk_aversion: expected [low, high]")
-    if problems or invariants:
-        return None
-    scenario = PensionScenario(
-        capital=float(capital),
-        earn_rate=float(earn_rate),
-        offer_grid=offer_grid,
-        horizon=int(horizon),
-        exit_profile=ExitProfile(tuple(exit_raw)),
-        competitor_offers=offers,
-        penalty_fraction=float(penalty),
-        n_competitors=int(n_comp),
-        risk_aversion=(float(rho[0]), float(rho[1])),
-        money_unit=float(money_unit),
-        score_class=str(score),
-        mc_draws=int(draws),
-    )
-    invariants.extend(f"params.{v}" for v in scenario.violations())
-    return scenario
-
-
-def _parse_template(
-    params: dict, problems: list, invariants: list
-) -> TemplateScenario | None:
-    path = "params"
-    cost = _number(params, "cost", path, problems)
-    grid = _grid(params, "grid", path, problems, invariants)
-    n_draws = _require(params, "n_draws", int, path, problems)
-    choice = _require(params, "choice", dict, path, problems)
-    sigma = None
-    noise = None
-    if choice is not None:
-        sigma = _number(choice, "sigma", f"{path}.choice", problems, optional=True)
-        noise = _igamma(
-            choice, "t_noise", f"{path}.choice", problems, invariants, optional=True
-        )
-    raw_prices = params.get("competitor_prices")
-    prices: object
-    if isinstance(raw_prices, dict):
-        prices = _pmf(params, "competitor_prices", path, problems, invariants)
-    elif isinstance(raw_prices, list) and raw_prices:
-        prices = _numbers(params, "competitor_prices", path, problems)
-        prices = None if prices is None else tuple(float(v) for v in prices)
-    else:
-        problems.append(f"{path}.competitor_prices: expected a list or a pmf object")
-        prices = None
-    if problems or invariants:
-        return None
-    scenario = TemplateScenario(
-        cost=float(cost),
-        grid=grid,
-        competitor_prices=prices,
-        choice_sigma=None if sigma is None else float(sigma),
-        choice_noise=noise,
-        n_draws=int(n_draws),
-    )
-    invariants.extend(f"params.{v}" for v in scenario.violations())
-    return scenario
-
-
 def parse_scenario(path) -> ScenarioFile:
     """Load and fully validate a scenario file.
 
     Raises MissingFileError, SchemaError (malformed JSON, or a missing
-    field or wrong JSON type anywhere in the file) or InvariantError; the
-    last two list every problem with its field path.  The work budget is
-    that of ``price run``; see :func:`check_compare_budget`.
+    field, an unknown key or a wrong JSON type anywhere in the file) or
+    InvariantError; the last two list every problem with its field path.
+    The top level and the ``params`` of each kind are read through field
+    tables.  The work budget is that of ``price run``; see
+    :func:`check_compare_budget`.
     """
     p = Path(path)
     if not p.is_file():
@@ -402,40 +360,21 @@ def parse_scenario(path) -> ScenarioFile:
     if not isinstance(raw, dict):
         raise SchemaError(f"{p}: top level must be an object")
 
-    schema_problems: list[str] = []
-    kind = _require(raw, "kind", str, "scenario", schema_problems)
-    params = _require(raw, "params", dict, "scenario", schema_problems)
-    seed = _require(raw, "seed", int, "scenario", schema_problems)
-    output = raw.get("output")
-    fmt = raw.get("format", "csv")
-    if kind is not None and kind not in KINDS:
-        schema_problems.append(f"scenario.kind: {kind!r} not one of {KINDS}")
-    if fmt not in FORMATS:
-        schema_problems.append(f"scenario.format: {fmt!r} not one of {FORMATS}")
-    if output is not None and not isinstance(output, str):
-        schema_problems.append("scenario.output: expected a string path")
-    if seed is not None and isinstance(seed, int) and not 0 <= seed < 2**64:
-        schema_problems.append("scenario.seed: must fit in 64 unsigned bits")
-    schema_problems.extend(_literal_problems(raw, "scenario"))
-    if schema_problems:
-        raise SchemaError("; ".join(schema_problems))
-
-    invariant_problems: list[str] = []
-    parser = {
-        "retail": _parse_retail,
-        "pension": _parse_pension,
-        "template": _parse_template,
-    }[kind]
-    scenario = parser(params, schema_problems, invariant_problems)
-    if schema_problems:
-        raise SchemaError("; ".join(schema_problems))
-    if not invariant_problems:
-        invariant_problems = _work_problems(kind, scenario, compare=False)
-    if invariant_problems:
-        raise InvariantError("; ".join(invariant_problems))
-    return ScenarioFile(
-        kind=kind, params=scenario, seed=seed, output=output, format=fmt
-    )
+    problems: list[str] = []
+    invariants: list[str] = []
+    top = _read_object(raw, _TOP, "scenario", problems, invariants)
+    if top.get("kind") is not None and top.get("params") is not None:
+        top["params"] = _PARAMS[top["kind"]](top["params"], "params", problems, invariants)
+    if problems:
+        raise SchemaError("; ".join(problems))
+    scenario = ScenarioFile(**top)
+    if scenario.params is not None:  # None when a nested record broke an invariant
+        invariants.extend(f"params.{v}" for v in scenario.params.violations())
+    if not invariants:
+        invariants = _work_problems(scenario.kind, scenario.params, compare=False)
+    if invariants:
+        raise InvariantError("; ".join(invariants))
+    return scenario
 
 
 def check_compare_budget(scenario: ScenarioFile) -> None:

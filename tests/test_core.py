@@ -579,13 +579,17 @@ class TestEvaluationCurve:
             assert curve.accept_prob[i] == win[i].mean()
         one = EvaluationCurve.from_draws(prices, win[:, :1], on_sale, on_no_sale)
         assert np.array_equal(one.std_err, np.zeros(3))
-        weights = g.random(win.shape[1])
-        weighted = EvaluationCurve.from_draws(prices, win, on_sale, on_no_sale, weights)
-        for i in range(prices.size):
-            payoff = on_sale[i] * win[i] + on_no_sale[i] * (1.0 - win[i])
-            assert weighted.expected_utility[i] == np.dot(payoff, weights)
-            assert weighted.accept_prob[i] == np.dot(win[i], weights)
-        assert np.array_equal(weighted.std_err, np.zeros(3))
+        # a column slice is not contiguous: vecdot must still give np.dot's bits
+        for table in (win, g.random((3, 515))[:, 1::2]):
+            weights = g.random(table.shape[1])
+            weighted = EvaluationCurve.from_draws(
+                prices, table, on_sale, on_no_sale, weights
+            )
+            for i in range(prices.size):
+                payoff = on_sale[i] * table[i] + on_no_sale[i] * (1.0 - table[i])
+                assert weighted.expected_utility[i] == np.dot(payoff, weights)
+                assert weighted.accept_prob[i] == np.dot(table[i], weights)
+            assert np.array_equal(weighted.std_err, np.zeros(3))
 
     def test_every_column_must_align(self):
         cols = dict(prices=np.arange(3.0), accept_prob=np.zeros(3),

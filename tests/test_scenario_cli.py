@@ -1,14 +1,19 @@
 """Scenario files and the ``price`` command line."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import araprice
 from araprice.cli import main
@@ -173,36 +178,88 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not out.with_suffix(".summary.json").exists()
 
-    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("command", ["run", "validate", "compare"])
     @pytest.mark.parametrize(
         "case, key, value, message",
         [
-            ("retail_case3", "n2", None, "params.n2: missing"),
-            ("retail_case3", "cost", "lots", "params.cost: expected number, got str"),
-            ("retail_case3", "n1", 2.5, "params.n1: expected integer, got float"),
-            ("pension_case1", "capital", None, "params.capital: missing"),
-            ("pension_case1", "capital", "lots", "params.capital: expected number, got str"),
-            ("pension_case1", "horizon", 2.5, "params.horizon: expected integer, got float"),
-            ("pension_case1", "exit_profile", [0.1, "x"], "params.exit_profile[1]: expected number"),
+            ("retail_case3", "params.n2", None, "params.n2: missing"),
+            ("retail_case3", "params.cost", "lots", "params.cost: expected number, got str"),
+            ("retail_case3", "params.n1", 2.5, "params.n1: expected integer, got float"),
+            ("pension_case1", "params.capital", None, "params.capital: missing"),
+            ("pension_case1", "params.capital", "lots",
+             "params.capital: expected number, got str"),
+            ("pension_case1", "params.horizon", 2.5,
+             "params.horizon: expected integer, got float"),
+            ("pension_case1", "params.exit_profile", [0.1, "x"],
+             "params.exit_profile[1]: expected number"),
+            ("retail_case1", "outptu", "x", "scenario.outptu: unknown field"),
+            ("retail_case1", "params.known_competitor_prise", 31.0,
+             "params.known_competitor_prise: unknown field"),
+            ("pension_case1", "params.offer_grid.stpe", 0.005,
+             "params.offer_grid.stpe: unknown field"),
+            ("template_example", "params.choice.sigmaa", 1.0,
+             "params.choice.sigmaa: unknown field"),
+            ("pension_case1", "params.score_class", 5,
+             "params.score_class: expected string, got int"),
+            ("retail_case1", "params.utility_variant", 5,
+             "params.utility_variant: expected string, got int"),
         ],
         ids=["retail_missing", "retail_str", "retail_float_count", "pension_missing",
-             "pension_str", "pension_float_count", "pension_list_item"],
+             "pension_str", "pension_float_count", "pension_list_item", "top_unknown",
+             "params_unknown", "grid_unknown", "choice_unknown", "score_class_int",
+             "utility_variant_int"],
     )
     def test_param_schema_errors_exit_3(
         self, tmp_path, capsys, command, case, key, value, message
     ):
+        """``key`` is a dotted path from the top of the file; a value of
+        None deletes it."""
         raw = json.loads(bundled_case(case).read_text())
+        *parents, last = key.split(".")
+        node = raw
+        for name in parents:
+            node = node[name]
         if value is None:
-            del raw["params"][key]
+            del node[last]
         else:
-            raw["params"][key] = value
+            node[last] = value
         bad = tmp_path / "bad_param.json"
         bad.write_text(json.dumps(raw))
         out = tmp_path / "out"
-        argv = [command, str(bad)] + (["--out", str(out)] if command == "run" else [])
+        argv = [command, str(bad)] + (["--out", str(out)] if command != "validate" else [])
         assert main(argv) == 3
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [bad]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_renamed_key_is_refused(self, data):
+        """Renaming any one key, at any depth, of any bundled case makes
+        ``validate`` exit 3 and name the renamed key's path."""
+        case = data.draw(st.sampled_from(bundled_case_names()))
+        raw = json.loads(bundled_case(case).read_text())
+        # (path as the parser names it, object holding the key, key)
+        keys = [(f"scenario.{key}", raw, key) for key in raw]
+        objects = [("params", raw["params"])]
+        while objects:
+            path, node = objects.pop()
+            for key, child in node.items():
+                keys.append((f"{path}.{key}", node, key))
+                if isinstance(child, dict):
+                    objects.append((f"{path}.{key}", child))
+        path, node, key = data.draw(st.sampled_from(keys))
+        suffix = data.draw(st.text("abcxyz_", min_size=1, max_size=3))
+        assume(key + suffix not in node)
+        node[key + suffix] = node.pop(key)
+        renamed = path + suffix
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "renamed.json"
+            src.write_text(json.dumps(raw))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["validate", str(src)])
+        assert code == 3, err.getvalue()
+        assert f"{renamed}: unknown field" in err.getvalue()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize(
@@ -435,6 +492,14 @@ class TestCli:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == [src]
 
+    @staticmethod
+    def _price_in_fresh_process(*argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(araprice.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "araprice.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize(
         "case, overrides, workers, message",
@@ -459,15 +524,29 @@ class TestCli:
         raw["params"].update(overrides)
         src = tmp_path / "huge.json"
         src.write_text(json.dumps(raw))
-        env = dict(os.environ, PYTHONPATH=str(Path(araprice.__file__).parents[1]))
-        argv = [command, str(src), "--workers", str(workers), "--out", str(tmp_path / "out")]
-        proc = subprocess.run(
-            [sys.executable, "-m", "araprice.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
+        proc = self._price_in_fresh_process(
+            command, str(src), "--workers", str(workers), "--out", str(tmp_path / "out")
         )
         assert proc.returncode == 5
         assert proc.stderr == f"numeric failure: {message}\n"
         assert list(tmp_path.iterdir()) == [src]
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_engine_warning_is_one_stderr_line(self, tmp_path, command):
+        """An offer grid above the earning rate runs, with the engine's
+        warning as the CLI's own line, not Python's source excerpt; the
+        oracle of compare checks the scenario again, and still one line
+        comes out.  In a fresh process, as a user sees it."""
+        raw = json.loads(bundled_case("pension_case1").read_text())
+        raw["params"]["earn_rate"] = 0.05
+        src = tmp_path / "low_earn.json"
+        src.write_text(json.dumps(raw))
+        proc = self._price_in_fresh_process(command, str(src), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == (
+            "warning: offer grid extends above the earning rate; those offers "
+            "have nonpositive margin\n"
+        )
 
     @pytest.mark.parametrize(
         "grid",
