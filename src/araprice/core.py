@@ -103,15 +103,31 @@ _MASS_TOL_QUADRATURE = 1e-6
 class OutcomeModel:
     """Per-choice distribution of the outcome feature affecting utility.
 
-    Each product choice c maps either to a finite pmf (values, probs),
-    handled by exact enumeration, or to a density on an interval, handled
-    by fixed-node trapezoidal quadrature.  A single point mass at 0 is the
-    degenerate "no outcome feature" model used by price-only problems.
+    Each product choice c maps either to a finite pmf ``(values, probs)``,
+    handled by exact enumeration, or to a density ``(pdf, lo, hi)`` on an
+    interval, handled by fixed-node trapezoidal quadrature.  Building the
+    model tabulates it once, as ``table[c] = (nodes, weights, mass
+    tolerance)``, so a pdf runs once per choice, and a malformed entry, a
+    pdf that raises or fewer than 2 nodes raise there, not on first use.
+    A single point mass at 0 is the degenerate "no outcome feature" model.
     """
 
     def __init__(self, per_choice: dict, quadrature_nodes: int = 1024):
+        if quadrature_nodes < 2:
+            raise ValueError(f"quadrature needs at least 2 nodes, got {quadrature_nodes}")
         self.per_choice = per_choice
         self.quadrature_nodes = quadrature_nodes
+        self.table = {c: self._tabulate(entry) for c, entry in per_choice.items()}
+
+    def _tabulate(self, entry) -> tuple:
+        if len(entry) == 2:
+            values, probs = entry
+            return np.asarray(values, float), np.asarray(probs, float), _MASS_TOL_DISCRETE
+        pdf, lo, hi = entry
+        s = np.linspace(lo, hi, self.quadrature_nodes)
+        dw = np.full(s.size, (hi - lo) / (s.size - 1))  # trapezoid weights
+        dw[[0, -1]] *= 0.5
+        return s, pdf(s) * dw, _MASS_TOL_QUADRATURE
 
     @classmethod
     def point_mass(cls, n_choices: int, value: float = 0.0) -> "OutcomeModel":
@@ -119,47 +135,25 @@ class OutcomeModel:
 
     @classmethod
     def discrete(cls, per_choice: dict) -> "OutcomeModel":
-        out = {}
-        for c, (values, probs) in per_choice.items():
-            out[c] = (np.asarray(values, dtype=float), np.asarray(probs, dtype=float))
-        return cls(out)
+        return cls(dict(per_choice))
 
     @classmethod
     def continuous(cls, per_choice: dict, nodes: int = 1024) -> "OutcomeModel":
         """per_choice maps c -> (pdf, lo, hi)."""
         return cls(dict(per_choice), quadrature_nodes=nodes)
 
-    def _nodes_weights(self, choice: int):
-        entry = self.per_choice[choice]
-        if isinstance(entry, tuple) and len(entry) == 2:
-            values, probs = entry
-            return np.asarray(values, float), np.asarray(probs, float)
-        pdf, lo, hi = entry
-        s = np.linspace(lo, hi, self.quadrature_nodes)
-        w = pdf(s)
-        # trapezoid weights
-        dw = np.full(s.size, (hi - lo) / (s.size - 1))
-        dw[0] *= 0.5
-        dw[-1] *= 0.5
-        return s, w * dw
-
     def validate(self):
         """Check every conditional distribution integrates to one."""
         problems = []
-        for c, entry in self.per_choice.items():
-            total = float(np.sum(self._nodes_weights(c)[1]))
-            tol = (
-                _MASS_TOL_DISCRETE
-                if isinstance(entry, tuple) and len(entry) == 2
-                else _MASS_TOL_QUADRATURE
-            )
+        for c, (_, w, tol) in self.table.items():
+            total = float(np.sum(w))
             if abs(total - 1.0) > tol:
                 problems.append(f"choice {c}: mass {total!r} differs from 1")
         return problems
 
     def expected_utility(self, u: Callable, choice: int, price: float) -> float:
         """Integrate u(price, s) over the outcome distribution of ``choice``."""
-        s, w = self._nodes_weights(choice)
+        s, w, _ = self.table[choice]
         values = np.asarray(u(price, s), dtype=float)
         if values.shape != s.shape:
             values = np.broadcast_to(values, s.shape)
@@ -413,15 +407,17 @@ def customer_choice_probs(
 
     Monte Carlo over utility/price realizations; empirical frequencies of
     the strict-rule argmax, so components always sum to one.  The outcome
-    model is validated once per call, then :func:`realize_choice` runs
-    once per draw.
+    model's masses, and that it has a distribution for every product, are
+    checked once per call, then :func:`realize_choice` runs once per draw.
     """
     n = len(prices)
     if n == 0:
         raise ValueError("need at least one product")
     if n_draws < 1:
         raise ValueError("n_draws must be at least 1")
-    problems = outcomes.validate()
+    problems = outcomes.validate() + [
+        f"no distribution for product {i}" for i in range(n) if i not in outcomes.table
+    ]
     if problems:
         raise ValueError("degenerate outcome model: " + "; ".join(problems))
     if n == 1:
@@ -576,14 +572,14 @@ def validate_problem(
     g = probe_rng.generator
     bound_ok, worst = True, 0.0
     if grid_ok:
-        choices = sorted(outcomes.per_choice)
+        choices = sorted(outcomes.table)
         for _ in range(cfg.probe_count):
             theta = spec.sample_parameter(g)
             u = spec.builder(theta)
             k = g.integers(0, int(count))  # grid point k, without building the grid
             price = float(np.round(grid.min + grid.step * k, 9))
             choice = choices[g.integers(0, len(choices))]
-            s_nodes, _ = outcomes._nodes_weights(choice)
+            s_nodes = outcomes.table[choice][0]
             s = float(s_nodes[g.integers(0, s_nodes.size)])
             val = float(np.asarray(u(price, s)))
             if not math.isfinite(val):

@@ -232,16 +232,8 @@ class OracleReport:
             "z_threshold": self.z_threshold,
             "max_abs_z": self.max_abs_z,
             "passed": self.passed,
-            "rows": [
-                {
-                    "price": r.price,
-                    "estimate": r.estimate,
-                    "oracle": r.oracle,
-                    "std_err": r.std_err,
-                    "z": r.z,
-                }
-                for r in self.rows
-            ],
+            # a shallow copy of each row's fields, in field order
+            "rows": [dict(vars(r)) for r in self.rows],
         }
 
 

@@ -1,6 +1,7 @@
 """Generic template: choice problem, competitor forecasting, grid solver."""
 
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -189,11 +190,16 @@ class TestCustomerChoice:
         assert abs(multi - expected) <= 3 * se
 
     def test_degenerate_outcome_model_rejected(self):
-        bad = OutcomeModel.discrete({0: ([0.0], [0.7]), 1: ([0.0], [1.0])})
-        with pytest.raises(ValueError, match="outcome model"):
-            customer_choice_probs(
-                [1.0, 2.0], RandomUtilitySpec.risk_neutral(), bad, 10, RngStream(1)
-            )
+        unnormalized = OutcomeModel.discrete({0: ([0.0], [0.7]), 1: ([0.0], [1.0])})
+        cases = [
+            ([1.0, 2.0], unnormalized, "choice 0: mass 0.7 differs from 1"),
+            ([1.0, 2.0, 3.0], OutcomeModel.point_mass(2), "no distribution for product 2"),
+        ]
+        for prices, bad, reason in cases:
+            with pytest.raises(ValueError, match=f"degenerate outcome model: {reason}"):
+                customer_choice_probs(
+                    prices, RandomUtilitySpec.risk_neutral(), bad, 10, RngStream(1)
+                )
 
     def test_nan_utility_names_the_product(self):
         spec = RandomUtilitySpec.custom(
@@ -250,6 +256,101 @@ class TestCustomerChoice:
                 f'If these shares are right, add "demo_shares": "{digest}" to it.'
             )
         assert digest == recorded["demo_shares"]
+
+    @pytest.mark.parametrize("per_product", [False, True], ids=["shared", "per_product"])
+    def test_shares_match_exact_enumeration(self, per_product):
+        """z-test each Monte Carlo share against exact_choice_probs; a share
+        that is exactly 0 or 1 must come out exactly."""
+        builder = lambda w: (lambda price, s: -(price + w * np.asarray(s, float)))
+        prior = CategoricalPMF((0.5, 1.0, 2.0), (0.2, 0.5, 0.3))
+        # product 3 repeats product 0, so under a shared parameter the two tie
+        # on every draw and product 0 never wins
+        pmfs = {0: ([1.0, 3.0], [0.8, 0.2]), 1: ([2.0, 5.0], [0.6, 0.4]),
+                2: ([1.0, 2.0], [0.5, 0.5]), 3: ([1.0, 3.0], [0.8, 0.2])}
+        prices = [20.0, 19.0, 22.0, 20.0]
+        spec = RandomUtilitySpec.custom(builder, prior, per_product=per_product)
+        n = 20_000
+        got = customer_choice_probs(
+            prices, spec, OutcomeModel.discrete(pmfs), n, RngStream(2024)
+        )
+        exact = exact_choice_probs(prices, spec, pmfs)
+        assert exact.sum() == pytest.approx(1.0)
+        for share, p in zip(got, exact):
+            if p in (0.0, 1.0):
+                assert share == p
+            else:
+                assert abs(share - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+        if not per_product:
+            assert exact[0] == 0.0 and exact[3] > 0.0
+
+
+def exact_choice_probs(prices, spec, pmfs):
+    """Exact customer shares for plain-number prices, a CategoricalPMF
+    parameter prior and discrete outcomes ``pmfs`` (c -> (values, probs)).
+
+    Enumerates every parameter value, or with ``per_product`` every tuple of
+    one value per product, and gives its probability to the last product
+    of maximal expected utility, as the strict tie rule does.
+    """
+    n = len(prices)
+    support = list(zip(spec.prior.values, spec.prior.probs))
+    shares = np.zeros(n)
+    for combo in itertools.product(support, repeat=n if spec.per_product else 1):
+        weight = math.prod(q for _, q in combo)
+        thetas = [t for t, _ in combo] if spec.per_product else [combo[0][0]] * n
+        eu = []
+        for i, price in enumerate(prices):
+            values, probs = (np.asarray(a, float) for a in pmfs[i])
+            u = spec.builder(thetas[i])
+            eu.append(np.dot(np.asarray(u(price, values), dtype=float), probs))
+        shares[max(range(n), key=lambda i: (eu[i], i))] += weight
+    return shares
+
+
+class TestOutcomeModel:
+    def test_malformed_models_fail_where_they_are_built(self):
+        uniform = {0: (lambda s: np.full(s.shape, 0.5), 0.0, 2.0)}
+        for nodes in (1, 0):
+            with pytest.raises(ValueError, match="at least 2 nodes"):
+                OutcomeModel.continuous(uniform, nodes=nodes)
+
+        def broken_pdf(s):
+            raise FloatingPointError("pdf failed")
+
+        with pytest.raises(FloatingPointError, match="pdf failed"):
+            OutcomeModel.continuous({0: (broken_pdf, 0.0, 1.0)})
+        with pytest.raises(ValueError, match="unpack"):
+            OutcomeModel({0: (1.0,)})
+
+    def test_pmf_given_as_a_list(self):
+        as_lists = OutcomeModel({c: [[1.0, 3.0], [0.75, 0.25]] for c in range(2)})
+        as_tuples = OutcomeModel.discrete({c: ([1.0, 3.0], [0.75, 0.25]) for c in range(2)})
+        assert as_lists.validate() == []
+        for outcomes in (as_lists, as_tuples):
+            assert outcomes.expected_utility(lambda p, s: s - p, 1, 1.0) == 0.5
+        spec = RandomUtilitySpec.custom(_builder("array"), prior=(0.5, 1.5), per_product=True)
+        shares = [
+            customer_choice_probs([10.0, 10.0], spec, outcomes, 50, RngStream(3))
+            for outcomes in (as_lists, as_tuples)
+        ]
+        assert shares[0].tobytes() == shares[1].tobytes()
+
+    def test_density_pdf_runs_once_per_choice(self):
+        calls = []
+
+        def pdf(s):
+            calls.append(1)
+            return np.full(s.shape, 0.5)
+
+        outcomes = OutcomeModel.continuous({c: (pdf, 0.0, 2.0) for c in range(3)}, nodes=64)
+        spec = RandomUtilitySpec.custom(_builder("array"), prior=(0.5, 1.5))
+        probs = customer_choice_probs([10.0, 9.5, 10.5], spec, outcomes, 50, RngStream(4))
+        assert probs.sum() == 1.0
+        report = validate_problem(
+            PriceGrid(5.0, 15.0, 0.5), spec, outcomes, ValidationConfig(100.0, 64)
+        )
+        assert report.passed, report.failures()
+        assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
