@@ -153,7 +153,11 @@ class OutcomeModel:
 
     def expected_utility(self, u: Callable, choice: int, price: float) -> float:
         """Integrate u(price, s) over the outcome distribution of ``choice``."""
-        s, w, _ = self.table[choice]
+        try:
+            s, w, _ = self.table[choice]
+        except KeyError:
+            msg = f"degenerate outcome model: no distribution for product {choice}"
+            raise ValueError(msg) from None
         values = np.asarray(u(price, s), dtype=float)
         if values.shape != s.shape:
             values = np.broadcast_to(values, s.shape)
@@ -175,11 +179,6 @@ class RandomUtilitySpec:
     builder: Callable[[object], Callable]
     prior: object = None
     per_product: bool = False
-
-    @classmethod
-    def risk_neutral(cls, value: float = 0.0) -> "RandomUtilitySpec":
-        """u(price, s) = value + s - price, no parameter uncertainty."""
-        return cls(lambda _t: (lambda p, s: value + np.asarray(s, float) - p))
 
     @classmethod
     def custom(cls, builder, prior=None, per_product=False) -> "RandomUtilitySpec":
@@ -371,7 +370,8 @@ def realize_choice(
     applies the strict choice rule: product 0 wins only on a strict
     maximum, and ties go to the highest-indexed maximizer, so any
     competitor beats product 0 at equal realized expected utility.  A NaN
-    expected utility raises ValueError naming the product.
+    expected utility, or a product without an outcome distribution,
+    raises ValueError naming the product.
     """
     n = len(prices)
     realized = [
@@ -571,8 +571,8 @@ def validate_problem(
     probe_rng = RngStream(seed=0x5EED, stream_id=0xB0D)
     g = probe_rng.generator
     bound_ok, worst = True, 0.0
-    if grid_ok:
-        choices = sorted(outcomes.table)
+    choices = sorted(outcomes.table)
+    if grid_ok and choices:
         for _ in range(cfg.probe_count):
             theta = spec.sample_parameter(g)
             u = spec.builder(theta)
@@ -590,11 +590,12 @@ def validate_problem(
                 bound_ok = False
         detail = f"max |u| probed = {worst:.6g}, bound = {cfg.utility_bound:.6g}"
     else:
-        bound_ok, detail = False, "skipped: no grid to probe"
+        missing = "grid" if not grid_ok else "outcome distribution"
+        bound_ok, detail = False, f"skipped: no {missing} to probe"
     checks.append(CheckResult("utilities_bounded", bool(bound_ok), detail))
 
-    # (c) outcome distributions normalize
-    problems = outcomes.validate()
+    # (c) outcome distributions exist and normalize
+    problems = outcomes.validate() if choices else ["no outcome distributions"]
     checks.append(
         CheckResult(
             "outcome_model_normalized",

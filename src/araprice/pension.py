@@ -13,24 +13,22 @@ is applied to every entity's product, rival offers are sampled from the
 per-score-class pmf, and our product wins only on a strictly higher
 expected utility.
 
-The Monte Carlo count orders products by rate where it can prove that
-order.  For two rates a < b a lower bound on the utility gap over the
-whole risk-aversion range follows from the payout schedules alone; when
-it exceeds ``_SEPARATION_MARGIN``, every draw prefers b, so a draw's
-choice is decided by its highest rival offer and no utility is
-evaluated.  Only the offer pairs without such a proof (in practice a
-grid rate equal to a rival offer) are compared utility by utility, on
-the draws whose highest rival offer they concern.  When consecutive
-rival offers cannot be ordered this way (constant or underflowing
-utilities), the count falls back to full utility tables.  Both paths
-give the same bits.
+The Monte Carlo count orders products by rate.  Expected utility does
+not decrease in the offered rate, so a draw's best rival product is its
+highest rival offer.  For two rates a < b a lower bound on the utility
+gap over the whole risk-aversion range follows from the payout schedules
+alone; when it exceeds ``_SEPARATION_MARGIN``, every draw prefers b, so
+a grid rate and a draw's highest rival offer are compared without
+evaluating a utility.  Only the pairs without such a proof (in practice
+a grid rate equal to a rival offer, or every pair when utilities are
+constant or underflow) are compared utility by utility, on the draws
+whose highest rival offer they concern.
 
 Draws are made and counted in fixed-size row blocks
-(``_parallel.map_blocks``): the rate-order path keeps only each draw's
-highest rival offer, looked up from its highest uniform, and the utility
-comparisons of both paths add up integer win counts block by block.  On
-the rate-order path memory does not grow with draws x rivals, and no
-utility temporary grows with the draw count.
+(``_parallel.map_blocks``): each draw keeps only its highest rival
+offer, looked up from its highest uniform, and the utility comparisons
+add up integer win counts block by block.  Memory does not grow with
+draws x rivals, and no utility temporary grows with the draw count.
 
 The utility kernel evaluates one exit year at a time over arrays of the
 broadcast shape of offers and risk aversions, and its callers put the
@@ -81,6 +79,12 @@ _SEPARATION_MARGIN = 1e-9
 # cost loses (1.9x at 10 offers and 2,048).
 _COUNTED_LOOKUP_MAX = 32
 _COUNTED_LOOKUP_MIN = 4096
+
+# The work budget charges a pass of the tie loop (one tied rival offer)
+# this many utility terms x (horizon + 1).  One-draw passes at horizon 1, 8,
+# 32 and 128 took 17, 31, 84 and 288 us (2-vCPU VM, best of 3), as long as
+# 2.1k, 6.0k, 15k and 40k utility terms evaluated in one large pass.
+_TIE_PASS_TERMS = 1000
 
 
 @dataclass(frozen=True)
@@ -402,13 +406,13 @@ def _cdf_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return count.astype(np.intp)
 
 
-def _draw_customers(scenario: PensionScenario, rng: RngStream, top_only: bool):
-    """Per draw: the customer's risk aversion and each rival's offer index,
-    or with ``top_only`` only the highest of those indices.
+def _draw_customers(scenario: PensionScenario, rng: RngStream):
+    """Per draw: the customer's risk aversion and the highest of the rivals'
+    offer indices, narrowed to one or two bytes (less memory, radix-sortable).
 
-    The indices are bit for bit what ``gen.choice(n_offers, size=(draws,
-    n_competitors), p=probs)`` returns, from the same stream: that call
-    looks its uniforms ``gen.random((draws, n_competitors))`` up in the
+    The indices are bit for bit the row maxima of ``gen.choice(n_offers,
+    size=(draws, n_competitors), p=probs)``, from the same stream: that
+    call looks its uniforms ``gen.random((draws, n_competitors))`` up in the
     normalized cdf with ``searchsorted(side="right")``.  The lookup is
     monotone, so a draw's highest index is the lookup of its highest
     uniform.  The uniforms are drawn in row blocks, in order.
@@ -421,12 +425,12 @@ def _draw_customers(scenario: PensionScenario, rng: RngStream, top_only: bool):
 
     def _lookup(rows: slice) -> np.ndarray:
         u = gen.random((rows.stop - rows.start, rivals))
-        if top_only:  # u.max(axis=1), without its per-row cost at few rivals
-            u = functools.reduce(np.maximum, u.T)
-        return _cdf_index(cdf, u)
+        # u.max(axis=1), without its per-row cost at few rivals
+        return _cdf_index(cdf, functools.reduce(np.maximum, u.T))
 
     # the blocks draw from the stream, so they must run in order
-    return rho, np.concatenate(map_blocks(_lookup, draws, rivals))
+    top = np.concatenate(map_blocks(_lookup, draws, rivals))
+    return rho, top.astype(np.min_scalar_type(cdf.size - 1))
 
 
 def _utility_gap_bound(a, b, scenario: PensionScenario) -> np.ndarray:
@@ -449,34 +453,6 @@ def _utility_gap_bound(a, b, scenario: PensionScenario) -> np.ndarray:
         bound = terms.sum(axis=-1)
     valid = np.all((pay_a >= 0) & (rise >= 0), axis=-1) & bool(weights.min() >= 0)
     return np.where(valid, bound, -np.inf)
-
-
-def _rate_order_applies(scenario: PensionScenario) -> bool:
-    """Whether every consecutive pair of rival offers has a proven gap.
-
-    Then expected utility strictly increases along the rival offers for
-    every draw, so a draw's best rival product is its highest offer.
-    """
-    offers = np.asarray(scenario.competitor_offers.values)
-    gaps = _utility_gap_bound(offers[:-1], offers[1:], scenario)
-    return bool(np.all(gaps > _SEPARATION_MARGIN))
-
-
-def _wins_full_table(points, scenario, rho, idx) -> np.ndarray:
-    """Per grid rate, the draws in which it beats every rival, from full
-    utility tables: the best rival utility of each draw against each rate,
-    in row blocks of draws."""
-    offers = np.asarray(scenario.competitor_offers.values)
-    rates = np.concatenate((offers, points))[:, None]
-
-    def _count(rows: slice) -> np.ndarray:
-        eu = customer_expected_utility(
-            rates, scenario, rho[None, rows], _check_range=False
-        )  # (offers + grid, draws in block)
-        rival = np.take_along_axis(eu[: offers.size], idx[rows].T, axis=0)
-        return (eu[offers.size :] > rival.max(axis=0)).sum(axis=1)
-
-    return sum(map_blocks(_count, rho.size, rates.size * scenario.horizon))
 
 
 def _group_by_top(rho, top, counts) -> list:
@@ -504,10 +480,11 @@ def _wins_by_rate_order(points, scenario, rho, top) -> np.ndarray:
     """Per grid rate, the draws in which it beats every rival, given each
     draw's highest rival offer index ``top``.
 
-    Requires :func:`_rate_order_applies`.  A rate wins every draw whose
-    top offer it provably beats and loses every draw whose top offer
-    provably beats it; the remaining (rate, offer) pairs compare exact
-    utilities on that offer's draws, in row blocks.
+    Utility does not decrease in the rate, so a draw's best rival product
+    is its top offer.  A rate wins every draw whose top offer it provably
+    beats (and with it every lower offer) and loses every draw whose top
+    offer provably beats it; the remaining (rate, offer) pairs compare
+    exact utilities on that offer's draws, in row blocks.
     """
     offers = np.asarray(scenario.competitor_offers.values)
     counts = np.bincount(top, minlength=offers.size)
@@ -536,26 +513,22 @@ def _wins_by_rate_order(points, scenario, rho, top) -> np.ndarray:
 def utility_evaluations(scenario: PensionScenario) -> float:
     """Bound, without drawing, on the exit-year utility terms that counting
     acceptance on the offer grid evaluates: draws x horizon x rates per
-    draw.  Full tables hold every rival offer and grid rate; by rate order
-    a draw evaluates its top offer and at most the T grid rates tied with
-    one offer, or nothing when no pair is tied."""
-    points = scenario.offer_grid.points()
-    if _rate_order_applies(scenario):
-        tied = int(_separation(points, scenario)[1].sum(axis=0).max())
-        per_draw = 1 + tied if tied else 0
-    else:
-        per_draw = len(scenario.competitor_offers.values) + points.size
-    return float(scenario.mc_draws) * scenario.horizon * per_draw
+    draw.  A draw evaluates its top offer and at most the T grid rates tied
+    with one offer, or nothing when no pair is tied.  Each offer tied with
+    some grid rate is one pass of the tie loop, charged ``_TIE_PASS_TERMS``
+    x (horizon + 1) terms; the bound is the larger of the two counts, at
+    least half their sum."""
+    ties = _separation(scenario.offer_grid.points(), scenario)[1]
+    tied = int(ties.sum(axis=0).max())
+    terms = float(scenario.mc_draws) * scenario.horizon * (1 + tied if tied else 0)
+    passes = float(ties.any(axis=0).sum()) * _TIE_PASS_TERMS * (scenario.horizon + 1)
+    return max(terms, passes)
 
 
 def _acceptance(points, scenario: PensionScenario, rng: RngStream):
     """Share of the Monte Carlo draws in which each rate of ``points`` wins."""
-    by_rate_order = _rate_order_applies(scenario)
-    rho, idx = _draw_customers(scenario, rng, top_only=by_rate_order)
-    if by_rate_order:  # one or two bytes per draw: less memory, radix-sortable
-        idx = idx.astype(np.min_scalar_type(len(scenario.competitor_offers.values) - 1))
-    count = _wins_by_rate_order if by_rate_order else _wins_full_table
-    return count(points, scenario, rho, idx) / scenario.mc_draws
+    wins = _wins_by_rate_order(points, scenario, *_draw_customers(scenario, rng))
+    return wins / scenario.mc_draws
 
 
 def optimize_offer(scenario: PensionScenario, rng: RngStream) -> OfferEvaluation:
@@ -564,10 +537,10 @@ def optimize_offer(scenario: PensionScenario, rng: RngStream) -> OfferEvaluation
     One set of Monte Carlo draws (risk aversions and rival offers) is
     shared by all grid points, which makes the acceptance column exactly
     nondecreasing in the offer and the evaluation reproducible from
-    (scenario, seed).  Acceptance is counted by rate order wherever the
-    utility gap between a grid rate and a rival offer is proven (see the
-    module docstring); the remaining exact utility comparisons, or the
-    full utility tables when rates cannot order the rivals, run in row
+    (scenario, seed).  Acceptance is counted by rate order against each
+    draw's highest rival offer, and decided without utilities wherever
+    the utility gap between a grid rate and that offer is proven (see the
+    module docstring); the remaining exact utility comparisons run in row
     blocks on the calling thread.  Ties on expected utility resolve to the
     lowest offer.
     """

@@ -50,6 +50,9 @@ CASE1_OFFERS = CategoricalPMF(
     (0.05, 0.1, 0.2, 0.2, 0.15, 0.1, 0.1, 0.05, 0.05, 0.0),
 )
 
+# u(price, s) = s - price, no parameter uncertainty
+RISK_NEUTRAL = RandomUtilitySpec.custom(lambda _t: (lambda p, s: np.asarray(s, float) - p))
+
 # strictly increasing in the offered rate for every parameter value
 INCREASING_RATE_UTILITY = RandomUtilitySpec.custom(
     builder=lambda rho: (lambda rate, s: 1.0 - np.exp(-rho * (1.0 + rate) ** 8)),
@@ -118,7 +121,7 @@ class TestCustomerChoice:
 
     def test_single_product_degenerate(self):
         probs = customer_choice_probs(
-            [10.0], RandomUtilitySpec.risk_neutral(), OutcomeModel.point_mass(1), 10,
+            [10.0], RISK_NEUTRAL, OutcomeModel.point_mass(1), 10,
             RngStream(1),
         )
         assert probs.tolist() == [1.0]
@@ -137,7 +140,7 @@ class TestCustomerChoice:
 
     def test_strict_tie_rule_favors_competitor(self):
         # equal deterministic utilities: the competitor must win every draw
-        spec = RandomUtilitySpec.risk_neutral()
+        spec = RISK_NEUTRAL
         probs = customer_choice_probs(
             [10.0, 10.0], spec, OutcomeModel.point_mass(2), 200, RngStream(3)
         )
@@ -197,9 +200,16 @@ class TestCustomerChoice:
         ]
         for prices, bad, reason in cases:
             with pytest.raises(ValueError, match=f"degenerate outcome model: {reason}"):
-                customer_choice_probs(
-                    prices, RandomUtilitySpec.risk_neutral(), bad, 10, RngStream(1)
-                )
+                customer_choice_probs(prices, RISK_NEUTRAL, bad, 10, RngStream(1))
+
+    def test_realize_choice_names_a_product_without_a_distribution(self):
+        with pytest.raises(
+            ValueError, match="degenerate outcome model: no distribution for product 2"
+        ):
+            realize_choice(
+                [1.0, 2.0, 3.0], RISK_NEUTRAL, OutcomeModel.point_mass(2),
+                np.random.default_rng(0),
+            )
 
     def test_nan_utility_names_the_product(self):
         spec = RandomUtilitySpec.custom(
@@ -225,8 +235,7 @@ class TestCustomerChoice:
         monkeypatch.setattr(core, "realize_choice", counted)
         customer_choice_probs(
             [20.0, CategoricalPMF((19.0, 21.0), (0.5, 0.5))],
-            RandomUtilitySpec.risk_neutral(), OutcomeModel.point_mass(2), 37,
-            RngStream(2),
+            RISK_NEUTRAL, OutcomeModel.point_mass(2), 37, RngStream(2),
         )
         assert len(calls) == 37
 
@@ -717,12 +726,22 @@ class TestValidateProblem:
         assert report.passed, report.failures()
 
     def test_empty_grid_fails_compactness(self):
-        spec = RandomUtilitySpec.risk_neutral()
         report = validate_problem(
-            None, spec, OutcomeModel.point_mass(2), ValidationConfig(10.0)
+            None, RISK_NEUTRAL, OutcomeModel.point_mass(2), ValidationConfig(10.0)
         )
         names = {c.name: c.passed for c in report.checks}
         assert names["price_set_compact_nonempty"] is False
+
+    def test_empty_outcome_model_fails_instead_of_raising(self):
+        report = validate_problem(
+            PriceGrid(5.0, 50.0, 0.5), RISK_NEUTRAL, OutcomeModel({}), ValidationConfig(10.0)
+        )
+        checks = {c.name: c for c in report.checks}
+        assert checks["price_set_compact_nonempty"].passed
+        assert not checks["utilities_bounded"].passed
+        assert checks["utilities_bounded"].detail == "skipped: no outcome distribution to probe"
+        assert not checks["outcome_model_normalized"].passed
+        assert checks["outcome_model_normalized"].detail == "no outcome distributions"
 
     @pytest.mark.parametrize(
         "grid, compact",
@@ -733,8 +752,7 @@ class TestValidateProblem:
         """An infinite point count fails compactness instead of raising; a
         finite one is probed point by point, never allocated."""
         report = validate_problem(
-            grid, RandomUtilitySpec.risk_neutral(), OutcomeModel.point_mass(2),
-            ValidationConfig(10.0),
+            grid, RISK_NEUTRAL, OutcomeModel.point_mass(2), ValidationConfig(10.0)
         )
         names = {c.name: c.passed for c in report.checks}
         assert names["price_set_compact_nonempty"] is compact

@@ -22,7 +22,6 @@ from araprice.pension import (
     optimize_offer,
 )
 from araprice.randkit import CategoricalPMF, RngStream
-from araprice.scenario import bundled_case, bundled_case_names, parse_scenario
 
 CASE1_OFFERS = CategoricalPMF(
     (0.025, 0.03, 0.035, 0.04, 0.045, 0.05, 0.055, 0.06, 0.065, 0.07),
@@ -344,12 +343,25 @@ def full_table_wins(points, scenario, seed):
 
 @st.composite
 def pension_scenarios(draw):
-    """Small pension problems: rates on a 0.001 lattice, grids on it, a
-    half step off it, or 2e-9 off it, and any exit profile, penalty,
-    risk-aversion range and money unit."""
+    """Small pension problems: rates on a 0.001 lattice, each possibly
+    followed by up to 3 rival offers a few ulps or 1e-12 apart; grids on
+    the lattice, a half step off it, or 2e-9 off it; and any exit profile,
+    penalty, risk-aversion range and money unit, down to units at which
+    every utility underflows to 1."""
     lattice = sorted(draw(st.sets(st.integers(0, 100), min_size=1, max_size=10)))
+    gap = draw(st.sampled_from(["none", "ulps", "1e-12"]))
+    near, ulps = (0, 0) if gap == "none" else (draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    values = []
+    for v in lattice:
+        rate = v / 1000
+        for _ in range(near + 1):
+            values.append(rate)
+            if gap == "1e-12":
+                rate += 1e-12
+            for _ in range(ulps if gap == "ulps" else 0):
+                rate = float(np.nextafter(rate, 1.0))
     weights = draw(
-        st.lists(st.integers(0, 9), min_size=len(lattice), max_size=len(lattice)).filter(any)
+        st.lists(st.integers(0, 9), min_size=len(values), max_size=len(values)).filter(any)
     )
     lo, count, step = draw(st.integers(0, 100)), draw(st.integers(0, 20)), draw(st.integers(1, 10))
     shift = draw(st.sampled_from([0.0, 0.0005, 2e-9, -2e-9]))
@@ -365,12 +377,12 @@ def pension_scenarios(draw):
         horizon=horizon,
         exit_profile=ExitProfile(tuple(q / total if total else 0.0 for q in exits)),
         competitor_offers=CategoricalPMF(
-            tuple(v / 1000 for v in lattice), tuple(w / sum(weights) for w in weights)
+            tuple(values), tuple(w / sum(weights) for w in weights)
         ),
         penalty_fraction=draw(st.floats(0.0, 1.0)),
         n_competitors=draw(st.integers(1, 10)),
         risk_aversion=(rho_low, rho_low + draw(st.floats(0.0, 1.0) | st.floats(0.0, 45.0))),
-        money_unit=draw(st.sampled_from([1e3, 1e4, 1e5, 1.0])),
+        money_unit=draw(st.sampled_from([1e3, 1e4, 1e5, 1.0, 1e-2])),
         mc_draws=draw(st.integers(1, 5_000)),
     )
 
@@ -381,10 +393,9 @@ class TestRateOrderCount:
     def test_matches_full_tables_bit_for_bit(self, scenario, seed):
         points = scenario.offer_grid.points()
         full = full_table_wins(points, scenario, seed)
-        if pension._rate_order_applies(scenario):
-            rho, top = pension._draw_customers(scenario, RngStream(seed), top_only=True)
-            fast = pension._wins_by_rate_order(points, scenario, rho, top)
-            assert fast.tobytes() == full.tobytes()
+        rho, top = pension._draw_customers(scenario, RngStream(seed))
+        fast = pension._wins_by_rate_order(points, scenario, rho, top)
+        assert fast.tobytes() == full.tobytes()
         ev = optimize_offer(scenario, RngStream(seed))
         assert ev.accept_prob.tobytes() == (full / scenario.mc_draws).tobytes()
         h1 = float(points[-1])
@@ -421,9 +432,13 @@ class TestRateOrderCount:
         ],
         ids=["constant_utility", "exp_underflow", "high_risk_aversion", "near_equal_offers"],
     )
-    def test_falls_back_when_rates_cannot_order_rivals(self, overrides):
+    def test_unordered_rivals_match_full_tables(self, overrides):
+        """Consecutive rival offers that the gap bound cannot separate: the
+        rate-order count still gives the bytes of the full tables."""
         scenario = make_scenario(**overrides)
-        assert not pension._rate_order_applies(scenario)
+        offers = np.asarray(scenario.competitor_offers.values)
+        gaps = pension._utility_gap_bound(offers[:-1], offers[1:], scenario)
+        assert not np.all(gaps > pension._SEPARATION_MARGIN)
         points = scenario.offer_grid.points()
         ev = optimize_offer(scenario, RngStream(4))
         expected = full_table_wins(points, scenario, 4) / scenario.mc_draws
@@ -433,7 +448,7 @@ class TestRateOrderCount:
     @given(scenario=pension_scenarios(), seed=st.integers(0, 2**32 - 1))
     def test_utility_evaluations_bound_the_count(self, scenario, seed):
         """The work budget's count never falls short of the utility terms
-        that counting evaluates, and matches them on the full tables."""
+        that counting evaluates."""
         evaluated = []
         real = pension.customer_expected_utility
 
@@ -446,14 +461,6 @@ class TestRateOrderCount:
         done = sum(evaluated) * scenario.horizon
         bound = pension.utility_evaluations(scenario)
         assert done <= bound
-        if not pension._rate_order_applies(scenario):
-            assert done == bound
-
-    def test_bundled_cases_take_the_rate_order_path(self):
-        names = [n for n in bundled_case_names() if n.startswith("pension")]
-        assert names
-        for name in names:
-            assert pension._rate_order_applies(parse_scenario(bundled_case(name)).params), name
 
     def test_only_undecided_pairs_evaluate_utilities(self, monkeypatch):
         evaluated = []
@@ -481,15 +488,19 @@ class TestRateOrderCount:
 class TestBlockedDraws:
     @settings(max_examples=100, deadline=None)
     @given(
-        probs=st.lists(st.integers(0, 9), min_size=1, max_size=10).filter(any),
+        probs=(
+            st.lists(st.integers(0, 9), min_size=1, max_size=10)
+            | st.lists(st.integers(0, 9), min_size=257, max_size=300)
+        ).filter(any),
         rivals=st.integers(1, 10),
         blocks=st.integers(0, 3),
         offset=st.integers(-1, 1),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_draws_match_generator_choice(self, probs, rivals, blocks, offset, seed):
-        """Zero-probability offers as in pension_case1; the draw count lands
-        on, one below or one above 0 to 3 whole row blocks."""
+        """Zero-probability offers as in pension_case1, and offer indices of
+        one or two bytes; the draw count lands on, one below or one above 0
+        to 3 whole row blocks."""
         scenario = make_scenario(
             competitor_offers=CategoricalPMF(
                 tuple(0.02 + 0.005 * i for i in range(len(probs))),
@@ -500,12 +511,12 @@ class TestBlockedDraws:
         )
         rho_ref, idx_ref, gen_ref = choice_draws(scenario, seed)
         after = gen_ref.random()
-        for top_only, expected in ((True, idx_ref.max(axis=1)), (False, idx_ref)):
-            rng = RngStream(seed)
-            rho, idx = pension._draw_customers(scenario, rng, top_only=top_only)
-            assert rho.tobytes() == rho_ref.tobytes()
-            assert idx.dtype == expected.dtype and idx.tobytes() == expected.tobytes()
-            assert rng.generator.random() == after
+        expected = idx_ref.max(axis=1).astype(np.uint8 if len(probs) <= 256 else np.uint16)
+        rng = RngStream(seed)
+        rho, top = pension._draw_customers(scenario, rng)
+        assert rho.tobytes() == rho_ref.tobytes()
+        assert top.dtype == expected.dtype and top.tobytes() == expected.tobytes()
+        assert rng.generator.random() == after
 
     @pytest.mark.parametrize("size", [1, 2, 10, 32, 33, 60])
     def test_cdf_index_is_searchsorted_right(self, size):

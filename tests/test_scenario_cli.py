@@ -11,6 +11,7 @@ import tempfile
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -325,7 +326,8 @@ class TestCli:
         self, tmp_path, monkeypatch, capsys, command
     ):
         """pension_case1 over a 2000-year horizon at 1e5 draws: the
-        utilities underflow, so the count takes the full tables, 4e9
+        utilities underflow, so every grid rate is tied with every offer
+        and each draw compares its top offer and the 10 grid rates, 2.2e9
         utility terms (minutes of work) in row blocks that each fit."""
         import araprice.cli as cli
 
@@ -337,7 +339,38 @@ class TestCli:
         out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
         assert main([command, str(src), *out]) == 4
         err = capsys.readouterr().err
-        assert "mc_draws x horizon x rates compared per draw is 4e+09" in err
+        assert "mc_draws x horizon x rates compared per draw is 2.2e+09" in err
+        assert list(tmp_path.iterdir()) == [src]
+
+    @pytest.mark.parametrize("command", ["validate", "run", "compare"])
+    def test_pension_tie_passes_over_budget_exit_4(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        """200,000 rival offers one ulp apart at money_unit 1: the
+        utilities underflow, so the one grid rate is tied with every offer.
+        2e6 draws at horizon 1 compare only 4e6 utility terms, but the tie
+        loop would make one pass per offer (seconds of per-call work), each
+        charged 1,000 x (horizon + 1) terms: 4e8 in all."""
+        import araprice.cli as cli
+
+        monkeypatch.setattr(cli, "_run_engine", lambda *args: pytest.fail("engine ran"))
+        raw = json.loads(bundled_case("pension_case1").read_text())
+        n = 200_000
+        bits = np.array(0.05).view(np.int64) + np.arange(n)
+        raw["params"].update(
+            offer_grid={"min": 0.05, "max": 0.05, "step": 0.005},
+            horizon=1,
+            exit_profile=[],
+            competitor_offers={"values": bits.view(np.float64).tolist(), "probs": [1 / n] * n},
+            money_unit=1.0,
+            mc_draws=2 * 10**6,
+        )
+        src = tmp_path / "ties.json"
+        src.write_text(json.dumps(raw))
+        out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+        assert main([command, str(src), *out]) == 4
+        err = capsys.readouterr().err
+        assert "mc_draws x horizon x rates compared per draw is 4e+08" in err
         assert list(tmp_path.iterdir()) == [src]
 
     def test_only_compare_counts_its_refined_forecast(self, tmp_path, monkeypatch, capsys):
