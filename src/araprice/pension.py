@@ -33,8 +33,8 @@ draws x rivals, and no utility temporary grows with the draw count.
 The utility kernel evaluates one exit year at a time over arrays of the
 broadcast shape of offers and risk aversions, and its callers put the
 draw axis last, so numpy's loops run over draws rather than over the few
-exit years.  The years are added in the order numpy sums a contiguous
-axis, so every utility has the bits of the single-array formula.
+exit years.  A utility is its exit-year terms added in year order, then
+the stay term.
 """
 
 from __future__ import annotations
@@ -66,10 +66,17 @@ SCORE_CLASSES = ("none", "low", "high")
 BENEFIT_MODES = ("next_year", "horizon")
 
 # A proven utility gap must exceed this to order two offers without
-# evaluating them.  Expected utilities are at most 1 and carry rounding
-# errors near 1e-15, so a gap above 1e-9 is far beyond any rounding and
-# the evaluated utilities compare the same way for every draw.
+# evaluating them.  An evaluated utility adds horizon + 1 terms in order,
+# of total weight at most 1, so its rounding error is at most about
+# (horizon + 1) * 2**-53 (Higham, Accuracy and Stability of Numerical
+# Algorithms, sec. 4.2); a gap above 1e-9 is beyond that at any horizon up
+# to MAX_HORIZON, and the evaluated utilities compare the same way for
+# every draw.
 _SEPARATION_MARGIN = 1e-9
+
+# Longest horizon (years) a scenario may have.  Up to it the rounding bound
+# above is about 1.1e-12 per utility, three orders below the margin.
+MAX_HORIZON = 10_000
 
 # _cdf_index counts instead of binary searching for at most this many
 # offers and at least this many uniforms.  Timed on one lookup (2-vCPU VM,
@@ -147,8 +154,8 @@ class PensionScenario:
             bad.append(f"capital: must be positive, got {self.capital}")
         if self.earn_rate <= 0:
             bad.append(f"earn_rate: must be positive, got {self.earn_rate}")
-        if self.horizon < 1:
-            bad.append(f"horizon: must be >= 1, got {self.horizon}")
+        if not 1 <= self.horizon <= MAX_HORIZON:
+            bad.append(f"horizon: must be in [1, {MAX_HORIZON}], got {self.horizon}")
         if not 0.0 <= self.penalty_fraction <= 1.0:
             bad.append(
                 f"penalty_fraction: must be in [0, 1], got {self.penalty_fraction}"
@@ -216,41 +223,6 @@ def _check_offer_range(h, scenario: PensionScenario) -> None:
         raise ValueError(f"offer outside the modeled range [{lo}, {hi}]")
 
 
-def _add_terms(term, years: range, out: np.ndarray) -> np.ndarray:
-    """``out`` = 0.0 + the sum of ``term(j)`` over ``years``, added in the
-    order of numpy's pairwise ``add.reduce`` along a contiguous axis.
-
-    ``term(j, buf)`` writes term j into ``buf`` and returns it.  Below 8
-    terms the order is sequential.  Up to 128 it is 8 running sums joined
-    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in
-    sequence.  Above 128 the two halves, split at a multiple of 8, are
-    summed apart.
-    """
-    n = len(years)
-    if n < 8:
-        out.fill(0.0)
-        buf = np.empty_like(out)
-        for j in years:
-            out += term(j, buf)
-        return out
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        _add_terms(term, years[:half], out)
-        out += _add_terms(term, years[half:], np.empty_like(out))
-        return out
-    r = [term(years[0], out)] + [term(j, np.empty_like(out)) for j in years[1:8]]
-    buf = np.empty_like(out)
-    stop = n - n % 8
-    for k in range(8, stop):
-        r[k % 8] += term(years[k], buf)
-    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-        r[a] += r[b]
-    for j in years[stop:]:
-        out += term(j, buf)
-    out += 0.0  # the reduction's initial value: a sum of -0.0 terms is 0.0
-    return out
-
-
 def customer_expected_utility(
     h,
     scenario: PensionScenario,
@@ -265,11 +237,9 @@ def customer_expected_utility(
     broadcast, so whole offer/draw grids evaluate in one call.
 
     Each exit year's term q_j * (1 - exp(-rho * payout_j)) is evaluated in
-    place over arrays of the broadcast shape, and the years are added in
-    the order numpy sums a contiguous axis (:func:`_add_terms`), so every
-    bit equals the single-array formula ``stay_prob * u_stay + (q *
-    u_early).sum(axis=-1)``.  Numpy's loops run over the last axis, so
-    callers with many draws put the draw axis last.
+    place over arrays of the broadcast shape and added to the sum in year
+    order; the stay term is added last.  Numpy's loops run over the last
+    axis, so callers with many draws put the draw axis last.
     """
     h_arr = np.asarray(h, dtype=float)
     rho_arr = np.asarray(rho, dtype=float)
@@ -288,11 +258,11 @@ def customer_expected_utility(
         np.subtract(1.0, buf, out=buf)
         return np.multiply(buf, weight, out=buf)
 
-    def _year(j: int, buf: np.ndarray) -> np.ndarray:
-        return _term(q[j], early[..., j], buf)
-
-    value = _add_terms(_year, range(len(q)), np.empty(shape))
-    value += _term(scenario.exit_profile.stay_prob, stay, np.empty(shape))
+    buf = np.empty(shape)
+    value = np.zeros_like(buf)  # not np.zeros: its lazy pages fault in the loop
+    for j, weight in enumerate(q):
+        value += _term(weight, early[..., j], buf)
+    value += _term(scenario.exit_profile.stay_prob, stay, buf)
     if g is not None:
         value = value + g(scenario.horizon)
     if np.ndim(h) == 0 and np.ndim(rho) == 0:

@@ -323,9 +323,7 @@ def _work_problems(kind: str, params, compare: bool) -> list[str]:
             "mc_draws x n_competitors": float(params.mc_draws) * params.n_competitors,
         }
         if not compare and max(counts.values()) <= WORK_BUDGET:
-            counts["mc_draws x horizon x rates compared per draw"] = (
-                utility_evaluations(params)
-            )
+            counts["pension utility terms"] = utility_evaluations(params)
     else:
         grid = params.grid.count()
         counts = {"grid x n_draws": grid * params.n_draws}

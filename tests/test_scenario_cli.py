@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import araprice
 from araprice.cli import main
-from araprice.pension import PensionScenario
+from araprice.pension import MAX_HORIZON, PensionScenario
 from araprice.retail import RetailScenario
 from araprice.scenario import (
     WORK_BUDGET,
@@ -301,7 +301,7 @@ class TestCli:
         [
             ("template_example", "n_draws", 41, "grid x n_draws"),
             ("pension_case1", "mc_draws", 1, "mc_draws x n_competitors"),
-            ("pension_case1", "mc_draws", 16, "mc_draws x horizon x rates compared per draw"),
+            ("pension_case1", "mc_draws", 16, "pension utility terms"),
         ],
     )
     def test_work_budget_boundary(self, tmp_path, capsys, case, key, per_unit, message):
@@ -339,7 +339,7 @@ class TestCli:
         out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
         assert main([command, str(src), *out]) == 4
         err = capsys.readouterr().err
-        assert "mc_draws x horizon x rates compared per draw is 2.2e+09" in err
+        assert "pension utility terms is 2.2e+09" in err
         assert list(tmp_path.iterdir()) == [src]
 
     @pytest.mark.parametrize("command", ["validate", "run", "compare"])
@@ -370,8 +370,25 @@ class TestCli:
         out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
         assert main([command, str(src), *out]) == 4
         err = capsys.readouterr().err
-        assert "mc_draws x horizon x rates compared per draw is 4e+08" in err
+        assert "pension utility terms is 4e+08" in err
         assert list(tmp_path.iterdir()) == [src]
+
+    def test_horizon_cap(self, tmp_path, capsys):
+        """A light pension file (one grid rate, one rival offer, one draw)
+        validates at the longest horizon and exits 4 one year past it."""
+        raw = json.loads(bundled_case("pension_case1").read_text())
+        raw["params"].update(
+            offer_grid={"min": 0.05, "max": 0.05, "step": 0.005},
+            competitor_offers={"values": [0.05], "probs": [1.0]},
+            mc_draws=1,
+        )
+        src = tmp_path / "long.json"
+        for horizon, code in ((MAX_HORIZON, 0), (MAX_HORIZON + 1, 4)):
+            raw["params"].update(horizon=horizon, exit_profile=[0.0] * (horizon - 1))
+            src.write_text(json.dumps(raw))
+            assert main(["validate", str(src)]) == code
+        assert MAX_HORIZON == 10_000
+        assert "params.horizon: must be in [1, 10000], got 10001" in capsys.readouterr().err
 
     def test_only_compare_counts_its_refined_forecast(self, tmp_path, monkeypatch, capsys):
         """retail_case3 at n1 = 200 forecasts 200 x 100 x 71 = 1.4e6
