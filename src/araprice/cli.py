@@ -1,11 +1,15 @@
 """The ``price`` command: run, validate, and oracle-check scenario files.
 
-Exit codes: 0 success, 2 missing file, 3 schema violation, 4 invariant
-violation, 5 numeric failure; ``compare`` exits 1 when the engine and
-oracle disagree beyond the z threshold.  An engine warning is written to
-stderr as one ``warning:`` line.  Outputs embed seed, draw counts
-and engine version, and are byte-identical across reruns with the same
-seed.  Every run uses one thread; ``--workers`` is accepted and ignored.
+Exit codes: 0 success; 2 missing scenario file, unwritable output path
+or command-line error (argparse's, such as a ``--seed`` outside [0, 2**64)
+or a ``--z`` that is not a finite number above 0); 3 schema violation;
+4 invariant violation; 5 numeric failure; ``compare`` exits 1 when the
+engine and oracle disagree beyond the z threshold.  ``run`` writes a CSV
+curve one row block at a time and a JSON file in one piece.  An engine
+warning is written to stderr as one ``warning:`` line.  Outputs embed
+seed, draw counts and engine version, and are byte-identical across
+reruns with the same seed.  Every run uses one thread; ``--workers`` is
+accepted and ignored.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 import warnings
@@ -22,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._parallel import BLOCK_ELEMENTS
 from .core import (
     AgentBeliefs,
     EvaluationCurve,
@@ -46,6 +52,7 @@ from .scenario import (
     ScenarioError,
     ScenarioFile,
     TemplateScenario,
+    _names_a_file,
     check_compare_budget,
     parse_scenario,
 )
@@ -61,33 +68,32 @@ PENSION_COLUMNS = (
 )
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
+class OutputError(ScenarioError):
+    """An output file that cannot be written."""
+
+    exit_code = 2
 
 
-def _curve_table(result) -> tuple[tuple, list[list[float]]]:
+def _curve_table(result) -> tuple[tuple, np.ndarray]:
+    """The output columns and one float64 (rows x columns) table of them."""
     cols = PENSION_COLUMNS if isinstance(result, OfferEvaluation) else RETAIL_COLUMNS
-    rows = zip(result.prices, *(getattr(result, name) for name in cols[1:]))
-    return cols, [[float(v) for v in row] for row in rows]
+    columns = [result.prices, *(getattr(result, name) for name in cols[1:])]
+    return cols, np.stack(columns, axis=1, dtype=float)
 
 
-def _summary(result, scenario: ScenarioFile) -> dict:
+def _summary(optimum_row: dict, scenario: ScenarioFile) -> dict:
     params = scenario.params
     if scenario.kind == "retail":
         n1, n2 = params.n1, params.n2
     else:
         n1 = params.mc_draws if scenario.kind == "pension" else params.n_draws
         n2 = None
-    benefits = {
-        name: float(getattr(result, name)[result.optimum_index])
-        if hasattr(result, name) else None
-        for name in ("benefit_next_year", "benefit_horizon")
-    }
     return {
-        "optimum": result.optimum,
-        "accept_prob_at_optimum": result.accept_at_optimum,
-        "expected_utility": result.optimum_utility,
-        **benefits,
+        "optimum": optimum_row["price"],
+        "accept_prob_at_optimum": optimum_row["accept_prob"],
+        "expected_utility": optimum_row["expected_utility"],
+        "benefit_next_year": optimum_row.get("benefit_next_year"),
+        "benefit_horizon": optimum_row.get("benefit_horizon"),
         "seed": scenario.seed,
         "n1": n1,
         "n2": n2,
@@ -96,43 +102,62 @@ def _summary(result, scenario: ScenarioFile) -> dict:
     }
 
 
-def _metadata_line(scenario: ScenarioFile, summary: dict) -> str:
-    return (
-        f"# araprice {__version__} kind={scenario.kind} seed={scenario.seed} "
-        f"n1={summary['n1']} n2={summary['n2']}"
-    )
-
-
-def _check_finite(cols, rows, summary: dict) -> None:
-    """Raise FloatingPointError on a non-finite curve or summary value."""
-    for row in rows:
-        for col, value in zip(cols, row):
-            if not np.isfinite(value):
-                raise FloatingPointError(f"{col} is {value} at price {row[0]}")
-    for key, value in summary.items():
-        if isinstance(value, float) and not np.isfinite(value):
-            raise FloatingPointError(f"summary {key} is {value}")
+def _check_finite(cols, table: np.ndarray) -> None:
+    """Raise FloatingPointError naming the first non-finite cell, row by row."""
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = divmod(int(np.argmin(finite)), len(cols))
+        values = table[row].tolist()
+        raise FloatingPointError(f"{cols[col]} is {values[col]} at price {values[0]}")
 
 
 def _render_outputs(result, scenario: ScenarioFile, out_base: Path) -> dict:
-    """Output path -> file text; raises before any file exists when a value
-    is not finite."""
-    cols, rows = _curve_table(result)
-    summary = _summary(result, scenario)
-    _check_finite(cols, rows, summary)
+    """Output path -> its text in pieces, CSV rows formatted as they are
+    written; raises before any file exists when a value is not finite."""
+    cols, table = _curve_table(result)
+    _check_finite(cols, table)
+    summary = _summary(dict(zip(cols, table[result.optimum_index].tolist())), scenario)
     if scenario.format == "csv":
-        lines = [_metadata_line(scenario, summary), ",".join(cols)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        head = (
+            f"# araprice {__version__} kind={scenario.kind} seed={scenario.seed} "
+            f"n1={summary['n1']} n2={summary['n2']}\n{','.join(cols)}\n"
+        )
         return {
-            out_base.with_suffix(".csv"): "\n".join(lines) + "\n",
-            out_base.with_suffix(".summary.json"): _dumps(summary),
+            out_base.with_suffix(".csv"): _csv_text(head, table),
+            out_base.with_suffix(".summary.json"): [_dumps(summary)],
         }
-    payload = {"summary": summary, "curve": {"columns": list(cols), "rows": rows}}
-    return {out_base.with_suffix(".json"): _dumps(payload)}
+    payload = {"summary": summary, "curve": {"columns": list(cols), "rows": table.tolist()}}
+    return {out_base.with_suffix(".json"): [_dumps(payload)]}
+
+
+def _csv_text(head: str, table: np.ndarray):
+    """``head``, then the CSV lines of ``table``, one row block at a time."""
+    yield head
+    rows = BLOCK_ELEMENTS // table.shape[1]
+    for start in range(0, len(table), rows):
+        block = table[start:start + rows].tolist()
+        yield "".join(",".join(map(repr, row)) + "\n" for row in block)
 
 
 def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+def _out_base(name: str) -> Path:
+    """The output path base ``name``; its last component must be a file name."""
+    if not _names_a_file(name):
+        raise OutputError(f"cannot write {name}: not a file name")
+    return Path(name)
+
+
+def _write(outputs: dict) -> None:
+    """Write each path's text pieces in order."""
+    for path, pieces in outputs.items():
+        try:
+            with path.open("w") as out:
+                out.writelines(pieces)
+        except OSError as exc:
+            raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _run_template(params: TemplateScenario, rng: RngStream) -> EvaluationCurve:
@@ -168,10 +193,8 @@ def cmd_run(args) -> int:
     scenario = parse_scenario(args.scenario)
     seed = args.seed if args.seed is not None else scenario.seed
     scenario = dataclasses.replace(scenario, seed=seed)
-    out_base = Path(
-        args.out
-        or scenario.output
-        or Path(args.scenario).with_suffix("").name + "_result"
+    out_base = _out_base(
+        args.out or scenario.output or Path(args.scenario).with_suffix("").name + "_result"
     )
     started = time.perf_counter()
     try:  # no numpy warnings: _check_finite reports a non-finite value
@@ -182,8 +205,7 @@ def cmd_run(args) -> int:
     except (FloatingPointError, ValueError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 5
-    for path, text in outputs.items():
-        path.write_text(text)
+    _write(outputs)
     print(
         f"optimum={result.optimum} accept={result.accept_at_optimum:.4f} "
         f"expected_utility={result.optimum_utility:.6g} seed={seed} "
@@ -220,22 +242,21 @@ def cmd_compare(args) -> int:
     scenario = parse_scenario(args.scenario)
     check_compare_budget(scenario)
     seed = args.seed if args.seed is not None else scenario.seed
+    out_base = _out_base(args.out or Path(args.scenario).with_suffix("").name)
     try:  # no numpy warnings: _check_finite reports a non-finite value
         with np.errstate(all="ignore"):
             result = _run_engine(scenario, seed)
-            prices, estimates, std_errs, oracle = _oracle_values(scenario, result, seed)
+            columns = _oracle_values(scenario, result, seed)
             _check_finite(
                 ("price", "estimate", "std_err", "oracle"),
-                zip(prices, estimates, std_errs, oracle),
-                {},
+                np.stack(columns, axis=1, dtype=float),
             )
     except (FloatingPointError, ValueError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 5
-    report = compare(prices, estimates, std_errs, oracle, z_threshold=args.z)
-    out_base = Path(args.out or Path(args.scenario).with_suffix("").name)
+    report = compare(*columns, z_threshold=args.z)
     report_path = out_base.with_suffix(".oracle.json")
-    report_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    _write({report_path: [json.dumps(report.to_dict(), indent=2) + "\n"]})
     status = "PASS" if report.passed else "FAIL"
     print(
         f"{status}: max |z| = {report.max_abs_z:.3f} "
@@ -254,6 +275,28 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _seed_arg(text: str) -> int:
+    """A ``--seed``: an integer in [0, 2**64), as a scenario file's seed."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {text!r}")
+    return seed
+
+
+def _z_arg(text: str) -> float:
+    """A ``--z`` threshold: a finite number above 0."""
+    try:
+        z = float(text)
+    except ValueError:
+        z = math.nan
+    if not 0 < z < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+    return z
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="price",
@@ -266,14 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a scenario and write curve + summary")
     run.add_argument("scenario", help="path to a scenario JSON file")
-    run.add_argument("--seed", type=int, default=None, help="override the file seed")
+    run.add_argument("--seed", type=_seed_arg, default=None, help="override the file seed")
     run.add_argument("--out", default=None, help="output path base")
     run.set_defaults(fn=cmd_run)
 
     cmp_ = sub.add_parser("compare", help="run and z-test against the exact oracle")
     cmp_.add_argument("scenario")
-    cmp_.add_argument("--z", type=float, default=3.0, help="|z| pass threshold")
-    cmp_.add_argument("--seed", type=int, default=None)
+    cmp_.add_argument("--z", type=_z_arg, default=3.0, help="|z| pass threshold")
+    cmp_.add_argument("--seed", type=_seed_arg, default=None)
     cmp_.add_argument("--out", default=None)
     cmp_.set_defaults(fn=cmd_compare)
     for command in (run, cmp_):

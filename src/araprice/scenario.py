@@ -13,6 +13,7 @@ and then every domain invariant, reporting all violations with field paths.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -182,6 +183,20 @@ def _seed(value, path, problems, invariants):
     return None
 
 
+def _names_a_file(base: str) -> bool:
+    """Whether the output path base ``base`` ends in a file name: its last
+    component is not empty, ``.`` or ``..``."""
+    return os.path.basename(base) not in ("", ".", "..")
+
+
+def _output(value, path, problems, invariants):
+    value = _string(value, path, problems, invariants)
+    if value is None or _names_a_file(value):
+        return value
+    problems.append(f"{path}: {value!r} does not end in a file name")
+    return None
+
+
 def _read_object(value, fields: dict, path: str, problems: list, invariants: list):
     """The keys of the JSON object ``value``, each read by its reader in
     ``fields``; None if ``value`` is not an object.  A missing required
@@ -295,7 +310,7 @@ _TOP = {
     "kind": (_one_of(KINDS), True),
     "params": (_object, True),  # read by the table of its kind
     "seed": (_seed, True),
-    "output": (_string, False),
+    "output": (_output, False),
     "format": (_one_of(FORMATS), False),
 }
 

@@ -17,8 +17,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import araprice
+from araprice import cli
+from araprice._parallel import BLOCK_ELEMENTS
 from araprice.cli import main
-from araprice.pension import MAX_HORIZON, PensionScenario
+from araprice.core import EvaluationCurve
+from araprice.pension import MAX_HORIZON, OfferEvaluation, PensionScenario
 from araprice.retail import RetailScenario
 from araprice.scenario import (
     WORK_BUDGET,
@@ -543,11 +546,11 @@ class TestCli:
         assert list(tmp_path.iterdir()) == [src]
 
     @staticmethod
-    def _price_in_fresh_process(*argv):
+    def _price_in_fresh_process(*argv, cwd=None):
         env = dict(os.environ, PYTHONPATH=str(Path(araprice.__file__).parents[1]))
         return subprocess.run(
             [sys.executable, "-m", "araprice.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=env, timeout=120, cwd=cwd,
         )
 
     @pytest.mark.parametrize("command", ["run", "compare"])
@@ -673,3 +676,171 @@ class TestCli:
         payload = json.loads(out.with_suffix(".json").read_text())
         assert payload["summary"]["optimum"] == 29.5
         assert payload["curve"]["columns"] == RETAIL_HEADER.split(",")
+
+
+def _reference_outputs(result, scenario, out_base):
+    """The per-value renderer ``price run`` had before its table renderer:
+    ``repr(float(v))`` for each cell of a list of lists, and a summary read
+    from the result's own columns."""
+    cols = (
+        PENSION_HEADER if isinstance(result, OfferEvaluation) else RETAIL_HEADER
+    ).split(",")
+    columns = [result.prices, *(getattr(result, name) for name in cols[1:])]
+    rows = [[float(v) for v in row] for row in zip(*columns)]
+    params = scenario.params
+    n1, n2 = (params.n1, params.n2) if scenario.kind == "retail" else (params.mc_draws, None)
+    summary = {
+        "optimum": result.optimum,
+        "accept_prob_at_optimum": result.accept_at_optimum,
+        "expected_utility": result.optimum_utility,
+        **{
+            name: float(getattr(result, name)[result.optimum_index])
+            if hasattr(result, name) else None
+            for name in ("benefit_next_year", "benefit_horizon")
+        },
+        "seed": scenario.seed,
+        "n1": n1,
+        "n2": n2,
+        "wall_ms": None,
+        "engine_version": araprice.__version__,
+    }
+
+    def dumps(obj):
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+    if scenario.format == "csv":
+        lines = [
+            f"# araprice {araprice.__version__} kind={scenario.kind} "
+            f"seed={scenario.seed} n1={n1} n2={n2}",
+            ",".join(cols),
+        ]
+        lines += [",".join(repr(float(v)) for v in row) for row in rows]
+        return {
+            out_base.with_suffix(".csv"): "\n".join(lines) + "\n",
+            out_base.with_suffix(".summary.json"): dumps(summary),
+        }
+    payload = {"summary": summary, "curve": {"columns": cols, "rows": rows}}
+    return {out_base.with_suffix(".json"): dumps(payload)}
+
+
+# values whose repr is easy to get wrong: a signed zero, the smallest
+# subnormal, exponent notation at both ends, a rounding artefact, 17 digits
+_AWKWARD_VALUES = (-0.0, 5e-324, 1e-5, 1e16, 0.1 + 0.2, 1 / 3)
+
+
+def _awkward_curve(kind: str, rows: int):
+    """A curve of ``rows`` rows whose cells cycle through the awkward values,
+    with alternating signs, in the columns of ``kind``."""
+    n_cols = 6 if kind == "pension" else 4
+    cells = np.resize(np.array(_AWKWARD_VALUES), rows * n_cols)
+    cells *= np.where(np.arange(cells.size) % 4 < 2, 1.0, -1.0)
+    columns = cells.reshape(rows, n_cols).T.copy()
+    return (OfferEvaluation if kind == "pension" else EvaluationCurve)(*columns)
+
+
+class TestOutputs:
+    """``price run`` renders every file from one float table: CSV rows one
+    row block at a time, a JSON file in one piece."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("rows", ["one", "block", "block_plus_one"])
+    @pytest.mark.parametrize(
+        "kind, case", [("retail", "retail_case1"), ("pension", "pension_case1")]
+    )
+    def test_table_renderer_matches_per_value_reference(
+        self, tmp_path, kind, case, rows, fmt
+    ):
+        n_cols = 6 if kind == "pension" else 4
+        n_rows = {"one": 1, "block": BLOCK_ELEMENTS // n_cols,
+                  "block_plus_one": BLOCK_ELEMENTS // n_cols + 1}[rows]
+        result = _awkward_curve(kind, n_rows)
+        scenario = dataclasses.replace(parse_scenario(bundled_case(case)), format=fmt)
+        out_base = tmp_path / "out"
+        outputs = cli._render_outputs(result, scenario, out_base)
+        cli._write(outputs)
+        expected = _reference_outputs(result, scenario, out_base)
+        assert sorted(tmp_path.iterdir()) == sorted(expected)
+        for path, text in expected.items():
+            assert path.read_text() == text, path.name
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_rows=st.integers(1, 40),
+        kind=st.sampled_from(["retail", "pension"]),
+        bad=st.lists(
+            st.tuples(st.integers(0, 10**6), st.sampled_from([np.nan, np.inf, -np.inf])),
+            min_size=1, max_size=5,
+        ),
+    )
+    def test_first_non_finite_cell_is_named(self, n_rows, kind, bad):
+        cols = (PENSION_HEADER if kind == "pension" else RETAIL_HEADER).split(",")
+        table = np.stack(
+            [getattr(_awkward_curve(kind, n_rows), name) for name in ["prices", *cols[1:]]],
+            axis=1,
+        )
+        for cell, value in bad:
+            table.flat[cell % table.size] = value
+        # the message of the per-value loop that checked the list of lists
+        expected = next(
+            f"{col} is {value} at price {row[0]}"
+            for row in table.tolist()
+            for col, value in zip(cols, row)
+            if not np.isfinite(value)
+        )
+        with pytest.raises(FloatingPointError) as err:
+            cli._check_finite(cols, table)
+        assert str(err.value) == expected
+
+    @pytest.mark.parametrize(
+        "command, argv, message",
+        [
+            ("run", ["--seed", "-1"], "argument --seed: must be an integer in [0, 2**64)"),
+            ("compare", ["--seed", str(2**64)],
+             "argument --seed: must be an integer in [0, 2**64)"),
+            ("compare", ["--z", "0"], "argument --z: must be a finite number above 0"),
+            ("compare", ["--z", "nan"], "argument --z: must be a finite number above 0"),
+            *(
+                (command, ["--out", out], f"error: cannot write {out}: not a file name")
+                for command in ("run", "compare") for out in (".", "/", "..", "sub/..")
+            ),
+            *(
+                (command, ["--out", "missing/out"],
+                 f"error: cannot write missing/out.{suffix}: No such file or directory")
+                for command, suffix in (("run", "csv"), ("compare", "oracle.json"))
+            ),
+        ],
+    )
+    def test_bad_command_line_value_exits_2(self, tmp_path, command, argv, message):
+        """Each bad value exits 2 with an error line, no traceback and no
+        file; in a fresh process, as a user sees it."""
+        src = tmp_path / "case.json"
+        src.write_text(bundled_case("retail_case2").read_text())
+        proc = TestCli._price_in_fresh_process(command, src.name, *argv, cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == [src]
+
+    @pytest.mark.parametrize(
+        "output, code, message",
+        [
+            *(
+                (output, 3, f"scenario.output: {output!r} does not end in a file name")
+                for output in (".", "/", "..", "sub/", "")
+            ),
+            ("missing/out", 2, "error: cannot write missing/out.csv: No such file or directory"),
+        ],
+    )
+    def test_bad_output_field(self, tmp_path, output, code, message):
+        """A file's ``output`` that names no file is a schema violation, which
+        ``validate`` reports too; one in a missing directory cannot be written."""
+        raw = json.loads(bundled_case("retail_case2").read_text())
+        raw["output"] = output
+        src = tmp_path / "case.json"
+        src.write_text(json.dumps(raw))
+        assert main(["validate", str(src)]) == (3 if code == 3 else 0)
+        proc = TestCli._price_in_fresh_process("run", src.name, cwd=tmp_path)
+        assert proc.returncode == code, proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == [src]
