@@ -13,7 +13,6 @@ import numpy as np
 from araprice import (
     RngStream,
     acceptance_probability,
-    acceptance_probability_reduced,
     bundled_case,
     compare,
     exact_pension_acceptance,
@@ -41,18 +40,16 @@ for gap in (-3.0, -1.0, 0.0, 1.0, 3.0):
     print(f"   gap {gap:+.0f}: monte carlo {mc:.5f}   closed form {closed:.5f}")
 
 # ---------------------------------------------------------------------
-# 2. Pension acceptance: simulation vs the exchangeable-rival closed
-#    form vs the quadrature oracle, across the whole offer grid.
+# 2. Pension acceptance: simulation vs the exact oracle across the whole
+#    offer grid.  The oracle is the exchangeable-rival closed form
+#    P(rival offer < h)^n, since the customer's utility rises with the rate.
 # ---------------------------------------------------------------------
 print("\n2. pension acceptance at every offer (10,000 draws per point)")
-print("   offer   simulated   closed form   quadrature")
+print("   offer   simulated   exact")
 for i, h in enumerate(pension.offer_grid.points()):
     mc, se = acceptance_probability(float(h), pension, RngStream(7, i))
-    closed = acceptance_probability_reduced(
-        float(h), pension.competitor_offers, pension.n_competitors
-    )
     exact = exact_pension_acceptance(float(h), pension)
-    print(f"   {h:.3f}   {mc:9.4f}   {closed:11.4f}   {exact:10.4f}")
+    print(f"   {h:.3f}   {mc:9.4f}   {exact:5.4f}")
 
 # ---------------------------------------------------------------------
 # 3. Retail expected utility: Monte Carlo over a known price density vs

@@ -40,9 +40,8 @@ case1 = parse_scenario(bundled_case("pension_case1"))
 ev1 = optimize_offer(case1.params, RngStream(case1.seed))
 show("1. benchmark: one rival entity", case1.params, ev1)
 print(
-    "  closed form check: P(rival offer < 0.045) = "
-    f"{acceptance_probability_reduced(0.045, case1.params.competitor_offers, 1):.2f}"
-    f" (exact oracle {exact_pension_acceptance(0.045, case1.params):.2f})"
+    "  exact oracle: P(rival offer < 0.045) = "
+    f"{exact_pension_acceptance(0.045, case1.params):.2f}"
 )
 
 # ---------------------------------------------------------------------

@@ -5,7 +5,8 @@ or command-line error (argparse's, such as a ``--seed`` outside [0, 2**64)
 or a ``--z`` that is not a finite number above 0); 3 schema violation;
 4 invariant violation; 5 numeric failure; ``compare`` exits 1 when the
 engine and oracle disagree beyond the z threshold.  ``run`` writes a CSV
-curve one row block at a time and a JSON file in one piece.  An engine
+curve one row block at a time and a JSON file in one piece, each renamed
+into place once all are written, so exit 2 or 5 leaves no file.  An engine
 warning is written to stderr as one ``warning:`` line.  Outputs embed
 seed, draw counts and engine version, and are byte-identical across
 reruns with the same seed.  Every run uses one thread; ``--workers`` is
@@ -15,9 +16,11 @@ accepted and ignored.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -151,13 +154,24 @@ def _out_base(name: str) -> Path:
 
 
 def _write(outputs: dict) -> None:
-    """Write each path's text pieces in order."""
-    for path, pieces in outputs.items():
-        try:
-            with path.open("w") as out:
+    """Write each path's text pieces to a temporary file beside it, then
+    rename them all into place; on any error, remove every file made."""
+    made = {}
+    try:
+        for path, pieces in outputs.items():
+            made[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            with made[path].open("w") as out:
                 out.writelines(pieces)
-        except OSError as exc:
+        for path, temp in made.items():
+            os.replace(temp, path)
+            made[path] = path  # removed too if a later rename fails
+    except BaseException as exc:
+        for leftover in made.values():
+            with contextlib.suppress(OSError):
+                leftover.unlink()
+        if isinstance(exc, OSError):
             raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise
 
 
 def _run_template(params: TemplateScenario, rng: RngStream) -> EvaluationCurve:

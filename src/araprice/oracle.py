@@ -1,12 +1,13 @@
 """Deterministic reference calculations for every Monte Carlo estimator.
 
-Each engine estimate has an independent cross-check here: quadrature or
-exact enumeration instead of sampling, and scipy's Student-t instead of
-the package's own CDF path.  Nothing in this module touches an RNG, so
-oracle values are bit-stable across runs and safe to compare against.
+Each engine estimate has an independent cross-check here: quadrature,
+enumeration or a closed form instead of sampling, and scipy's Student-t
+instead of the package's own CDF path.  Nothing in this module touches an
+RNG, so oracle values are bit-stable across runs and safe to compare against.
 
 The retail, template and pension oracles take a whole grid of prices in
-one call.  Retail, template and rival-objective grids are scored by the
+one call.  Pension acceptance is a closed form that evaluates no utility.
+Retail, template and rival-objective grids are scored by the
 engine's own scorer, :func:`araprice.core.score_grid`, with the engine's
 payoffs: rows are prices, a row holds scipy's sale probability against
 each point of the rival-price density, and each row reduces with
@@ -34,7 +35,7 @@ import numpy as np
 from scipy import stats
 
 from .core import ProducerUtility, score_grid
-from .pension import PensionScenario, customer_expected_utility
+from .pension import PensionScenario, _check_offer_range, acceptance_probability_reduced
 from .randkit import CategoricalPMF, PowerPricePrior
 from .retail import RetailScenario, _payoff
 from .scenario import TemplateScenario
@@ -53,13 +54,10 @@ __all__ = [
 # 512 nodes).
 _GAUSS_RULES_KEPT = 32
 
-# Gauss-Legendre nodes over the pension customer's risk-aversion interval.
-_PENSION_RHO_NODES = 64
-
 
 @functools.lru_cache(maxsize=_GAUSS_RULES_KEPT, typed=True)
 def _gauss_legendre(lo: float, hi: float, nodes: int):
-    """Read-only Gauss-Legendre nodes and weights on [lo, hi]."""
+    """Read-only Gauss-Legendre nodes and weights on [lo, hi] (retail densities)."""
     x, w = np.polynomial.legendre.leggauss(nodes)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     rule = mid + half * x, half * w
@@ -170,36 +168,20 @@ def quadrature_competitor_objective(
 
 
 def exact_pension_acceptance(h1, scenario: PensionScenario):
-    """Exact acceptance probability for the pension problem.
-
-    The customer's risk aversion integrates out by Gauss-Legendre; rival
-    offers are independent, so for each risk-aversion node the win
-    probability against all rivals is the single-rival strict-win mass
-    raised to the rival count.  No sampling, no combinatorial blowup.
-    ``h1`` is one offer (a float comes back) or a 1-d array of offers (an
-    array comes back); the rival utility table is computed once for all
-    offers, and each offer's value has the bits of a one-offer call.
+    """Exact pension acceptance: P(rival offer < h)^n where the customer's
+    utility rises strictly with the rate
+    (:attr:`PensionScenario.utility_rises_with_rate`), at any risk aversion
+    and money unit, and 0 where it is constant.  ``h1`` is one offer (a
+    float comes back) or a 1-d array of offers (their one-offer values).
     """
     scenario.validate()
-    lo, hi = scenario.risk_aversion
-    if hi > lo:
-        rho, w = _gauss_legendre(lo, hi, _PENSION_RHO_NODES)
-        w = w / (hi - lo)
-    else:
-        rho, w = np.array([lo]), np.array([1.0])
     h = np.atleast_1d(np.asarray(h1, dtype=float))
-    offers = np.asarray(scenario.competitor_offers.values)
-    probs = np.asarray(scenario.competitor_offers.probs)
-    eu_ours = customer_expected_utility(
-        np.repeat(h[:, None], rho.size, axis=1), scenario, rho, _check_range=True
-    )  # (our offers, nodes)
-    eu_rival = customer_expected_utility(
-        offers[None, :], scenario, rho[:, None], _check_range=False
-    )  # (nodes, rival offers)
+    _check_offer_range(h, scenario)
+    offers, rises = scenario.competitor_offers, scenario.utility_rises_with_rate
     accept = np.array([
-        np.dot(w, ((eu_rival < ours[:, None]) @ probs) ** scenario.n_competitors)
-        for ours in eu_ours
-    ])  # strict rule
+        acceptance_probability_reduced(x, offers, scenario.n_competitors) if rises else 0.0
+        for x in h.tolist()
+    ])
     return float(accept[0]) if np.ndim(h1) == 0 else accept
 
 
@@ -255,13 +237,5 @@ def compare(
             z = (est - orc) / se
         else:
             z = 0.0 if abs(est - orc) <= deterministic_atol else math.inf
-        rows.append(
-            OracleRow(
-                price=float(p),
-                estimate=float(est),
-                oracle=float(orc),
-                std_err=float(se),
-                z=float(z),
-            )
-        )
+        rows.append(OracleRow(*map(float, (p, est, orc, se, z))))  # in field order
     return OracleReport(rows=tuple(rows), z_threshold=float(z_threshold))

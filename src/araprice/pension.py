@@ -7,11 +7,12 @@ fund early and pays a penalty on the accumulated bonus.  The manager
 maximizes next-year expected utility: margin on the managed capital
 times the probability the offer is accepted.
 
-Acceptance is estimated by Monte Carlo (and in closed form for
-exchangeable rivals): per draw, one customer risk-aversion realization
-is applied to every entity's product, rival offers are sampled from the
-per-score-class pmf, and our product wins only on a strictly higher
-expected utility.
+Acceptance is estimated by Monte Carlo: per draw, one customer
+risk-aversion realization is applied to every entity's product, rival
+offers are sampled from the per-score-class pmf, and our product wins
+only on a strictly higher expected utility.  In the model that is the
+closed form P(rival offer < h)^n, or 0 where utility is constant in the
+rate (``PensionScenario.utility_rises_with_rate``).
 
 The Monte Carlo count orders products by rate.  Expected utility does
 not decrease in the offered rate, so a draw's best rival product is its
@@ -116,7 +117,8 @@ class ExitProfile:
 
     @property
     def stay_prob(self) -> float:
-        return 1.0 - math.fsum(self.q_exit)
+        """Stay probability; 0, not negative, where rounding puts exit mass above 1."""
+        return max(0.0, 1.0 - math.fsum(self.q_exit))
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,7 @@ class PensionScenario:
     entities, assumed exchangeable.  Customer risk aversion is uniform on
     ``risk_aversion`` per Monte Carlo draw.  Utilities evaluate capital
     in ``money_unit`` EUR units to keep the CARA exponent well scaled;
-    results only depend on offer comparisons, which scaling preserves.
+    in the model, only the order of the rates (each at least -1) matters.
     """
 
     capital: float
@@ -160,6 +162,10 @@ class PensionScenario:
             bad.append(
                 f"penalty_fraction: must be in [0, 1], got {self.penalty_fraction}"
             )
+        for name, rate in (("offer_grid", self.offer_grid.min),
+                           ("competitor_offers", self.competitor_offers.values[0])):
+            if rate < -1.0:
+                bad.append(f"{name}: rates must be at least -1, got {rate}")
         if len(self.exit_profile.q_exit) != self.horizon - 1:
             bad.append(
                 f"exit_profile: needs {self.horizon - 1} yearly probabilities, "
@@ -190,6 +196,15 @@ class PensionScenario:
                 RuntimeWarning,
             )
         return self
+
+    @property
+    def utility_rises_with_rate(self) -> bool:
+        """Whether expected utility rises strictly with the rate, at every
+        risk aversion: payouts never fall in a rate of at least -1, and the
+        stay payout and an exit payout that keeps part of the bonus rise."""
+        exits = self.exit_profile
+        keeps_bonus = self.penalty_fraction < 1 and max(exits.q_exit, default=0.0) > 0
+        return exits.stay_prob > 0 or keeps_bonus
 
     @property
     def scaled_capital(self) -> float:
@@ -291,13 +306,8 @@ def acceptance_probability(
 def acceptance_probability_reduced(
     h1: float, offers: CategoricalPMF, n_competitors: int
 ) -> float:
-    """Closed-form acceptance for exchangeable rivals: P(offer < h1)^n.
-
-    Exact whenever all entities share the non-rate product terms and
-    every utility in the risk-aversion support is strictly increasing,
-    so offer comparisons decide the choice.  Serves as the oracle for
-    :func:`acceptance_probability`.
-    """
+    """Closed-form acceptance for exchangeable rivals, P(offer < h1)^n: exact
+    where :attr:`PensionScenario.utility_rises_with_rate` holds."""
     if n_competitors < 1:
         raise ValueError("n_competitors must be >= 1")
     return offers.prob_below(h1) ** n_competitors

@@ -1,0 +1,129 @@
+"""Metamorphic relations: two scenario files related by a transformation
+whose outputs must be related in a known way.
+
+``compare`` cannot catch a fault that the engine and its oracle share, such
+as a scorer both call or a utility both evaluate in floating point.  These
+tests check instead how the model answers a change of input that should
+change nothing, or only drop rows.
+"""
+
+import json
+
+import pytest
+
+from araprice.cli import main
+from araprice.oracle import exact_pension_acceptance
+from araprice.pension import optimize_offer
+from araprice.randkit import RngStream
+from araprice.scenario import bundled_case, parse_scenario
+
+
+def bundled(name: str) -> dict:
+    return json.loads(bundled_case(name).read_text())
+
+
+def run_outputs(raw: dict, tmp_path, tag: str) -> tuple[bytes, bytes]:
+    """The CSV and summary bytes that ``price run`` writes for ``raw``."""
+    src = tmp_path / f"{tag}.json"
+    src.write_text(json.dumps(raw))
+    assert main(["run", str(src), "--out", str(tmp_path / tag)]) == 0
+    return tuple(
+        (tmp_path / f"{tag}{suffix}").read_bytes() for suffix in (".csv", ".summary.json")
+    )
+
+
+def csv_rows(csv: bytes) -> list[bytes]:
+    """The data rows of a ``run`` CSV, after its two header lines."""
+    return csv.splitlines()[2:]
+
+
+def parsed(raw: dict, tmp_path):
+    src = tmp_path / "scenario.json"
+    src.write_text(json.dumps(raw))
+    return parse_scenario(src)
+
+
+# A change of risk aversion or money unit that keeps utility strictly rising
+# in the rate, and so keeps which offer the customer takes.  At these values
+# exp(-rho * W) falls below 1e-16 and every computed utility rounds to 1.0.
+UNDERFLOWING = {"risk_aversion": [15.0, 20.0], "money_unit": 1.0}
+
+
+class TestPensionInvariance:
+    @pytest.mark.parametrize("key", sorted(UNDERFLOWING))
+    def test_oracle_column_is_unchanged(self, tmp_path, key):
+        base = bundled("pension_case1")
+        changed = json.loads(json.dumps(base))
+        changed["params"][key] = UNDERFLOWING[key]
+        columns = []
+        for raw in (base, changed):
+            params = parsed(raw, tmp_path).params
+            columns.append(exact_pension_acceptance(params.offer_grid.points(), params))
+        assert columns[1].tobytes() == columns[0].tobytes()
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 5: the engine compares CARA utilities in floating "
+        "point; where exp underflows every offer ties and no draw is won",
+    )
+    @pytest.mark.parametrize("key", sorted(UNDERFLOWING))
+    def test_engine_acceptance_is_unchanged(self, tmp_path, key):
+        base = bundled("pension_case1")
+        changed = json.loads(json.dumps(base))
+        changed["params"][key] = UNDERFLOWING[key]
+        columns = []
+        for raw in (base, changed):
+            scenario = parsed(raw, tmp_path)
+            columns.append(optimize_offer(scenario.params, RngStream(scenario.seed)).accept_prob)
+        assert columns[1].tobytes() == columns[0].tobytes()
+
+
+def _with_zero_mass(pmf: dict, value: float) -> dict:
+    """``pmf`` with ``value`` inserted in order at probability 0."""
+    values = sorted([*pmf["values"], value])
+    probs = list(pmf["probs"])
+    probs.insert(values.index(value), 0.0)
+    return {"values": values, "probs": probs}
+
+
+class TestZeroMassOffers:
+    @pytest.mark.parametrize(
+        "case, key, values",
+        [
+            ("pension_case1", "competitor_offers", [0.0225, 0.0475]),
+            ("template_example", "competitor_prices", [19.0]),
+        ],
+    )
+    def test_run_bytes_are_unchanged(self, tmp_path, case, key, values):
+        base = bundled(case)
+        changed = json.loads(json.dumps(base))
+        for value in values:
+            changed["params"][key] = _with_zero_mass(changed["params"][key], value)
+        added = len(changed["params"][key]["values"]) - len(base["params"][key]["values"])
+        assert added == len(values)
+        assert run_outputs(changed, tmp_path, "changed") == run_outputs(base, tmp_path, "base")
+
+
+class TestGridSubset:
+    def test_template_coarser_step_keeps_every_other_row(self, tmp_path):
+        base = bundled("template_example")
+        coarse = json.loads(json.dumps(base))
+        coarse["params"]["grid"]["step"] = 1.0
+        fine_rows = csv_rows(run_outputs(base, tmp_path, "fine")[0])
+        coarse_rows = csv_rows(run_outputs(coarse, tmp_path, "coarse")[0])
+        assert len(coarse_rows) == 21 and len(fine_rows) == 41
+        assert coarse_rows == fine_rows[::2]
+
+    @pytest.mark.parametrize("case", ["retail_case1", "retail_case2"])
+    def test_retail_lower_max_price_keeps_the_first_rows(self, tmp_path, case):
+        """Only a known rival price qualifies: ``max_price`` also sets the
+        rival's prior over our price, and so the rival's forecast."""
+        base = bundled(case)
+        assert base["params"]["known_competitor_price"] is not None
+        lower = json.loads(json.dumps(base))
+        lower["params"]["max_price"] = 45.0
+        full_rows = csv_rows(run_outputs(base, tmp_path, "full")[0])
+        lower_rows = csv_rows(run_outputs(lower, tmp_path, "lower")[0])
+        assert len(full_rows) == 91 and len(lower_rows) == 81
+        assert lower_rows == full_rows[:81]

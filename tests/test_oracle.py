@@ -1,5 +1,6 @@
 """Oracle module: quadrature/enumeration twins of the Monte Carlo estimators."""
 
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -24,6 +25,7 @@ from araprice.pension import (
     ExitProfile,
     PensionScenario,
     acceptance_probability_reduced,
+    optimize_offer,
 )
 from araprice.randkit import CategoricalPMF, InverseGammaParams, RngStream
 from araprice.retail import (
@@ -279,12 +281,50 @@ class TestCompetitorQuadrature:
 
 
 class TestPensionExact:
-    def test_equals_reduced_closed_form(self):
-        scenario = pension_scenario()
-        for h in scenario.offer_grid.points():
-            exact = exact_pension_acceptance(float(h), scenario)
-            reduced = acceptance_probability_reduced(float(h), CASE1_OFFERS, 1)
-            assert exact == pytest.approx(reduced, abs=1e-12), f"h={h}"
+    """The closed form on the edges of its domain: a stay weight of 0, with
+    and without a bonus kept on early exit."""
+
+    CERTAIN_EXIT = ExitProfile((1.0,) + (0.0,) * 6)
+
+    def test_exit_mass_overshoot_accepts_no_offer(self, tmp_path):
+        """An exit mass 5e-10 above 1, which validation accepts as rounding,
+        leaves a stay weight of 0, not a negative one.  At full penalty every
+        rate then pays the same, so ``run`` accepts no offer and ``compare``
+        passes."""
+        raw = json.loads(bundled_case("pension_case1").read_text())
+        raw["params"].update(
+            penalty_fraction=1.0, exit_profile=[0.5, 0.5 + 5e-10, 0, 0, 0, 0, 0]
+        )
+        src = tmp_path / "overshoot.json"
+        src.write_text(json.dumps(raw))
+        assert math.fsum(raw["params"]["exit_profile"]) > 1.0
+        assert main(["run", str(src), "--out", str(tmp_path / "run")]) == 0
+        rows = (tmp_path / "run.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[1] for row in rows] == ["0.0"] * 10
+        assert main(["compare", str(src), "--out", str(tmp_path / "cmp")]) == 0
+        report = json.loads((tmp_path / "cmp.oracle.json").read_text())
+        assert report["passed"] and {row["oracle"] for row in report["rows"]} == {0.0}
+
+    def test_certain_exit_at_full_penalty_accepts_no_offer(self):
+        scenario = pension_scenario(penalty_fraction=1.0, exit_profile=self.CERTAIN_EXIT)
+        points = scenario.offer_grid.points()
+        zeros = [0.0] * points.size
+        assert exact_pension_acceptance(points, scenario).tolist() == zeros
+        assert optimize_offer(scenario, RngStream(1)).accept_prob.tolist() == zeros
+
+    def test_certain_exit_keeping_part_of_the_bonus_is_the_closed_form(self):
+        scenario = pension_scenario(
+            penalty_fraction=0.8, exit_profile=self.CERTAIN_EXIT, n_competitors=2
+        )
+        assert scenario.exit_profile.stay_prob == 0.0
+        points = scenario.offer_grid.points()
+        exact = exact_pension_acceptance(points, scenario)
+        assert exact.tolist() == [
+            acceptance_probability_reduced(float(h), CASE1_OFFERS, 2) for h in points
+        ]
+        assert exact[-1] == 1.0 and np.all(np.diff(exact) >= 0)
+        engine = optimize_offer(scenario, RngStream(3))
+        assert compare(points, engine.accept_prob, engine.std_err, exact).passed
 
     def test_benchmark_value(self):
         assert exact_pension_acceptance(0.045, pension_scenario()) == pytest.approx(

@@ -1,5 +1,6 @@
 """Pension engine: customer utility, acceptance, benefits, optimization."""
 
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from araprice import pension
 from araprice._parallel import BLOCK_ELEMENTS
+from araprice.cli import main
 from araprice.core import PriceGrid
 from araprice.pension import (
     ExitProfile,
@@ -22,6 +24,7 @@ from araprice.pension import (
     optimize_offer,
 )
 from araprice.randkit import CategoricalPMF, RngStream
+from araprice.scenario import bundled_case
 
 CASE1_OFFERS = CategoricalPMF(
     (0.025, 0.03, 0.035, 0.04, 0.045, 0.05, 0.055, 0.06, 0.065, 0.07),
@@ -568,3 +571,65 @@ class TestScenarioValidation:
             make_scenario(
                 exit_profile=ExitProfile((0.5, 0.4, 0.3, 0.2, 0.1, 0.1, 0.1))
             ).validate()
+
+    def test_exit_mass_overshoot_leaves_no_negative_stay_weight(self):
+        exits = ExitProfile((0.5, 0.5 + 5e-10, 0.0, 0.0, 0.0, 0.0, 0.0))
+        assert exits.violations() == []
+        assert exits.stay_prob == 0.0
+        assert EXITS.stay_prob == 1.0 - math.fsum(EXITS.q_exit)
+
+    @pytest.mark.parametrize(
+        "field, params",
+        [
+            ("offer_grid", {"offer_grid": {"min": -1.9, "max": -1.0, "step": 0.1}}),
+            ("competitor_offers", {"competitor_offers": {
+                "values": [-1.5, 0.05], "probs": [0.5, 0.5]}}),
+        ],
+    )
+    def test_rate_below_minus_one_exits_4(self, tmp_path, capsys, field, params):
+        """Below -1 a payout no longer rises with the rate, so such a rate is
+        refused by name; -1 itself is accepted."""
+        raw = json.loads(bundled_case("pension_case1").read_text())
+        raw["params"].update(horizon=2, exit_profile=[0.1], **params)
+        src = tmp_path / "case.json"
+        src.write_text(json.dumps(raw))
+        out = ["--out", str(tmp_path / "out")]
+        for argv in (["validate", str(src)], ["run", str(src), *out], ["compare", str(src), *out]):
+            assert main(argv) == 4
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: params.{field}: rates must be at least -1, got -1.")
+        assert list(tmp_path.iterdir()) == [src]
+        low = raw["params"][field]
+        if field == "offer_grid":
+            low["min"] = -1.0
+        else:
+            low["values"][0] = -1.0
+        src.write_text(json.dumps(raw))
+        assert main(["validate", str(src)]) == 0
+
+
+class TestUtilityRisesWithRate:
+    """The one predicate the oracle reads, against the utility kernel."""
+
+    CERTAIN_EXIT = (1.0,) + (0.0,) * 6
+
+    @pytest.mark.parametrize(
+        "exits, penalty, rises",
+        [
+            (EXITS.q_exit, 0.8, True),
+            (EXITS.q_exit, 1.0, True),  # staying still rises
+            ((0.0,) * 7, 1.0, True),  # certain stay
+            (CERTAIN_EXIT, 0.8, True),  # the exit keeps part of the bonus
+            (CERTAIN_EXIT, 0.0, True),
+            (CERTAIN_EXIT, 1.0, False),  # every rate pays the capital back
+            ((0.5, 0.5 + 5e-10, 0.0, 0.0, 0.0, 0.0, 0.0), 1.0, False),
+        ],
+    )
+    def test_predicate_matches_the_utility_kernel(self, exits, penalty, rises):
+        scenario = make_scenario(exit_profile=ExitProfile(exits), penalty_fraction=penalty)
+        assert scenario.utility_rises_with_rate is rises
+        grid = scenario.offer_grid.points()
+        for rho in (0.85, 0.95):
+            steps = np.diff(customer_expected_utility(grid, scenario, np.full(grid.size, rho)))
+            assert np.all(steps > 0) if rises else np.all(steps == 0)
+

@@ -844,3 +844,36 @@ class TestOutputs:
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
         assert list(tmp_path.iterdir()) == [src]
+
+    def test_write_that_fails_on_a_later_file_leaves_no_file(self, tmp_path):
+        """With a directory where the summary goes, ``run`` exits 2 with one
+        error line and writes no CSV either; no temporary is left."""
+        (tmp_path / "out.summary.json").mkdir()
+        src = tmp_path / "retail_case2.json"
+        src.write_text(bundled_case("retail_case2").read_text())
+        proc = TestCli._price_in_fresh_process("run", src.name, "--out", "out", cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "error: cannot write out.summary.json: Is a directory\n"
+        assert {p.name for p in tmp_path.iterdir()} == {src.name, "out.summary.json"}
+        assert list((tmp_path / "out.summary.json").iterdir()) == []
+
+    def test_write_that_fails_mid_file_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        """A CSV that fails half written (a full disk) leaves neither its
+        temporary nor any other file, and an earlier output stays whole."""
+        src = tmp_path / "case.json"
+        src.write_text(bundled_case("retail_case2").read_text())
+        out = ["--out", str(tmp_path / "out")]
+        assert main(["run", str(src), *out]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real = cli._csv_text
+
+        def disk_full(head, table):
+            pieces = real(head, table)
+            yield next(pieces)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "_csv_text", disk_full)
+        assert main(["run", str(src), "--seed", "7", *out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {tmp_path / 'out.csv'}: No space left on device\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
