@@ -8,8 +8,9 @@ maximizes next-year expected utility: margin on the managed capital
 times the probability the offer is accepted.
 
 Acceptance is estimated by Monte Carlo: per draw, one customer
-risk-aversion realization is applied to every entity's product, rival
-offers are sampled from the per-score-class pmf, and our product wins
+risk-aversion realization is applied to every entity's product, the
+highest of the n rival offers is sampled from its own pmf (the
+per-score-class cdf F raised to the n-th power), and our product wins
 only on a strictly higher expected utility.  In the model that is the
 closed form P(rival offer < h)^n, or 0 where utility is constant in the
 rate (``PensionScenario.utility_rises_with_rate``).
@@ -26,10 +27,10 @@ constant or underflow) are compared utility by utility, on the draws
 whose highest rival offer they concern.
 
 Draws are made and counted in fixed-size row blocks
-(``_parallel.map_blocks``): each draw keeps only its highest rival
-offer, looked up from its highest uniform, and the utility comparisons
-add up integer win counts block by block.  Memory does not grow with
-draws x rivals, and no utility temporary grows with the draw count.
+(``_parallel.map_blocks``): each draw takes one uniform, looked up in
+F^n, for its highest rival offer, and the utility comparisons add up
+integer win counts block by block.  Neither work nor memory grows with
+the rival count, and no utility temporary grows with the draw count.
 
 The utility kernel evaluates one exit year at a time over arrays of the
 broadcast shape of offers and risk aversions, and its callers put the
@@ -40,7 +41,6 @@ the stay term.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -290,9 +290,9 @@ def acceptance_probability(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of P(customer takes our offer ``h1``).
 
-    Per draw: one risk-aversion realization for the customer, one offer
-    per rival; we win only if our product's expected utility strictly
-    exceeds every rival's.  Equal offers therefore never count as wins,
+    Per draw: one risk-aversion realization for the customer and the
+    highest of the rivals' offers; we win only if our product's expected
+    utility strictly exceeds every rival's.  Equal offers therefore never count as wins,
     which is what makes the estimate agree with the closed form for
     exchangeable rivals.  Returns (estimate, standard error).
     """
@@ -390,26 +390,24 @@ def _draw_customers(scenario: PensionScenario, rng: RngStream):
     """Per draw: the customer's risk aversion and the highest of the rivals'
     offer indices, narrowed to one or two bytes (less memory, radix-sortable).
 
-    The indices are bit for bit the row maxima of ``gen.choice(n_offers,
-    size=(draws, n_competitors), p=probs)``, from the same stream: that
-    call looks its uniforms ``gen.random((draws, n_competitors))`` up in the
-    normalized cdf with ``searchsorted(side="right")``.  The lookup is
-    monotone, so a draw's highest index is the lookup of its highest
-    uniform.  The uniforms are drawn in row blocks, in order.
+    The highest of n iid indices with cdf F has cdf F^n (David and
+    Nagaraja, Order Statistics, 2003), so one uniform per draw, looked up
+    in F^n with ``searchsorted(side="right")``, draws it.  At one rival
+    that is ``gen.choice(n_offers, size=draws, p=probs)`` bit for bit,
+    from the same stream.  The uniforms are drawn in row blocks, in order.
     """
     gen = rng.generator
-    draws, rivals = scenario.mc_draws, scenario.n_competitors
+    draws = scenario.mc_draws
     rho = gen.uniform(scenario.risk_aversion[0], scenario.risk_aversion[1], draws)
     cdf = np.cumsum(np.asarray(scenario.competitor_offers.probs, dtype=float))
     cdf /= cdf[-1]
+    top_cdf = cdf ** scenario.n_competitors  # ends at 1 exactly
 
     def _lookup(rows: slice) -> np.ndarray:
-        u = gen.random((rows.stop - rows.start, rivals))
-        # u.max(axis=1), without its per-row cost at few rivals
-        return _cdf_index(cdf, functools.reduce(np.maximum, u.T))
+        return _cdf_index(top_cdf, gen.random(rows.stop - rows.start))
 
     # the blocks draw from the stream, so they must run in order
-    top = np.concatenate(map_blocks(_lookup, draws, rivals))
+    top = np.concatenate(map_blocks(_lookup, draws, 1))
     return rho, top.astype(np.min_scalar_type(cdf.size - 1))
 
 

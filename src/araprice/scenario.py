@@ -45,14 +45,15 @@ FORMATS = ("csv", "json")
 _FLOAT_MAX = sys.float_info.max
 
 # Most elements (2^25) that one command may evaluate for a scenario: grid
-# points x draws, draws x rivals, pension utility terms.  Counted before
-# the engine runs.  The grid scorers and the rival forecast work in row
-# blocks, so none holds a grid x draws array whole; held whole are draw
-# samples, the forecast's n1 x n2 uniforms and the pension offer grid x
-# offers x horizon tie matrix, which its own entry bounds.  An overrun is
-# an invariant violation (exit 4).  ``compare`` is also held to its refined
-# forecast and the template oracle's grid x competitor-price win table,
-# which ``run`` and ``validate`` never build.
+# points x draws, pension draws (one top rival offer each, at any rival
+# count), pension utility terms.  Counted before the engine runs.  The
+# grid scorers and the rival forecast work in row blocks, so none holds a
+# grid x draws array whole; held whole are draw samples, the forecast's
+# n1 x n2 uniforms and the pension offer grid x offers x horizon tie
+# matrix, which its own entry bounds.  An overrun is an invariant
+# violation (exit 4).  ``compare`` is also held to its refined forecast
+# and the template oracle's grid x competitor-price win table, which
+# ``run`` and ``validate`` never build.
 WORK_BUDGET = 1 << 25
 
 
@@ -335,7 +336,7 @@ def _work_problems(kind: str, params, compare: bool) -> list[str]:
                 params.offer_grid.count()
                 * len(params.competitor_offers.values) * params.horizon
             ),
-            "mc_draws x n_competitors": float(params.mc_draws) * params.n_competitors,
+            "mc_draws": float(params.mc_draws),
         }
         if not compare and max(counts.values()) <= WORK_BUDGET:
             counts["pension utility terms"] = utility_evaluations(params)

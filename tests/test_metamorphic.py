@@ -8,9 +8,16 @@ change nothing, or only drop rows.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import stats
 
+import araprice
 from araprice.cli import main
 from araprice.oracle import exact_pension_acceptance
 from araprice.pension import optimize_offer
@@ -127,3 +134,53 @@ class TestGridSubset:
         lower_rows = csv_rows(run_outputs(lower, tmp_path, "lower")[0])
         assert len(full_rows) == 91 and len(lower_rows) == 81
         assert lower_rows == full_rows[:81]
+
+
+PENSION_CASES = [
+    "pension_case1", "pension_case2_low", "pension_case2_high",
+    "pension_case3_n2", "pension_case3_n5", "pension_case3_n10",
+]
+
+
+def accept_column(csv: bytes) -> np.ndarray:
+    """The ``accept_prob`` column of a pension ``run`` CSV."""
+    return np.array([float(row.split(b",")[1]) for row in csv_rows(csv)])
+
+
+class TestSeeds:
+    def test_same_seed_in_a_fresh_process_gives_the_same_bytes(self, tmp_path):
+        raw = bundled("pension_case3_n10")
+        here = run_outputs(raw, tmp_path, "here")
+        env = dict(os.environ, PYTHONPATH=str(Path(araprice.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "araprice.cli", "run", str(tmp_path / "here.json"),
+             "--out", str(tmp_path / "fresh")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        fresh = tuple(
+            (tmp_path / f"fresh{suffix}").read_bytes() for suffix in (".csv", ".summary.json")
+        )
+        assert fresh == here
+
+    @pytest.mark.parametrize("case", PENSION_CASES)
+    def test_two_seeds_agree_in_acceptance(self, tmp_path, case):
+        """Per grid rate, a pooled two-sample z-test of the acceptance
+        shares at two seeds, each over ``mc_draws`` draws; the Bonferroni
+        bound holds the family error over the grid to 1e-3.  A rate with
+        pooled share 0 or 1 must read the same at both seeds."""
+        raw = bundled(case)
+        other = json.loads(json.dumps(raw))
+        other["seed"] = raw["seed"] + 1
+        a = accept_column(run_outputs(raw, tmp_path, "a")[0])
+        b = accept_column(run_outputs(other, tmp_path, "b")[0])
+        assert a.size == b.size > 0
+        draws = raw["params"]["mc_draws"]
+        pooled = (a + b) / 2
+        se = np.sqrt(pooled * (1 - pooled) * 2 / draws)
+        degenerate = se == 0
+        assert not degenerate.all() and not np.array_equal(a, b)  # the seeds draw apart
+        assert np.array_equal(a[degenerate], b[degenerate])
+        z = np.abs(a - b)[~degenerate] / se[~degenerate]
+        limit = stats.norm.isf(1e-3 / (2 * a.size))
+        assert np.all(z <= limit), (z.max(), limit)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from araprice import pension
 from araprice._parallel import BLOCK_ELEMENTS
@@ -310,12 +311,13 @@ class TestOptimizeOffer:
 
 
 def choice_draws(scenario, seed):
-    """The engine's draws made with numpy's own ``Generator.choice``."""
+    """The engine's draws for one rival made with numpy's own
+    ``Generator.choice``."""
     gen = RngStream(seed).generator
     rho = gen.uniform(scenario.risk_aversion[0], scenario.risk_aversion[1], scenario.mc_draws)
     idx = gen.choice(
         len(scenario.competitor_offers.values),
-        size=(scenario.mc_draws, scenario.n_competitors),
+        size=scenario.mc_draws,
         p=scenario.competitor_offers.probs,
     )
     return rho, idx, gen
@@ -323,14 +325,14 @@ def choice_draws(scenario, seed):
 
 def full_table_wins(points, scenario, seed):
     """Wins per rate from full utility tables in one array each, on the
-    draws of ``seed`` made by ``Generator.choice``."""
+    engine's own draws of ``seed``: each draw's top rival offer."""
     points = np.asarray(points)
-    rho, idx, _ = choice_draws(scenario, seed)
+    rho, top = pension._draw_customers(scenario, RngStream(seed))
     offers = np.asarray(scenario.competitor_offers.values)
     eu_table = in_order_eu(offers[None, :], scenario, rho[:, None])
-    eu_rival_max = np.take_along_axis(eu_table, idx, axis=1).max(axis=1)
+    eu_top = np.take_along_axis(eu_table, top[:, None].astype(np.intp), axis=1)
     eu_ours = in_order_eu(points[None, :], scenario, rho[:, None])
-    return (eu_ours > eu_rival_max[:, None]).sum(axis=0)
+    return (eu_ours > eu_top).sum(axis=0)
 
 
 @st.composite
@@ -394,6 +396,23 @@ class TestRateOrderCount:
         p, se = acceptance_probability(h1, scenario, RngStream(seed))
         expected = full_table_wins([h1], scenario, seed)[0] / scenario.mc_draws
         assert (p, se) == (expected, math.sqrt(expected * (1 - expected) / scenario.mc_draws))
+
+    @settings(max_examples=300, deadline=None)
+    @given(scenario=pension_scenarios(), seed=st.integers(0, 2**32 - 1))
+    def test_utility_does_not_decrease_in_the_rate(self, scenario, seed):
+        """So a draw's best rival is its top offer, whatever the other
+        rivals offer: every rival offer and grid rate, each with its
+        neighbouring floats, at risk aversions across the whole range."""
+        rates = np.concatenate(
+            [scenario.competitor_offers.values, scenario.offer_grid.points()]
+        )
+        rates = np.unique(
+            np.concatenate([rates, np.nextafter(rates, -1.0), np.nextafter(rates, 1.0)])
+        )
+        lo, hi = scenario.risk_aversion
+        rho = np.concatenate([[lo, hi], np.random.default_rng(seed).uniform(lo, hi, 50)])
+        eu = in_order_eu(rates[None, :], scenario, rho[:, None])  # (rho, rates)
+        assert np.all(np.diff(eu, axis=1) >= 0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -489,31 +508,90 @@ class TestBlockedDraws:
             st.lists(st.integers(0, 9), min_size=1, max_size=10)
             | st.lists(st.integers(0, 9), min_size=257, max_size=300)
         ).filter(any),
-        rivals=st.integers(1, 10),
+        rivals=st.integers(1, 10) | st.sampled_from([2**31, 2**70]),
         blocks=st.integers(0, 3),
         offset=st.integers(-1, 1),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_draws_match_generator_choice(self, probs, rivals, blocks, offset, seed):
-        """Zero-probability offers as in pension_case1, and offer indices of
-        one or two bytes; the draw count lands on, one below or one above 0
-        to 3 whole row blocks."""
-        scenario = make_scenario(
-            competitor_offers=CategoricalPMF(
-                tuple(0.02 + 0.005 * i for i in range(len(probs))),
-                tuple(w / sum(probs) for w in probs),
-            ),
-            n_competitors=rivals,
-            mc_draws=max(1, blocks * (BLOCK_ELEMENTS // rivals) + offset),
-        )
+    def test_top_is_the_lookup_of_one_uniform_in_cdf_power(
+        self, probs, rivals, blocks, offset, seed
+    ):
+        """Each draw's top offer is its own uniform looked up in F^n, and a
+        draw takes two doubles from the stream, its risk aversion and that
+        uniform.  Zero-probability offers as in pension_case1, offer indices
+        of one or two bytes, rival counts at which F^n underflows; the draw
+        count lands on, one below or one above 0 to 3 whole row blocks."""
+        draws = max(1, blocks * BLOCK_ELEMENTS + offset)
+        scenario = self._scenario(probs, rivals, draws)
+        gen_ref = RngStream(seed).generator
+        rho_ref = gen_ref.uniform(scenario.risk_aversion[0], scenario.risk_aversion[1], draws)
+        u = gen_ref.random(draws)
+        cdf = np.cumsum(scenario.competitor_offers.probs)
+        cdf /= cdf[-1]
+        expected = np.searchsorted(cdf**rivals, u, "right")
+        consumed = RngStream(seed).generator
+        consumed.random(2 * draws)
+        rng = RngStream(seed)
+        rho, top = pension._draw_customers(scenario, rng)
+        assert rho.tobytes() == rho_ref.tobytes()
+        assert top.dtype == (np.uint8 if len(probs) <= 256 else np.uint16)
+        assert np.array_equal(top, expected)
+        assert rng.generator.random() == consumed.random()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        probs=(
+            st.lists(st.integers(0, 9), min_size=1, max_size=10)
+            | st.lists(st.integers(0, 9), min_size=257, max_size=300)
+        ).filter(any),
+        blocks=st.integers(0, 3),
+        offset=st.integers(-1, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_rival_draws_match_generator_choice(self, probs, blocks, offset, seed):
+        """At one rival F^1 is F, and the draws are ``Generator.choice``'s
+        bit for bit, with the stream left where it leaves it."""
+        scenario = self._scenario(probs, 1, max(1, blocks * BLOCK_ELEMENTS + offset))
         rho_ref, idx_ref, gen_ref = choice_draws(scenario, seed)
         after = gen_ref.random()
-        expected = idx_ref.max(axis=1).astype(np.uint8 if len(probs) <= 256 else np.uint16)
+        expected = idx_ref.astype(np.uint8 if len(probs) <= 256 else np.uint16)
         rng = RngStream(seed)
         rho, top = pension._draw_customers(scenario, rng)
         assert rho.tobytes() == rho_ref.tobytes()
         assert top.dtype == expected.dtype and top.tobytes() == expected.tobytes()
         assert rng.generator.random() == after
+
+    def test_top_frequencies_fit_the_order_statistic_pmf(self):
+        """Per rival count n in {2, 5, 10} and offer k, the count of draws
+        whose top offer is k against Binomial(draws, F(k)^n - F(k-1)^n),
+        two-sided exact tests with a Bonferroni bound on the family error
+        of 1e-3."""
+        draws, family_alpha = 200_000, 1e-3
+        probs = CASE1_OFFERS.probs
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        tests = []
+        for rivals in (2, 5, 10):
+            scenario = self._scenario(probs, rivals, draws)
+            _, top = pension._draw_customers(scenario, RngStream(11))
+            counts = np.bincount(top, minlength=len(probs))
+            cell = np.diff(cdf**rivals, prepend=0.0)
+            tests += [(rivals, k, int(c), float(p)) for k, (c, p) in enumerate(zip(counts, cell))]
+        alpha = family_alpha / len(tests)
+        for rivals, k, count, p in tests:
+            pvalue = stats.binomtest(count, draws, p).pvalue
+            assert pvalue > alpha, (rivals, k, count, draws * p)
+
+    @staticmethod
+    def _scenario(probs, rivals, draws):
+        return make_scenario(
+            competitor_offers=CategoricalPMF(
+                tuple(0.02 + 0.005 * i for i in range(len(probs))),
+                tuple(w / sum(probs) for w in probs),
+            ),
+            n_competitors=rivals,
+            mc_draws=draws,
+        )
 
     @pytest.mark.parametrize("size", [1, 2, 10, 32, 33, 60])
     def test_cdf_index_is_searchsorted_right(self, size):

@@ -21,6 +21,7 @@ from araprice import cli
 from araprice._parallel import BLOCK_ELEMENTS
 from araprice.cli import main
 from araprice.core import EvaluationCurve
+from araprice.oracle import exact_pension_acceptance
 from araprice.pension import MAX_HORIZON, OfferEvaluation, PensionScenario
 from araprice.retail import RetailScenario
 from araprice.scenario import (
@@ -273,7 +274,7 @@ class TestCli:
              "params: offer_grid x competitor offers x horizon is 3.6e+13"),
             ("retail_case3", ("n1",), 10**9, "params: price grid x n1 is 9.1e+10"),
             ("pension_case1", ("mc_draws",), 10**12,
-             "params: mc_draws x n_competitors is 1e+12"),
+             "params: mc_draws is 1e+12"),
         ],
         ids=["offer_grid_step_1e-13", "n1_1e9", "mc_draws_1e12"],
     )
@@ -303,19 +304,19 @@ class TestCli:
         "case, key, per_unit, message",
         [
             ("template_example", "n_draws", 41, "grid x n_draws"),
-            ("pension_case1", "mc_draws", 1, "mc_draws x n_competitors"),
+            ("pension_case1", "mc_draws", 1, "params: mc_draws is"),
             ("pension_case1", "mc_draws", 16, "pension utility terms"),
         ],
     )
     def test_work_budget_boundary(self, tmp_path, capsys, case, key, per_unit, message):
-        """The template's 41-point grid times n_draws; one rival times
-        mc_draws (no factor of the horizon: no array holds draws x years),
-        with the grid rates between the rival offers, so no utility is
-        evaluated; and pension_case1's utility terms, 8 years x 2 rates
+        """The template's 41-point grid times n_draws; mc_draws, one top
+        rival offer per draw (no factor of the horizon: no array holds
+        draws x years), with the grid rates between the rival offers, so
+        no utility is evaluated; and pension_case1's utility terms, 8 years x 2 rates
         (a top offer and the grid rate tied with it) per draw.  On and one
         past the budget; validate only, so nothing of that size runs."""
         raw = json.loads(bundled_case(case).read_text())
-        if message == "mc_draws x n_competitors":
+        if message == "params: mc_draws is":
             raw["params"]["offer_grid"] = {"min": 0.0275, "max": 0.0675, "step": 0.005}
         edge = tmp_path / "edge.json"
         for count, code in ((WORK_BUDGET // per_unit, 0), (WORK_BUDGET // per_unit + 1, 4)):
@@ -323,6 +324,25 @@ class TestCli:
             edge.write_text(json.dumps(raw))
             assert main(["validate", str(edge)]) == code
         assert message in capsys.readouterr().err
+
+    def test_rival_count_is_outside_the_budget(self, tmp_path):
+        """2^70 rivals: each draw takes one uniform for its top offer, so
+        the budget counts draws alone and the file runs, and the
+        acceptance column is the closed form's, 0 below the highest
+        offer of positive mass and 1 above it."""
+        raw = json.loads(bundled_case("pension_case1").read_text())
+        raw["params"]["n_competitors"] = 2**70
+        src = tmp_path / "crowded.json"
+        src.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", str(src), "--out", str(out)]) == 0
+        rows = out.with_suffix(".csv").read_text().splitlines()[2:]
+        table = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert np.isfinite(table).all()
+        params = parse_scenario(src).params
+        exact = exact_pension_acceptance(params.offer_grid.points(), params)
+        assert table[:, 1].tobytes() == exact.tobytes()
+        assert exact.min() == 0.0 and exact.max() == 1.0
 
     @pytest.mark.parametrize("command", ["validate", "run", "compare"])
     def test_pension_utility_work_over_budget_exits_4(
