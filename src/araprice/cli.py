@@ -43,7 +43,7 @@ from .oracle import (
     exact_template_utility,
     quadrature_retail_utility,
 )
-from .pension import OfferEvaluation, optimize_offer
+from .pension import optimize_offer
 from .randkit import CategoricalPMF, RngStream
 from .retail import (
     REFINED_FORECAST_FACTOR,
@@ -52,6 +52,7 @@ from .retail import (
     sample_competitor_prices,
 )
 from .scenario import (
+    OUTPUT_COLUMNS,
     ScenarioError,
     ScenarioFile,
     TemplateScenario,
@@ -60,26 +61,15 @@ from .scenario import (
     parse_scenario,
 )
 
-RETAIL_COLUMNS = ("price", "accept_prob", "expected_utility", "std_err")
-PENSION_COLUMNS = (
-    "price",
-    "accept_prob",
-    "expected_utility",
-    "benefit_next_year",
-    "benefit_horizon",
-    "std_err",
-)
-
-
 class OutputError(ScenarioError):
     """An output file that cannot be written."""
 
     exit_code = 2
 
 
-def _curve_table(result) -> tuple[tuple, np.ndarray]:
+def _curve_table(result, kind: str) -> tuple[tuple, np.ndarray]:
     """The output columns and one float64 (rows x columns) table of them."""
-    cols = PENSION_COLUMNS if isinstance(result, OfferEvaluation) else RETAIL_COLUMNS
+    cols = OUTPUT_COLUMNS[kind]
     columns = [result.prices, *(getattr(result, name) for name in cols[1:])]
     return cols, np.stack(columns, axis=1, dtype=float)
 
@@ -117,7 +107,7 @@ def _check_finite(cols, table: np.ndarray) -> None:
 def _render_outputs(result, scenario: ScenarioFile, out_base: Path) -> dict:
     """Output path -> its text in pieces, CSV rows formatted as they are
     written; raises before any file exists when a value is not finite."""
-    cols, table = _curve_table(result)
+    cols, table = _curve_table(result, scenario.kind)
     _check_finite(cols, table)
     summary = _summary(dict(zip(cols, table[result.optimum_index].tolist())), scenario)
     if scenario.format == "csv":

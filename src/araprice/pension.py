@@ -9,9 +9,9 @@ times the probability the offer is accepted.
 
 Acceptance is estimated by Monte Carlo: per draw, one customer
 risk-aversion realization is applied to every entity's product, the
-highest of the n rival offers is sampled from its own pmf (the
-per-score-class cdf F raised to the n-th power), and our product wins
-only on a strictly higher expected utility.  In the model that is the
+highest of the n rival offers follows its own pmf (the per-score-class
+cdf F raised to the n-th power), and our product wins only on a
+strictly higher expected utility.  In the model that is the
 closed form P(rival offer < h)^n, or 0 where utility is constant in the
 rate (``PensionScenario.utility_rises_with_rate``).
 
@@ -26,11 +26,13 @@ a grid rate equal to a rival offer, or every pair when utilities are
 constant or underflow) are compared utility by utility, on the draws
 whose highest rival offer they concern.
 
-Draws are made and counted in fixed-size row blocks
-(``_parallel.map_blocks``): each draw takes one uniform, looked up in
-F^n, for its highest rival offer, and the utility comparisons add up
-integer win counts block by block.  Neither work nor memory grows with
-the rival count, and no utility temporary grows with the draw count.
+Only how many draws each rival offer tops, and their risk aversions,
+enter the count.  So the draw is the risk aversions and one multinomial
+of per-offer counts, and each offer's draws are a contiguous run of the
+risk aversions.  The utility comparisons add up integer win counts in
+fixed-size row blocks (``_parallel.map_blocks``).  Neither work nor
+memory grows with the rival count, and no utility temporary grows with
+the draw count.
 
 The utility kernel evaluates one exit year at a time over arrays of the
 broadcast shape of offers and risk aversions, and its callers put the
@@ -78,15 +80,6 @@ _SEPARATION_MARGIN = 1e-9
 # Longest horizon (years) a scenario may have.  Up to it the rounding bound
 # above is about 1.1e-12 per utility, three orders below the margin.
 MAX_HORIZON = 10_000
-
-# _cdf_index counts instead of binary searching for at most this many
-# offers and at least this many uniforms.  Timed on one lookup (2-vCPU VM,
-# best of 7 x 20 calls), counting took 0.16x the search time at 32 offers
-# and 131k uniforms, 0.42x at 13k and 0.48-0.82x at 4,096; at 64 offers
-# and 4,096 uniforms 0.9-1.3x, and below 4,096 uniforms its per-offer call
-# cost loses (1.9x at 10 offers and 2,048).
-_COUNTED_LOOKUP_MAX = 32
-_COUNTED_LOOKUP_MIN = 4096
 
 # The work budget charges a pass of the tie loop (one tied rival offer)
 # this many utility terms x (horizon + 1).  One-draw passes at horizon 1, 8,
@@ -370,31 +363,20 @@ class OfferEvaluation(EvaluationCurve):
         return self.prices
 
 
-def _cdf_index(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``cdf.searchsorted(u, side="right")``: how many entries of the
-    ascending ``cdf`` are <= u.
-
-    For few entries and many uniforms they are counted, one comparison
-    pass each (the count fits in uint8): at 10 entries that is 0.5 ms per
-    131k uniforms against 4.4 ms for the binary search.
-    """
-    if cdf.size > _COUNTED_LOOKUP_MAX or u.size < _COUNTED_LOOKUP_MIN:
-        return cdf.searchsorted(u, side="right")
-    count = np.zeros(u.shape, dtype=np.uint8)
-    for c in cdf:
-        count += u >= c
-    return count.astype(np.intp)
-
-
 def _draw_customers(scenario: PensionScenario, rng: RngStream):
-    """Per draw: the customer's risk aversion and the highest of the rivals'
-    offer indices, narrowed to one or two bytes (less memory, radix-sortable).
+    """The customers' risk aversions, one per draw, and per rival offer the
+    count of draws whose highest rival offer it is.
 
-    The highest of n iid indices with cdf F has cdf F^n (David and
-    Nagaraja, Order Statistics, 2003), so one uniform per draw, looked up
-    in F^n with ``searchsorted(side="right")``, draws it.  At one rival
-    that is ``gen.choice(n_offers, size=draws, p=probs)`` bit for bit,
-    from the same stream.  The uniforms are drawn in row blocks, in order.
+    A draw is an iid pair of a risk aversion and the highest of the n
+    rivals' offer indices, the two independent.  That index has cdf F^n
+    (David and Nagaraja, Order Statistics, 2003), so the counts are
+    Multinomial(draws, F^n(k) - F^n(k-1)), which numpy draws as one
+    binomial per offer (Devroye, Non-Uniform Random Variate Generation,
+    1986, ch. XI), after the risk aversions.  Offer ``o`` takes the
+    contiguous run ``rho[ends[o] - counts[o]:ends[o]]``, ``ends =
+    cumsum(counts)``: the pairs keep their law.  An offer of zero mass
+    takes nothing from the stream and, unless it is the last offer, which
+    takes the draws the binomials leave, gets no draw.
     """
     gen = rng.generator
     draws = scenario.mc_draws
@@ -402,13 +384,7 @@ def _draw_customers(scenario: PensionScenario, rng: RngStream):
     cdf = np.cumsum(np.asarray(scenario.competitor_offers.probs, dtype=float))
     cdf /= cdf[-1]
     top_cdf = cdf ** scenario.n_competitors  # ends at 1 exactly
-
-    def _lookup(rows: slice) -> np.ndarray:
-        return _cdf_index(top_cdf, gen.random(rows.stop - rows.start))
-
-    # the blocks draw from the stream, so they must run in order
-    top = np.concatenate(map_blocks(_lookup, draws, 1))
-    return rho, top.astype(np.min_scalar_type(cdf.size - 1))
+    return rho, gen.multinomial(draws, np.diff(top_cdf, prepend=0.0))
 
 
 def _utility_gap_bound(a, b, scenario: PensionScenario) -> np.ndarray:
@@ -433,18 +409,6 @@ def _utility_gap_bound(a, b, scenario: PensionScenario) -> np.ndarray:
     return np.where(valid, bound, -np.inf)
 
 
-def _group_by_top(rho, top, counts) -> list:
-    """``rho[top == o]`` for every offer ``o``, from one gather.
-
-    A stable sort keeps each offer's draws in draw order; numpy sorts
-    offer indices of at most 16 bits by radix.  ``counts`` is
-    ``bincount(top)``.
-    """
-    grouped = rho[np.argsort(top, kind="stable")]
-    ends = np.cumsum(counts)
-    return [grouped[end - n : end] for n, end in zip(counts, ends)]
-
-
 def _separation(points, scenario: PensionScenario):
     """Per (grid rate, rival offer): whether the rate provably beats the
     offer, and whether neither is proven to beat the other (a tie)."""
@@ -454,9 +418,10 @@ def _separation(points, scenario: PensionScenario):
     return beats, ~(beats | beaten)
 
 
-def _wins_by_rate_order(points, scenario, rho, top) -> np.ndarray:
-    """Per grid rate, the draws in which it beats every rival, given each
-    draw's highest rival offer index ``top``.
+def _wins_by_rate_order(points, scenario, rho, counts) -> np.ndarray:
+    """Per grid rate, the draws in which it beats every rival, given per
+    rival offer the ``counts`` of draws whose highest rival offer it is,
+    each offer's draws a contiguous run of ``rho``.
 
     Utility does not decrease in the rate, so a draw's best rival product
     is its top offer.  A rate wins every draw whose top offer it provably
@@ -465,17 +430,15 @@ def _wins_by_rate_order(points, scenario, rho, top) -> np.ndarray:
     exact utilities on that offer's draws, in row blocks.
     """
     offers = np.asarray(scenario.competitor_offers.values)
-    counts = np.bincount(top, minlength=offers.size)
     beats, ties = _separation(points, scenario)
     ties &= counts > 0  # (grid, offers)
     wins = beats @ counts
 
-    tied_offers = np.flatnonzero(ties.any(axis=0))
-    by_top = _group_by_top(rho, top, counts) if tied_offers.size else []
-    for o in tied_offers:
+    ends = np.cumsum(counts)
+    for o in np.flatnonzero(ties.any(axis=0)):
         rates = np.flatnonzero(ties[:, o])
         tied = np.concatenate(([offers[o]], points[rates]))[:, None]
-        rho_o = by_top[o]
+        rho_o = rho[ends[o] - counts[o]:ends[o]]
 
         def _count(rows: slice) -> np.ndarray:
             eu = customer_expected_utility(
@@ -515,8 +478,9 @@ def optimize_offer(scenario: PensionScenario, rng: RngStream) -> OfferEvaluation
     One set of Monte Carlo draws (risk aversions and rival offers) is
     shared by all grid points, which makes the acceptance column exactly
     nondecreasing in the offer and the evaluation reproducible from
-    (scenario, seed).  Acceptance is counted by rate order against each
-    draw's highest rival offer, and decided without utilities wherever
+    (scenario, seed).  Acceptance is counted by rate order against the
+    draws of each rival offer as their highest, a contiguous run of risk
+    aversions per offer, and decided without utilities wherever
     the utility gap between a grid rate and that offer is proven (see the
     module docstring); the remaining exact utility comparisons run in row
     blocks on the calling thread.  Ties on expected utility resolve to the

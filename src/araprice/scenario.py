@@ -28,6 +28,7 @@ from .retail import REFINED_FORECAST_FACTOR, RetailScenario
 
 __all__ = [
     "WORK_BUDGET",
+    "OUTPUT_COLUMNS",
     "ScenarioError",
     "MissingFileError",
     "SchemaError",
@@ -45,16 +46,26 @@ FORMATS = ("csv", "json")
 _FLOAT_MAX = sys.float_info.max
 
 # Most elements (2^25) that one command may evaluate for a scenario: grid
-# points x draws, pension draws (one top rival offer each, at any rival
-# count), pension utility terms.  Counted before the engine runs.  The
-# grid scorers and the rival forecast work in row blocks, so none holds a
-# grid x draws array whole; held whole are draw samples, the forecast's
-# n1 x n2 uniforms and the pension offer grid x offers x horizon tie
-# matrix, which its own entry bounds.  An overrun is an invariant
-# violation (exit 4).  ``compare`` is also held to its refined forecast
-# and the template oracle's grid x competitor-price win table, which
-# ``run`` and ``validate`` never build.
+# points x draws, pension draws (one risk aversion each, at any rival
+# count), pension utility terms, grid points x output columns.  Counted
+# before the engine runs.  The grid scorers and the rival forecast work
+# in row blocks, so none holds a grid x draws array whole; held whole are
+# draw samples, the forecast's n1 x n2 uniforms, the pension offer grid x
+# offers x horizon tie matrix and the output table, which their own
+# entries bound.  An overrun is an invariant violation (exit 4).
+# ``compare`` is also held to its refined forecast and the template
+# oracle's grid x competitor-price win table, which ``run`` and
+# ``validate`` never build.
 WORK_BUDGET = 1 << 25
+
+# The curve columns that ``price run`` writes, one row per grid point.
+OUTPUT_COLUMNS = {
+    "retail": ("price", "accept_prob", "expected_utility", "std_err"),
+    "pension": ("price", "accept_prob", "expected_utility", "benefit_next_year",
+                "benefit_horizon", "std_err"),
+    "template": ("price", "accept_prob", "expected_utility", "std_err"),
+}
+_GRID_FIELD = {"retail": "price_grid", "pension": "offer_grid", "template": "grid"}
 
 
 class ScenarioError(Exception):
@@ -320,10 +331,12 @@ def _work_problems(kind: str, params, compare: bool) -> list[str]:
     """Element counts of ``params`` above :data:`WORK_BUDGET`, for ``run``
     and ``validate`` or, with ``compare``, for ``price compare`` of a parsed
     scenario, whose pension utility count is not taken again."""
+    grid = getattr(params, _GRID_FIELD[kind]).count()
+    columns = len(OUTPUT_COLUMNS[kind])
+    counts = {f"price grid x {columns} output columns": grid * columns}
     if kind == "retail":
-        grid = params.price_grid.count()
         forecast = float(params.n1) * params.n2 * params.competitor_grid.count()
-        counts = {"price grid x n1": grid * params.n1}
+        counts["price grid x n1"] = grid * params.n1
         if params.known_competitor_price is None:
             counts["n1 x n2 x competitor grid"] = forecast
             if compare:
@@ -331,18 +344,14 @@ def _work_problems(kind: str, params, compare: bool) -> list[str]:
                     f"n1 x n2 x competitor grid x {REFINED_FORECAST_FACTOR} (compare)"
                 ] = REFINED_FORECAST_FACTOR * forecast
     elif kind == "pension":
-        counts = {
-            "offer_grid x competitor offers x horizon": (
-                params.offer_grid.count()
-                * len(params.competitor_offers.values) * params.horizon
-            ),
-            "mc_draws": float(params.mc_draws),
-        }
+        counts["offer_grid x competitor offers x horizon"] = (
+            grid * len(params.competitor_offers.values) * params.horizon
+        )
+        counts["mc_draws"] = float(params.mc_draws)
         if not compare and max(counts.values()) <= WORK_BUDGET:
             counts["pension utility terms"] = utility_evaluations(params)
     else:
-        grid = params.grid.count()
-        counts = {"grid x n_draws": grid * params.n_draws}
+        counts["grid x n_draws"] = grid * params.n_draws
         if compare:
             prices = params.competitor_prices
             prices = prices.values if isinstance(prices, CategoricalPMF) else prices

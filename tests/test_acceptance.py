@@ -251,9 +251,9 @@ def test_criterion_7_pension_score_classes():
         ok,
         f"low-score optimum {ev_low.optimum} acc {ev_low.accept_at_optimum:.4f} "
         f"(exact 0.65); high-score optimum {ev_high.optimum} (target 0.05, "
-        f"but the exact objective prefers 0.055: "
-        + ", ".join(f"{v:.1f} EUR at {h}" for h, v in exact_curve.items())
-        + f"), acc@0.05 {acc05:.4f} vs exact {high_exact:.2f}",
+        f"but the exact objective ties 0.055 and 0.06 at {exact_curve[0.06]:.2f} EUR, "
+        f"against {exact_curve[0.05]:.2f} EUR at 0.05), "
+        f"acc@0.05 {acc05:.4f} vs exact {high_exact:.2f}",
     )
     assert ok
 

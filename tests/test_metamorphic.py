@@ -11,10 +11,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import araprice
@@ -111,6 +114,27 @@ class TestZeroMassOffers:
         assert added == len(values)
         assert run_outputs(changed, tmp_path, "changed") == run_outputs(base, tmp_path, "base")
 
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_drawn_zero_mass_pension_offer_keeps_run_bytes(self, data):
+        """An offer of probability 0 at a drawn position of pension_case1,
+        its value drawn strictly between its two neighbours."""
+        base = bundled("pension_case1")
+        values = base["params"]["competitor_offers"]["values"]
+        i = data.draw(st.integers(1, len(values) - 1), label="position")
+        value = data.draw(
+            st.floats(values[i - 1], values[i], exclude_min=True, exclude_max=True),
+            label="value",
+        )
+        changed = json.loads(json.dumps(base))
+        changed["params"]["competitor_offers"] = _with_zero_mass(
+            base["params"]["competitor_offers"], value
+        )
+        assert changed["params"]["competitor_offers"]["values"][i] == value
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            assert run_outputs(changed, out, "changed") == run_outputs(base, out, "base")
+
 
 class TestGridSubset:
     def test_template_coarser_step_keeps_every_other_row(self, tmp_path):
@@ -121,6 +145,24 @@ class TestGridSubset:
         coarse_rows = csv_rows(run_outputs(coarse, tmp_path, "coarse")[0])
         assert len(coarse_rows) == 21 and len(fine_rows) == 41
         assert coarse_rows == fine_rows[::2]
+
+    @settings(max_examples=20, deadline=None)
+    @given(offset=st.integers(0, 40), multiple=st.integers(1, 40))
+    def test_template_drawn_sub_grid_keeps_its_rows(self, offset, multiple):
+        """template_example's grid from a drawn offset, at a drawn multiple
+        of its step: the rows of the fine grid's points that it keeps."""
+        base = bundled("template_example")
+        grid = base["params"]["grid"]
+        sub = json.loads(json.dumps(base))
+        sub["params"]["grid"].update(
+            min=grid["min"] + offset * grid["step"], step=multiple * grid["step"]
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            fine_rows = csv_rows(run_outputs(base, out, "fine")[0])
+            sub_rows = csv_rows(run_outputs(sub, out, "sub")[0])
+        assert len(fine_rows) == 41
+        assert sub_rows == fine_rows[offset::multiple]
 
     @pytest.mark.parametrize("case", ["retail_case1", "retail_case2"])
     def test_retail_lower_max_price_keeps_the_first_rows(self, tmp_path, case):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from araprice import pension
-from araprice._parallel import BLOCK_ELEMENTS
 from araprice.cli import main
 from araprice.core import PriceGrid
 from araprice.pension import (
@@ -310,27 +309,16 @@ class TestOptimizeOffer:
             assert eu == pytest.approx(raw / scale, rel=1e-12)
 
 
-def choice_draws(scenario, seed):
-    """The engine's draws for one rival made with numpy's own
-    ``Generator.choice``."""
-    gen = RngStream(seed).generator
-    rho = gen.uniform(scenario.risk_aversion[0], scenario.risk_aversion[1], scenario.mc_draws)
-    idx = gen.choice(
-        len(scenario.competitor_offers.values),
-        size=scenario.mc_draws,
-        p=scenario.competitor_offers.probs,
-    )
-    return rho, idx, gen
-
-
 def full_table_wins(points, scenario, seed):
     """Wins per rate from full utility tables in one array each, on the
-    engine's own draws of ``seed``: each draw's top rival offer."""
+    engine's own draws of ``seed``: each draw's top rival offer, the
+    offers' counts expanded over contiguous runs of draws."""
     points = np.asarray(points)
-    rho, top = pension._draw_customers(scenario, RngStream(seed))
+    rho, counts = pension._draw_customers(scenario, RngStream(seed))
     offers = np.asarray(scenario.competitor_offers.values)
+    top = np.repeat(np.arange(offers.size), counts)
     eu_table = in_order_eu(offers[None, :], scenario, rho[:, None])
-    eu_top = np.take_along_axis(eu_table, top[:, None].astype(np.intp), axis=1)
+    eu_top = np.take_along_axis(eu_table, top[:, None], axis=1)
     eu_ours = in_order_eu(points[None, :], scenario, rho[:, None])
     return (eu_ours > eu_top).sum(axis=0)
 
@@ -387,8 +375,8 @@ class TestRateOrderCount:
     def test_matches_full_tables_bit_for_bit(self, scenario, seed):
         points = scenario.offer_grid.points()
         full = full_table_wins(points, scenario, seed)
-        rho, top = pension._draw_customers(scenario, RngStream(seed))
-        fast = pension._wins_by_rate_order(points, scenario, rho, top)
+        rho, counts = pension._draw_customers(scenario, RngStream(seed))
+        fast = pension._wins_by_rate_order(points, scenario, rho, counts)
         assert fast.tobytes() == full.tobytes()
         ev = optimize_offer(scenario, RngStream(seed))
         assert ev.accept_prob.tobytes() == (full / scenario.mc_draws).tobytes()
@@ -413,25 +401,6 @@ class TestRateOrderCount:
         rho = np.concatenate([[lo, hi], np.random.default_rng(seed).uniform(lo, hi, 50)])
         eu = in_order_eu(rates[None, :], scenario, rho[:, None])  # (rho, rates)
         assert np.all(np.diff(eu, axis=1) >= 0)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        offers=st.integers(1, 300),  # indices of 8 and of 16 bits
-        used=st.integers(1, 300),
-        draws=st.integers(1, 3000),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_group_by_top_slices_each_offers_draws_in_order(self, offers, used, draws, seed):
-        """Offers at or above ``used`` get no draws: their groups are empty."""
-        gen = np.random.default_rng(seed)
-        rho = gen.uniform(0.85, 0.95, draws)
-        top = gen.integers(0, min(used, offers), draws)
-        counts = np.bincount(top, minlength=offers)
-        for key in (top, top.astype(np.min_scalar_type(offers - 1))):
-            groups = pension._group_by_top(rho, key, counts)
-            assert len(groups) == offers
-            for o, group in enumerate(groups):
-                assert group.tobytes() == rho[top == o].tobytes()
 
     @pytest.mark.parametrize(
         "overrides",
@@ -501,65 +470,37 @@ class TestRateOrderCount:
             acceptance_probability(0.5, CASE1, RngStream(1))
 
 
-class TestBlockedDraws:
-    @settings(max_examples=100, deadline=None)
+class TestDraws:
+    @pytest.mark.parametrize(
+        "rivals", [1, 2, 5, 10, 2**31, 2**70], ids=["1", "2", "5", "10", "2^31", "2^70"]
+    )
+    @settings(max_examples=25, deadline=None)
     @given(
-        probs=(
-            st.lists(st.integers(0, 9), min_size=1, max_size=10)
-            | st.lists(st.integers(0, 9), min_size=257, max_size=300)
-        ).filter(any),
-        rivals=st.integers(1, 10) | st.sampled_from([2**31, 2**70]),
-        blocks=st.integers(0, 3),
-        offset=st.integers(-1, 1),
+        probs=st.lists(st.integers(0, 9), min_size=1, max_size=300).filter(any),
+        draws=st.integers(1, 100) | st.integers(10_000, 400_000),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_top_is_the_lookup_of_one_uniform_in_cdf_power(
-        self, probs, rivals, blocks, offset, seed
+    def test_counts_are_one_multinomial_after_the_risk_aversions(
+        self, rivals, probs, draws, seed
     ):
-        """Each draw's top offer is its own uniform looked up in F^n, and a
-        draw takes two doubles from the stream, its risk aversion and that
-        uniform.  Zero-probability offers as in pension_case1, offer indices
-        of one or two bytes, rival counts at which F^n underflows; the draw
-        count lands on, one below or one above 0 to 3 whole row blocks."""
-        draws = max(1, blocks * BLOCK_ELEMENTS + offset)
+        """The risk aversions, then per offer the count of draws it tops,
+        from one multinomial over the order-statistic pmf diff(F^n), with
+        the stream left where that reference leaves it.  Zero-probability
+        offers as in pension_case1, rival counts at which F^n underflows,
+        and draw counts on both sides of numpy's binomial switch from
+        inversion to BTPE (n p of 30)."""
         scenario = self._scenario(probs, rivals, draws)
         gen_ref = RngStream(seed).generator
         rho_ref = gen_ref.uniform(scenario.risk_aversion[0], scenario.risk_aversion[1], draws)
-        u = gen_ref.random(draws)
         cdf = np.cumsum(scenario.competitor_offers.probs)
         cdf /= cdf[-1]
-        expected = np.searchsorted(cdf**rivals, u, "right")
-        consumed = RngStream(seed).generator
-        consumed.random(2 * draws)
+        expected = gen_ref.multinomial(draws, np.diff(cdf**rivals, prepend=0.0))
         rng = RngStream(seed)
-        rho, top = pension._draw_customers(scenario, rng)
+        rho, counts = pension._draw_customers(scenario, rng)
         assert rho.tobytes() == rho_ref.tobytes()
-        assert top.dtype == (np.uint8 if len(probs) <= 256 else np.uint16)
-        assert np.array_equal(top, expected)
-        assert rng.generator.random() == consumed.random()
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        probs=(
-            st.lists(st.integers(0, 9), min_size=1, max_size=10)
-            | st.lists(st.integers(0, 9), min_size=257, max_size=300)
-        ).filter(any),
-        blocks=st.integers(0, 3),
-        offset=st.integers(-1, 1),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_one_rival_draws_match_generator_choice(self, probs, blocks, offset, seed):
-        """At one rival F^1 is F, and the draws are ``Generator.choice``'s
-        bit for bit, with the stream left where it leaves it."""
-        scenario = self._scenario(probs, 1, max(1, blocks * BLOCK_ELEMENTS + offset))
-        rho_ref, idx_ref, gen_ref = choice_draws(scenario, seed)
-        after = gen_ref.random()
-        expected = idx_ref.astype(np.uint8 if len(probs) <= 256 else np.uint16)
-        rng = RngStream(seed)
-        rho, top = pension._draw_customers(scenario, rng)
-        assert rho.tobytes() == rho_ref.tobytes()
-        assert top.dtype == expected.dtype and top.tobytes() == expected.tobytes()
-        assert rng.generator.random() == after
+        assert counts.dtype == expected.dtype and counts.tobytes() == expected.tobytes()
+        assert counts.sum() == draws
+        assert rng.generator.random() == gen_ref.random()
 
     def test_top_frequencies_fit_the_order_statistic_pmf(self):
         """Per rival count n in {2, 5, 10} and offer k, the count of draws
@@ -573,8 +514,7 @@ class TestBlockedDraws:
         tests = []
         for rivals in (2, 5, 10):
             scenario = self._scenario(probs, rivals, draws)
-            _, top = pension._draw_customers(scenario, RngStream(11))
-            counts = np.bincount(top, minlength=len(probs))
+            _, counts = pension._draw_customers(scenario, RngStream(11))
             cell = np.diff(cdf**rivals, prepend=0.0)
             tests += [(rivals, k, int(c), float(p)) for k, (c, p) in enumerate(zip(counts, cell))]
         alpha = family_alpha / len(tests)
@@ -592,22 +532,6 @@ class TestBlockedDraws:
             n_competitors=rivals,
             mc_draws=draws,
         )
-
-    @pytest.mark.parametrize("size", [1, 2, 10, 32, 33, 60])
-    def test_cdf_index_is_searchsorted_right(self, size):
-        """Counted (up to 32 offers, from 4,096 uniforms) and searched
-        lookups, with repeated cdf values (zero-probability offers) and
-        uniforms on a cdf value."""
-        rng = np.random.default_rng(size)
-        probs = rng.integers(0, 3, size).astype(float)
-        probs[-1] += 1.0
-        cdf = np.cumsum(probs)
-        cdf /= cdf[-1]
-        u = np.concatenate([rng.random(4096), cdf, np.nextafter(cdf, 0.0), [0.0]])
-        for shaped in (u, u[:4096].reshape(1024, 4), u[:4095], u[-200:]):
-            idx = pension._cdf_index(cdf, shaped)
-            expected = cdf.searchsorted(shaped, side="right")
-            assert idx.dtype == expected.dtype and idx.tobytes() == expected.tobytes()
 
     def test_optimize_offer_memory_is_bounded(self):
         """400k draws x 10 rivals: a single (draws, rivals) array of

@@ -301,6 +301,37 @@ class TestCli:
         assert list(tmp_path.iterdir()) == [bad]
 
     @pytest.mark.parametrize(
+        "case, grid, params, columns",
+        [
+            ("template_example", "grid", dict(n_draws=1), 4),
+            ("pension_case1", "offer_grid", dict(
+                horizon=1, exit_profile=[],
+                competitor_offers={"values": [0.0], "probs": [1.0]},
+            ), 6),
+        ],
+        ids=["template", "pension"],
+    )
+    def test_output_over_budget_exits_4(
+        self, tmp_path, monkeypatch, capsys, case, grid, params, columns
+    ):
+        """A grid whose output table, points x columns, is one point past the
+        budget while every other count fits: ``run`` exits 4 before the
+        engine runs and writes no file."""
+        import araprice.cli as cli
+
+        monkeypatch.setattr(cli, "_run_engine", lambda *args: pytest.fail("engine ran"))
+        raw = json.loads(bundled_case(case).read_text())
+        points = WORK_BUDGET // columns + 1
+        raw["params"].update(params, **{grid: {"min": 0.0, "max": points - 1.0, "step": 1.0}})
+        src = tmp_path / "wide.json"
+        src.write_text(json.dumps(raw))
+        assert main(["run", str(src), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert f"params: price grid x {columns} output columns is {points * columns:.4g}" in err
+        assert err.count("over the work budget") == 1
+        assert list(tmp_path.iterdir()) == [src]
+
+    @pytest.mark.parametrize(
         "case, key, per_unit, message",
         [
             ("template_example", "n_draws", 41, "grid x n_draws"),
@@ -309,10 +340,10 @@ class TestCli:
         ],
     )
     def test_work_budget_boundary(self, tmp_path, capsys, case, key, per_unit, message):
-        """The template's 41-point grid times n_draws; mc_draws, one top
-        rival offer per draw (no factor of the horizon: no array holds
-        draws x years), with the grid rates between the rival offers, so
-        no utility is evaluated; and pension_case1's utility terms, 8 years x 2 rates
+        """The template's 41-point grid times n_draws; mc_draws, one risk
+        aversion per draw (no factor of the horizon: no array holds draws x
+        years), with the grid rates between the rival offers, so no utility
+        is evaluated; and pension_case1's utility terms, 8 years x 2 rates
         (a top offer and the grid rate tied with it) per draw.  On and one
         past the budget; validate only, so nothing of that size runs."""
         raw = json.loads(bundled_case(case).read_text())
@@ -326,7 +357,7 @@ class TestCli:
         assert message in capsys.readouterr().err
 
     def test_rival_count_is_outside_the_budget(self, tmp_path):
-        """2^70 rivals: each draw takes one uniform for its top offer, so
+        """2^70 rivals: the draw takes one count per rival offer, so
         the budget counts draws alone and the file runs, and the
         acceptance column is the closed form's, 0 below the highest
         offer of positive mass and 1 above it."""
