@@ -16,6 +16,7 @@ Carlo draws and pmf or quadrature weights in the oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, fields
@@ -151,18 +152,6 @@ class OutcomeModel:
                 problems.append(f"choice {c}: mass {total!r} differs from 1")
         return problems
 
-    def expected_utility(self, u: Callable, choice: int, price: float) -> float:
-        """Integrate u(price, s) over the outcome distribution of ``choice``."""
-        try:
-            s, w, _ = self.table[choice]
-        except KeyError:
-            msg = f"degenerate outcome model: no distribution for product {choice}"
-            raise ValueError(msg) from None
-        values = np.asarray(u(price, s), dtype=float)
-        if values.shape != s.shape:
-            values = np.broadcast_to(values, s.shape)
-        return float(np.dot(values, w))
-
 
 @dataclass
 class RandomUtilitySpec:
@@ -201,9 +190,10 @@ class RandomUtilitySpec:
 
 @dataclass(frozen=True)
 class ChoiceOutcome:
-    """One realized customer comparison: the index chosen and the EU vector."""
+    """Realized customer comparisons: the index chosen and the EU vector of
+    one draw, or per draw of a block, an array of indices and an EU table."""
 
-    chosen: int
+    chosen: int | np.ndarray
     expected_utilities: np.ndarray
 
 
@@ -354,46 +344,152 @@ class EvaluationCurve:
 # customer problem
 # ---------------------------------------------------------------------------
 
+_PER_DRAW = object()  # a prior that draws its own way: realized draw by draw
+
+
+def _parameter_draw(prior):
+    """``RandomUtilitySpec.sample_parameter``'s draws at a block of
+    uniforms, one double each: a function of the block, None for no or a
+    fixed prior, or _PER_DRAW."""
+    if callable(prior) or isinstance(prior, CategoricalPMF):
+        return _PER_DRAW
+    if isinstance(prior, tuple) and len(prior) == 2:
+        lo, hi = map(float, prior)
+        # Generator.uniform raises OverflowError on this range
+        return (lambda u: lo + (hi - lo) * u) if math.isfinite(hi - lo) else _PER_DRAW
+    return None
+
+
+def _is_number(price) -> bool:
+    """Whether ``_realize_prices`` takes ``price`` as it is, drawing nothing."""
+    distributions = (PowerPricePrior, CategoricalPMF, EmpiricalDistribution)
+    return not (isinstance(price, distributions) or callable(price))
+
+
+def _realizations(prices, spec: RandomUtilitySpec, g: np.random.Generator, rows: int):
+    """The prices of ``rows`` draws, one array per product, and an iterator of
+    each draw's (prices, utility parameters), in draw order.
+
+    A draw takes the elements of ``prices`` and then its parameter, or one
+    per product with ``per_product``, from the stream in that order.  When
+    every price is a plain number and the prior is none, fixed or a finite
+    ``(lo, hi)``, a block's parameters are ``lo + (hi - lo) * u`` at one
+    ``g.random((rows, parameters))``: the doubles ``Generator.uniform``
+    would take one draw at a time.  Otherwise each draw is realized in turn.
+    """
+    n = len(prices)
+    params = n if spec.per_product else 1
+    rule = _parameter_draw(spec.prior)
+    if rule is _PER_DRAW or not all(map(_is_number, prices)):
+        table = np.empty((n, rows))
+
+        def draws():
+            for r in range(rows):
+                realized = [float(_realize_prices(p, g, 1)[0]) for p in prices]
+                table[:, r] = realized
+                yield realized, [spec.sample_parameter(g) for _ in range(params)]
+
+        return list(table), draws()
+    fixed = tuple(map(float, prices))
+    if rule is None:
+        thetas = itertools.repeat((spec.prior,) * params, rows)
+    else:
+        columns = np.ascontiguousarray(rule(g.random((rows, params))).T)
+        thetas = zip(*map(memoryview, columns))  # Python floats, a draw at a time
+    realized = [np.broadcast_to(p, rows) for p in fixed]
+    return realized, zip(itertools.repeat(fixed, rows), thetas)
+
+
+def _expected_utilities(per_draw, spec: RandomUtilitySpec, nodes, weights, rows: int):
+    """(rows x products) expected utilities of the draws of ``per_draw``.
+
+    Each product's utilities over its outcome nodes fill a (rows x nodes)
+    table, as ``np.asarray(..., float)`` and ``np.broadcast_to`` cast and
+    shape them, and ``np.vecdot`` reduces each row with the bits of
+    ``np.dot``.  Weights that are not float64, as a continuous pdf that
+    returns objects leaves them, are summed row by row by ``np.dot``
+    itself.  Two layouts keep the bits only by the way ``np.dot`` treats
+    them: a utility returned as a strided view, which ``np.dot`` sums with
+    its stride, is summed by ``np.dot`` itself, and weights of stride 0 or
+    less are copied first, as ``np.dot`` copies them.
+    """
+    n = len(nodes)
+    weights = [w if w.strides[0] > 0 else np.ascontiguousarray(w) for w in weights]
+    tables = [np.empty((rows, s.size)) for s in nodes]
+    views = []  # (draw, product, np.dot) of utilities returned as strided views
+    build, shared = spec.builder, not spec.per_product
+    for r, (draw_prices, thetas) in enumerate(per_draw):
+        utilities = [build(thetas[0])] * n if shared else map(build, thetas)
+        for i, u in enumerate(utilities):
+            s = nodes[i]
+            values = np.asarray(u(draw_prices[i], s), dtype=float)
+            if values.strides != (8,):  # not one contiguous float64 row
+                if values.shape == s.shape:
+                    views.append((r, i, np.dot(values, weights[i])))
+                values = np.broadcast_to(values, s.shape)
+            tables[i][r] = values
+    eu = np.empty((rows, n))
+    for i, (table, w) in enumerate(zip(tables, weights)):
+        if w.dtype == np.float64:
+            np.vecdot(table, w, out=eu[:, i])
+        else:  # e.g. object weights of a pdf that returns objects: np.dot's loop
+            eu[:, i] = [np.dot(row, w) for row in table]
+    for r, i, value in views:
+        eu[r, i] = value
+    return eu
+
 
 def realize_choice(
     prices: Sequence,
     spec: RandomUtilitySpec,
     outcomes: OutcomeModel,
     g: np.random.Generator,
+    draws: int | None = None,
 ) -> ChoiceOutcome:
-    """One draw of the customer's multiple-comparison problem.
+    """``draws`` draws of the customer's multiple-comparison problem, or one.
 
-    Realizes prices (entries may be distributions; a plain number draws
-    nothing), a utility parameter, and the utility ``spec.builder`` makes
-    of it: once per draw, or once per product with ``per_product``.  It
-    computes per-product expected utilities over the outcome model and
-    applies the strict choice rule: product 0 wins only on a strict
+    Each draw realizes prices (entries may be distributions; a plain number
+    draws nothing), a utility parameter, and the utility ``spec.builder``
+    makes of it: once per draw, or once per product with ``per_product``,
+    with a Python float for a parameter drawn from a ``(lo, hi)`` or
+    ``CategoricalPMF`` prior.  When every price is a plain number and the
+    prior is none, fixed or ``(lo, hi)``, the parameters of all draws come
+    from one block of uniforms; any other price or prior is realized draw
+    by draw.  Either way the stream ends where ``draws`` one-draw calls
+    leave it.
+
+    Each product's utilities over its outcome nodes fill a (draws x nodes)
+    table, reduced by ``np.vecdot`` with the bits of a per-draw ``np.dot``,
+    and the strict choice rule applies: product 0 wins only on a strict
     maximum, and ties go to the highest-indexed maximizer, so any
     competitor beats product 0 at equal realized expected utility.  A NaN
-    expected utility, or a product without an outcome distribution,
-    raises ValueError naming the product.
+    expected utility raises ValueError naming the product and price of the
+    first NaN in draw order; so does a product without an outcome
+    distribution.  With ``draws``, ``chosen`` is an array of choices and
+    ``expected_utilities`` a (draws x products) table.  Without it,
+    ``chosen`` is an int and ``expected_utilities`` one vector: the
+    one-draw form of the public API, kept for compatibility; the engine
+    always passes ``draws``.
     """
     n = len(prices)
-    realized = [
-        float(p) if isinstance(p, (float, int)) else float(_realize_prices(p, g, 1)[0])
-        for p in prices
-    ]
-    if spec.per_product:
-        utilities = [spec.builder(spec.sample_parameter(g)) for _ in range(n)]
-    else:
-        utilities = [spec.builder(spec.sample_parameter(g))] * n
-    eu = [
-        outcomes.expected_utility(utilities[i], i, realized[i]) for i in range(n)
-    ]
-    chosen, best = 0, eu[0]
-    for i, value in enumerate(eu):
-        if value != value:
-            raise ValueError(
-                f"expected utility of product {i} is NaN at price {realized[i]!r}"
-            )
-        if value >= best:
-            chosen, best = i, value
-    return ChoiceOutcome(chosen=chosen, expected_utilities=np.array(eu))
+    rows = 1 if draws is None else draws
+    try:
+        nodes, weights, _ = zip(*(outcomes.table[i] for i in range(n)))
+    except KeyError as missing:
+        msg = f"degenerate outcome model: no distribution for product {missing}"
+        raise ValueError(msg) from None
+    realized, per_draw = _realizations(prices, spec, g, rows)
+    eu = _expected_utilities(per_draw, spec, nodes, weights, rows)
+    nan = np.isnan(eu)
+    if nan.any():
+        r, i = np.argwhere(nan)[0]  # row-major: the first draw, then product
+        raise ValueError(
+            f"expected utility of product {i} is NaN at price {float(realized[i][r])!r}"
+        )
+    chosen = n - 1 - np.argmax(eu[:, ::-1], axis=1)  # the last maximizer
+    if draws is None:
+        return ChoiceOutcome(chosen=int(chosen[0]), expected_utilities=eu[0])
+    return ChoiceOutcome(chosen=chosen, expected_utilities=eu)
 
 
 def customer_choice_probs(
@@ -408,7 +504,10 @@ def customer_choice_probs(
     Monte Carlo over utility/price realizations; empirical frequencies of
     the strict-rule argmax, so components always sum to one.  The outcome
     model's masses, and that it has a distribution for every product, are
-    checked once per call, then :func:`realize_choice` runs once per draw.
+    checked once per call.  Then :func:`realize_choice` runs once per row
+    block of draws (``_parallel.map_blocks``, a row being the products'
+    outcome nodes summed), and ``np.bincount`` counts the choices; blocks
+    run in draw order, so the shares are those of one draw at a time.
     """
     n = len(prices)
     if n == 0:
@@ -423,10 +522,13 @@ def customer_choice_probs(
     if n == 1:
         return np.array([1.0])
     g = rng.generator
-    counts = [0] * n
-    for _ in range(n_draws):
-        counts[realize_choice(prices, spec, outcomes, g).chosen] += 1
-    probs = np.array(counts, dtype=np.int64) / n_draws
+
+    def _count(rows: slice) -> np.ndarray:
+        choice = realize_choice(prices, spec, outcomes, g, rows.stop - rows.start)
+        return np.bincount(choice.chosen, minlength=n)
+
+    row = sum(outcomes.table[i][0].size for i in range(n))
+    probs = np.sum(map_blocks(_count, n_draws, row), axis=0) / n_draws
     probs[np.argmax(probs)] += 1.0 - probs.sum()  # exact partition of unity
     return probs
 

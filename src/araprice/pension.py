@@ -375,8 +375,11 @@ def _draw_customers(scenario: PensionScenario, rng: RngStream):
     1986, ch. XI), after the risk aversions.  Offer ``o`` takes the
     contiguous run ``rho[ends[o] - counts[o]:ends[o]]``, ``ends =
     cumsum(counts)``: the pairs keep their law.  An offer of zero mass
-    takes nothing from the stream and, unless it is the last offer, which
-    takes the draws the binomials leave, gets no draw.
+    takes nothing from the stream and gets no draw.  The multinomial stops
+    at the last offer of positive mass, which takes the draws the
+    binomials leave, and the offers after it count 0: numpy gives its last
+    category the remainder, which rounding of the binomials' conditional
+    probabilities can leave positive.
     """
     gen = rng.generator
     draws = scenario.mc_draws
@@ -384,7 +387,10 @@ def _draw_customers(scenario: PensionScenario, rng: RngStream):
     cdf = np.cumsum(np.asarray(scenario.competitor_offers.probs, dtype=float))
     cdf /= cdf[-1]
     top_cdf = cdf ** scenario.n_competitors  # ends at 1 exactly
-    return rho, gen.multinomial(draws, np.diff(top_cdf, prepend=0.0))
+    top_pmf = np.diff(top_cdf, prepend=0.0)
+    last = np.flatnonzero(top_pmf)[-1] + 1
+    counts = gen.multinomial(draws, top_pmf[:last])
+    return rho, np.pad(counts, (0, top_pmf.size - last))
 
 
 def _utility_gap_bound(a, b, scenario: PensionScenario) -> np.ndarray:

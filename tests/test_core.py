@@ -7,6 +7,7 @@ import math
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import araprice.core as core
 
+from araprice import _parallel
 from araprice._parallel import BLOCK_ELEMENTS
 from araprice.core import (
     AgentBeliefs,
@@ -224,20 +226,46 @@ class TestCustomerChoice:
         with pytest.raises(ValueError, match="product 2 is NaN"):
             customer_choice_probs(prices, spec, outcomes, 10, RngStream(1))
 
-    def test_one_realize_choice_call_per_draw(self, monkeypatch):
+    def test_one_realize_choice_call_per_row_block(self, monkeypatch):
+        """A row is the products' outcome nodes summed (2 here), so 37 draws
+        are one block by default and four of 10, 10, 10 and 7 draws at 20
+        elements a block."""
         calls = []
         original = core.realize_choice
 
         def counted(*args, **kwargs):
-            calls.append(1)
+            calls.append(args[4])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(core, "realize_choice", counted)
-        customer_choice_probs(
-            [20.0, CategoricalPMF((19.0, 21.0), (0.5, 0.5))],
-            RISK_NEUTRAL, OutcomeModel.point_mass(2), 37, RngStream(2),
+        prices = [20.0, CategoricalPMF((19.0, 21.0), (0.5, 0.5))]
+        shares = []
+        for block_elements, blocks in ((BLOCK_ELEMENTS, [37]), (20, [10, 10, 10, 7])):
+            monkeypatch.setattr(_parallel, "BLOCK_ELEMENTS", block_elements)
+            shares.append(customer_choice_probs(
+                prices, RISK_NEUTRAL, OutcomeModel.point_mass(2), 37, RngStream(2)
+            ))
+            assert calls == blocks
+            calls.clear()
+        assert shares[0].tobytes() == shares[1].tobytes()
+
+    def test_memory_is_bounded(self):
+        """3 products on 1,024 outcome nodes at 200,000 draws: utility
+        tables of all draws would take 4.6 GiB; a block's take 1 MiB."""
+        spec = RandomUtilitySpec.custom(
+            builder=lambda t: (lambda p, s: s - t * p), prior=(0.5, 1.5)
         )
-        assert len(calls) == 37
+        outcomes = _outcomes("continuous", 3, 1024)
+        tracemalloc.start()
+        try:
+            probs = customer_choice_probs(
+                [1.0, 1.1, 0.9], spec, outcomes, 200_000, RngStream(14)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert probs.sum() == 1.0
+        assert peak < 4 * 8 * BLOCK_ELEMENTS
 
     def test_demo_shares_match_recorded_digest(self):
         """The first stage of demos/generic_template.py, whose float64
@@ -336,7 +364,8 @@ class TestOutcomeModel:
         as_tuples = OutcomeModel.discrete({c: ([1.0, 3.0], [0.75, 0.25]) for c in range(2)})
         assert as_lists.validate() == []
         for outcomes in (as_lists, as_tuples):
-            assert outcomes.expected_utility(lambda p, s: s - p, 1, 1.0) == 0.5
+            choice = realize_choice([1.0, 1.0], RISK_NEUTRAL, outcomes, np.random.default_rng(0))
+            assert choice.expected_utilities.tolist() == [0.5, 0.5]
         spec = RandomUtilitySpec.custom(_builder("array"), prior=(0.5, 1.5), per_product=True)
         shares = [
             customer_choice_probs([10.0, 10.0], spec, outcomes, 50, RngStream(3))
@@ -451,6 +480,8 @@ def _builder(kind):
             return lambda p, s: 20.0 - t * p
         if kind == "object":  # node-shaped, but must become float64 first
             return lambda p, s: np.array([-(p + t * x) for x in s.tolist()], object)
+        if kind == "view":  # node-shaped float64, strided: np.dot keeps the stride
+            return lambda p, s: np.repeat(-(p + t * np.asarray(s, float)), 2)[::2]
         return lambda p, s: (-(p + t * np.asarray(s, float))).astype(np.float32)
 
     return build
@@ -461,7 +492,13 @@ def _outcomes(kind, n, nodes):
         return OutcomeModel.point_mass(n)
     if kind == "discrete":
         return OutcomeModel.discrete({c: ([1.0, 3.0], [0.75, 0.25]) for c in range(n)})
+    if kind == "reversed":  # a pmf given as views of stride -8: np.dot copies them
+        values = np.linspace(0.0, 2.0, nodes)[::-1]
+        probs = np.arange(1.0, nodes + 1.0)
+        return OutcomeModel.discrete({c: (values, (probs / probs.sum())[::-1]) for c in range(n)})
     pdfs = (lambda s: np.full(s.shape, 0.5), lambda s: s / 2.0)
+    if kind == "object_pdf":  # object weights: np.dot sums them in order
+        pdfs = tuple((lambda s, f=f: np.array(f(s).tolist(), object)) for f in pdfs)
     return OutcomeModel.continuous(
         {c: (pdfs[c % 2], 0.0, 2.0) for c in range(n)}, nodes=nodes
     )
@@ -474,12 +511,16 @@ def choice_problems(draw):
         st.lists(st.sampled_from(sorted(PRICE_KINDS)), min_size=n, max_size=n)
     )]
     spec = RandomUtilitySpec.custom(
-        builder=_builder(draw(st.sampled_from(["array", "scalar", "float32", "object"]))),
+        builder=_builder(
+            draw(st.sampled_from(["array", "scalar", "float32", "object", "view"]))
+        ),
         prior=PRIORS[draw(st.sampled_from(sorted(PRIORS)))],
         per_product=draw(st.booleans()),
     )
     outcomes = _outcomes(
-        draw(st.sampled_from(["point_mass", "discrete", "continuous"])),
+        draw(st.sampled_from(
+            ["point_mass", "discrete", "reversed", "continuous", "object_pdf"]
+        )),
         n,
         draw(st.sampled_from([3, 64, 1024])),
     )
@@ -497,6 +538,27 @@ OBJECT_UTILITY = (  # an object array summed as float64 over 1,024 nodes
     _outcomes("continuous", 2, 1024),
 )
 
+OBJECT_PDF = (  # plain prices and an interval prior: the block path
+    [10.0, 10.5, 9.5],
+    RandomUtilitySpec.custom(builder=_builder("array"), prior=(0.5, 1.5)),
+    _outcomes("object_pdf", 3, 64),
+)
+ONE_VALUE_PMFS = (  # a one-value pmf still takes a double per draw
+    [CategoricalPMF((10.0,), (1.0,)), PowerPricePrior(9.0, 11.0, 2.0)],
+    RandomUtilitySpec.custom(builder=_builder("array"), prior=CategoricalPMF((0.7,), (1.0,))),
+    _outcomes("discrete", 2, 3),
+)
+INT_FIXED_PRIOR = (  # the builder gets the int itself
+    [10, 9.5, 10.5],
+    RandomUtilitySpec.custom(builder=_builder("scalar"), prior=2),
+    _outcomes("point_mass", 3, 3),
+)
+PMF_PER_PRODUCT = (  # one pmf draw per product, after the prices
+    [PowerPricePrior(9.0, 11.0, 2.0), 10.0, CategoricalPMF((9.5, 10.0, 10.5), (0.25, 0.5, 0.25))],
+    RandomUtilitySpec.custom(builder=_builder("array"), prior=PRIORS["pmf"], per_product=True),
+    _outcomes("continuous", 3, 64),
+)
+
 
 class TestChoiceLoopBitIdentity:
     @settings(max_examples=150, deadline=None)
@@ -504,18 +566,35 @@ class TestChoiceLoopBitIdentity:
            n_draws=st.integers(1, 12))
     @example(problem=TIED, seed=5, n_draws=8)
     @example(problem=OBJECT_UTILITY, seed=1, n_draws=3)
+    @example(problem=OBJECT_PDF, seed=6, n_draws=5)
+    @example(problem=ONE_VALUE_PMFS, seed=2, n_draws=6)
+    @example(problem=INT_FIXED_PRIOR, seed=3, n_draws=9)
+    @example(problem=PMF_PER_PRODUCT, seed=4, n_draws=7)
     def test_matches_the_per_draw_loop(self, problem, seed, n_draws):
+        """One-draw calls, one call of n_draws draws, and the shares in one
+        block, in blocks of 5 draws and of 1 draw, against the per-draw loop."""
         prices, spec, outcomes = problem
         g_ref, g_new = np.random.default_rng(seed), np.random.default_rng(seed)
+        choices, eus = [], []
         for _ in range(n_draws):
             chosen, eu = per_draw_choice(prices, spec, outcomes, g_ref)
             got = realize_choice(prices, spec, outcomes, g_new)
             assert got.chosen == chosen
             assert got.expected_utilities.tobytes() == eu.tobytes()
             assert g_new.bit_generator.state == g_ref.bit_generator.state
+            choices.append(chosen)
+            eus.append(eu)
+        g_block = np.random.default_rng(seed)
+        block = realize_choice(prices, spec, outcomes, g_block, draws=n_draws)
+        assert block.chosen.tolist() == choices
+        assert block.expected_utilities.tobytes() == np.array(eus).tobytes()
+        assert g_block.bit_generator.state == g_ref.bit_generator.state
         ref = per_draw_choice_probs(prices, spec, outcomes, n_draws, RngStream(seed))
-        got = customer_choice_probs(prices, spec, outcomes, n_draws, RngStream(seed))
-        assert got.tobytes() == ref.tobytes()
+        row = sum(outcomes.table[i][0].size for i in range(len(prices)))
+        for block_elements in (BLOCK_ELEMENTS, 5 * row, 1):
+            with mock.patch.object(_parallel, "BLOCK_ELEMENTS", block_elements):
+                got = customer_choice_probs(prices, spec, outcomes, n_draws, RngStream(seed))
+            assert got.tobytes() == ref.tobytes()
 
     def test_tied_draws_go_to_the_last_product(self):
         prices, spec, outcomes = TIED

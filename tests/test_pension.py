@@ -484,8 +484,9 @@ class TestDraws:
         self, rivals, probs, draws, seed
     ):
         """The risk aversions, then per offer the count of draws it tops,
-        from one multinomial over the order-statistic pmf diff(F^n), with
-        the stream left where that reference leaves it.  Zero-probability
+        from one multinomial over the order-statistic pmf diff(F^n) through
+        its last positive cell, the offers after it counting 0, with the
+        stream left where that reference leaves it.  Zero-probability
         offers as in pension_case1, rival counts at which F^n underflows,
         and draw counts on both sides of numpy's binomial switch from
         inversion to BTPE (n p of 30)."""
@@ -494,13 +495,30 @@ class TestDraws:
         rho_ref = gen_ref.uniform(scenario.risk_aversion[0], scenario.risk_aversion[1], draws)
         cdf = np.cumsum(scenario.competitor_offers.probs)
         cdf /= cdf[-1]
-        expected = gen_ref.multinomial(draws, np.diff(cdf**rivals, prepend=0.0))
+        cell = np.diff(cdf**rivals, prepend=0.0)
+        last = np.flatnonzero(cell)[-1] + 1
+        expected = np.zeros(cell.size, np.int64)
+        expected[:last] = gen_ref.multinomial(draws, cell[:last])
         rng = RngStream(seed)
         rho, counts = pension._draw_customers(scenario, rng)
         assert rho.tobytes() == rho_ref.tobytes()
         assert counts.dtype == expected.dtype and counts.tobytes() == expected.tobytes()
         assert counts.sum() == draws
         assert rng.generator.random() == gen_ref.random()
+
+    @pytest.mark.parametrize("rivals", [1, 2, 10])
+    def test_trailing_zero_offers_take_no_draw(self, rivals):
+        """Offers of zero mass after the last positive one, as 0.07 in
+        pension_case3_n2, are never passed to the multinomial (numpy gives
+        its last category whatever the binomials leave) and count 0."""
+        probs = [1, 2, 4, 0, 0]
+        scenario = self._scenario(probs, rivals, 1_000)
+        spy = mock.Mock(wraps=RngStream(3).generator)
+        _, counts = pension._draw_customers(scenario, mock.Mock(generator=spy))
+        (draws, pvals), _ = spy.multinomial.call_args
+        assert spy.multinomial.call_count == 1 and draws == 1_000
+        assert len(pvals) == 3 and pvals[-1] > 0.0
+        assert counts.tolist()[3:] == [0, 0] and counts.sum() == 1_000
 
     def test_top_frequencies_fit_the_order_statistic_pmf(self):
         """Per rival count n in {2, 5, 10} and offer k, the count of draws
