@@ -108,8 +108,9 @@ class OutcomeModel:
     handled by exact enumeration, or to a density ``(pdf, lo, hi)`` on an
     interval, handled by fixed-node trapezoidal quadrature.  Building the
     model tabulates it once, as ``table[c] = (nodes, weights, mass
-    tolerance)``, so a pdf runs once per choice, and a malformed entry, a
-    pdf that raises or fewer than 2 nodes raise there, not on first use.
+    tolerance)`` with the weights cast to contiguous float64, so a pdf runs
+    once per choice, and a malformed entry, a pdf that raises or fewer
+    than 2 nodes raise there, not on first use.
     A single point mass at 0 is the degenerate "no outcome feature" model.
     """
 
@@ -123,12 +124,13 @@ class OutcomeModel:
     def _tabulate(self, entry) -> tuple:
         if len(entry) == 2:
             values, probs = entry
-            return np.asarray(values, float), np.asarray(probs, float), _MASS_TOL_DISCRETE
+            weights = np.ascontiguousarray(probs, float)
+            return np.asarray(values, float), weights, _MASS_TOL_DISCRETE
         pdf, lo, hi = entry
         s = np.linspace(lo, hi, self.quadrature_nodes)
         dw = np.full(s.size, (hi - lo) / (s.size - 1))  # trapezoid weights
         dw[[0, -1]] *= 0.5
-        return s, pdf(s) * dw, _MASS_TOL_QUADRATURE
+        return s, np.asarray(pdf(s) * dw, float), _MASS_TOL_QUADRATURE
 
     @classmethod
     def point_mass(cls, n_choices: int, value: float = 0.0) -> "OutcomeModel":
@@ -190,10 +192,10 @@ class RandomUtilitySpec:
 
 @dataclass(frozen=True)
 class ChoiceOutcome:
-    """Realized customer comparisons: the index chosen and the EU vector of
-    one draw, or per draw of a block, an array of indices and an EU table."""
+    """Realized customer comparisons of a block of draws: the index chosen
+    per draw and the (draws x products) table of expected utilities."""
 
-    chosen: int | np.ndarray
+    chosen: np.ndarray
     expected_utilities: np.ndarray
 
 
@@ -403,40 +405,18 @@ def _realizations(prices, spec: RandomUtilitySpec, g: np.random.Generator, rows:
 def _expected_utilities(per_draw, spec: RandomUtilitySpec, nodes, weights, rows: int):
     """(rows x products) expected utilities of the draws of ``per_draw``.
 
-    Each product's utilities over its outcome nodes fill a (rows x nodes)
-    table, as ``np.asarray(..., float)`` and ``np.broadcast_to`` cast and
-    shape them, and ``np.vecdot`` reduces each row with the bits of
-    ``np.dot``.  Weights that are not float64, as a continuous pdf that
-    returns objects leaves them, are summed row by row by ``np.dot``
-    itself.  Two layouts keep the bits only by the way ``np.dot`` treats
-    them: a utility returned as a strided view, which ``np.dot`` sums with
-    its stride, is summed by ``np.dot`` itself, and weights of stride 0 or
-    less are copied first, as ``np.dot`` copies them.
+    Each product's utilities over its outcome nodes are written into a
+    float64 (rows x nodes) table, which casts and broadcasts them, and
+    ``np.vecdot`` reduces each row against the product's weights.
     """
     n = len(nodes)
-    weights = [w if w.strides[0] > 0 else np.ascontiguousarray(w) for w in weights]
     tables = [np.empty((rows, s.size)) for s in nodes]
-    views = []  # (draw, product, np.dot) of utilities returned as strided views
     build, shared = spec.builder, not spec.per_product
     for r, (draw_prices, thetas) in enumerate(per_draw):
         utilities = [build(thetas[0])] * n if shared else map(build, thetas)
         for i, u in enumerate(utilities):
-            s = nodes[i]
-            values = np.asarray(u(draw_prices[i], s), dtype=float)
-            if values.strides != (8,):  # not one contiguous float64 row
-                if values.shape == s.shape:
-                    views.append((r, i, np.dot(values, weights[i])))
-                values = np.broadcast_to(values, s.shape)
-            tables[i][r] = values
-    eu = np.empty((rows, n))
-    for i, (table, w) in enumerate(zip(tables, weights)):
-        if w.dtype == np.float64:
-            np.vecdot(table, w, out=eu[:, i])
-        else:  # e.g. object weights of a pdf that returns objects: np.dot's loop
-            eu[:, i] = [np.dot(row, w) for row in table]
-    for r, i, value in views:
-        eu[r, i] = value
-    return eu
+            tables[i][r] = u(draw_prices[i], nodes[i])
+    return np.column_stack([np.vecdot(t, w) for t, w in zip(tables, weights)])
 
 
 def realize_choice(
@@ -444,42 +424,34 @@ def realize_choice(
     spec: RandomUtilitySpec,
     outcomes: OutcomeModel,
     g: np.random.Generator,
-    draws: int | None = None,
+    draws: int,
 ) -> ChoiceOutcome:
-    """``draws`` draws of the customer's multiple-comparison problem, or one.
+    """``draws`` draws of the customer's multiple-comparison problem.
 
-    Each draw realizes prices (entries may be distributions; a plain number
-    draws nothing), a utility parameter, and the utility ``spec.builder``
-    makes of it: once per draw, or once per product with ``per_product``,
-    with a Python float for a parameter drawn from a ``(lo, hi)`` or
-    ``CategoricalPMF`` prior.  When every price is a plain number and the
-    prior is none, fixed or ``(lo, hi)``, the parameters of all draws come
-    from one block of uniforms; any other price or prior is realized draw
-    by draw.  Either way the stream ends where ``draws`` one-draw calls
-    leave it.
+    Each draw realizes prices (a plain number draws nothing), a utility
+    parameter (a Python float from a ``(lo, hi)`` or ``CategoricalPMF``
+    prior) and the utility ``spec.builder`` makes of it, once per draw or
+    once per product with ``per_product``.  Plain prices with a none, fixed
+    or ``(lo, hi)`` prior take every parameter from one block of uniforms;
+    anything else is realized draw by draw.  Either way the stream ends
+    where one draw at a time leaves it.
 
-    Each product's utilities over its outcome nodes fill a (draws x nodes)
-    table, reduced by ``np.vecdot`` with the bits of a per-draw ``np.dot``,
-    and the strict choice rule applies: product 0 wins only on a strict
-    maximum, and ties go to the highest-indexed maximizer, so any
-    competitor beats product 0 at equal realized expected utility.  A NaN
-    expected utility raises ValueError naming the product and price of the
-    first NaN in draw order; so does a product without an outcome
-    distribution.  With ``draws``, ``chosen`` is an array of choices and
-    ``expected_utilities`` a (draws x products) table.  Without it,
-    ``chosen`` is an int and ``expected_utilities`` one vector: the
-    one-draw form of the public API, kept for compatibility; the engine
-    always passes ``draws``.
+    Utilities over each product's outcome nodes fill a float64 (draws x
+    nodes) table, reduced by ``np.vecdot`` against the model's weights.
+    Ties go to the highest-indexed maximizer, so product 0 wins only on a
+    strict maximum.  A NaN expected utility raises ValueError naming the
+    product and price of the first NaN in draw order; so does a product
+    without an outcome distribution.  ``chosen`` holds each draw's choice
+    and ``expected_utilities`` the (draws x products) table.
     """
     n = len(prices)
-    rows = 1 if draws is None else draws
     try:
         nodes, weights, _ = zip(*(outcomes.table[i] for i in range(n)))
     except KeyError as missing:
         msg = f"degenerate outcome model: no distribution for product {missing}"
         raise ValueError(msg) from None
-    realized, per_draw = _realizations(prices, spec, g, rows)
-    eu = _expected_utilities(per_draw, spec, nodes, weights, rows)
+    realized, per_draw = _realizations(prices, spec, g, draws)
+    eu = _expected_utilities(per_draw, spec, nodes, weights, draws)
     nan = np.isnan(eu)
     if nan.any():
         r, i = np.argwhere(nan)[0]  # row-major: the first draw, then product
@@ -487,8 +459,6 @@ def realize_choice(
             f"expected utility of product {i} is NaN at price {float(realized[i][r])!r}"
         )
     chosen = n - 1 - np.argmax(eu[:, ::-1], axis=1)  # the last maximizer
-    if draws is None:
-        return ChoiceOutcome(chosen=int(chosen[0]), expected_utilities=eu[0])
     return ChoiceOutcome(chosen=chosen, expected_utilities=eu)
 
 
@@ -564,7 +534,8 @@ def sample_competitor_optimal_price(
     every grid point, and returns the argmax (lowest price on ties).
     ``choice_model(own_price_column, rival_price_matrix)`` must return the
     probability that the customer picks the target producer; ``target``
-    is carried for bookkeeping in multi-producer setups.
+    is carried for bookkeeping in multi-producer setups.  A NaN objective
+    raises ValueError naming the first grid price where it is NaN.
     """
     points = grid.points()
     if inner_draws < 1:
@@ -574,6 +545,10 @@ def sample_competitor_optimal_price(
     rivals = beliefs.sample(rng, inner_draws)  # (inner_draws, n_rivals)
     win = _win_matrix(choice_model, points, rivals)
     objective = np.asarray(payoff(points, 0.0), dtype=float) * win.mean(axis=1)
+    nan = np.isnan(objective)
+    if nan.any():
+        price = float(points[nan.argmax()])
+        raise ValueError(f"competitor expected utility is NaN at price {price!r}")
     if np.allclose(objective, objective[0], rtol=0.0, atol=1e-12):
         warnings.warn(
             "expected utility is flat across the whole grid; "

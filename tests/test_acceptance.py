@@ -521,10 +521,12 @@ def test_criterion_11_invariant_suite():
     )
     outcomes = OutcomeModel.point_mass(2)
     checks["argmax scale invariance"] = all(
-        realize_choice([0.045, offers], spec, outcomes, RngStream(7, k).generator).chosen
+        realize_choice(
+            [0.045, offers], spec, outcomes, RngStream(7, k).generator, 1
+        ).chosen[0]
         == realize_choice(
-            [0.045, offers], scaled, outcomes, RngStream(7, k).generator
-        ).chosen
+            [0.045, offers], scaled, outcomes, RngStream(7, k).generator, 1
+        ).chosen[0]
         for k in range(40)
     )
 

@@ -159,9 +159,9 @@ class TestCustomerChoice:
         )
         prices = [0.045, CASE1_OFFERS]
         for draw in range(60):
-            a = realize_choice(prices, base, outcomes, RngStream(101, draw).generator)
-            b = realize_choice(prices, scaled, outcomes, RngStream(101, draw).generator)
-            assert a.chosen == b.chosen
+            a = realize_choice(prices, base, outcomes, RngStream(101, draw).generator, 1)
+            b = realize_choice(prices, scaled, outcomes, RngStream(101, draw).generator, 1)
+            assert a.chosen[0] == b.chosen[0]
 
     def test_monotone_dominance_in_own_price(self):
         # decreasing utility in price: cutting our price never lowers our share
@@ -210,7 +210,7 @@ class TestCustomerChoice:
         ):
             realize_choice(
                 [1.0, 2.0, 3.0], RISK_NEUTRAL, OutcomeModel.point_mass(2),
-                np.random.default_rng(0),
+                np.random.default_rng(0), draws=1,
             )
 
     def test_nan_utility_names_the_product(self):
@@ -222,7 +222,7 @@ class TestCustomerChoice:
         outcomes = OutcomeModel.point_mass(3)
         prices = [19.0, 18.0, 20.0]
         with pytest.raises(ValueError, match="product 2 is NaN at price 20.0"):
-            realize_choice(prices, spec, outcomes, np.random.default_rng(0))
+            realize_choice(prices, spec, outcomes, np.random.default_rng(0), draws=1)
         with pytest.raises(ValueError, match="product 2 is NaN"):
             customer_choice_probs(prices, spec, outcomes, 10, RngStream(1))
 
@@ -364,8 +364,10 @@ class TestOutcomeModel:
         as_tuples = OutcomeModel.discrete({c: ([1.0, 3.0], [0.75, 0.25]) for c in range(2)})
         assert as_lists.validate() == []
         for outcomes in (as_lists, as_tuples):
-            choice = realize_choice([1.0, 1.0], RISK_NEUTRAL, outcomes, np.random.default_rng(0))
-            assert choice.expected_utilities.tolist() == [0.5, 0.5]
+            choice = realize_choice(
+                [1.0, 1.0], RISK_NEUTRAL, outcomes, np.random.default_rng(0), draws=1
+            )
+            assert choice.expected_utilities[0].tolist() == [0.5, 0.5]
         spec = RandomUtilitySpec.custom(_builder("array"), prior=(0.5, 1.5), per_product=True)
         shares = [
             customer_choice_probs([10.0, 10.0], spec, outcomes, 50, RngStream(3))
@@ -390,10 +392,22 @@ class TestOutcomeModel:
         assert report.passed, report.failures()
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("kind", ["object_pdf", "reversed"])
+    def test_weights_are_tabulated_as_contiguous_float64(self, kind):
+        """A pdf that returns objects, and a pmf given as stride -8 views,
+        are cast once, when the model is built."""
+        outcomes = _outcomes(kind, 3, 64)
+        for _, weights, _ in outcomes.table.values():
+            assert weights.dtype == np.float64 and weights.flags.c_contiguous
+        spec = RandomUtilitySpec.custom(_builder("array"), prior=(0.5, 1.5))
+        probs = customer_choice_probs([10.0, 9.5, 10.5], spec, outcomes, 50, RngStream(4))
+        assert probs.sum() == 1.0
+
 
 # ---------------------------------------------------------------------------
-# The customer choice loop as it was before realize_choice was trimmed:
-# the reference for bit-identity.
+# The customer choice loop as it was before realize_choice was trimmed,
+# on float64 utilities and weights laid out contiguously: the reference
+# for bit-identity.
 # ---------------------------------------------------------------------------
 
 
@@ -439,7 +453,7 @@ def per_draw_choice(prices, spec, outcomes, g):
         s, w = _frozen_nodes_weights(outcomes, i)
         price = float(realized[i])
         values = np.broadcast_to(np.asarray(u(price, s), dtype=float), s.shape)
-        eu[i] = float(np.dot(values, w))
+        eu[i] = float(np.dot(np.ascontiguousarray(values), np.ascontiguousarray(w, float)))
     return int(np.flatnonzero(eu == eu.max())[-1]), eu
 
 
@@ -480,7 +494,7 @@ def _builder(kind):
             return lambda p, s: 20.0 - t * p
         if kind == "object":  # node-shaped, but must become float64 first
             return lambda p, s: np.array([-(p + t * x) for x in s.tolist()], object)
-        if kind == "view":  # node-shaped float64, strided: np.dot keeps the stride
+        if kind == "view":  # node-shaped float64, strided: copied into the table
             return lambda p, s: np.repeat(-(p + t * np.asarray(s, float)), 2)[::2]
         return lambda p, s: (-(p + t * np.asarray(s, float))).astype(np.float32)
 
@@ -492,12 +506,12 @@ def _outcomes(kind, n, nodes):
         return OutcomeModel.point_mass(n)
     if kind == "discrete":
         return OutcomeModel.discrete({c: ([1.0, 3.0], [0.75, 0.25]) for c in range(n)})
-    if kind == "reversed":  # a pmf given as views of stride -8: np.dot copies them
+    if kind == "reversed":  # a pmf given as views of stride -8: copied when built
         values = np.linspace(0.0, 2.0, nodes)[::-1]
         probs = np.arange(1.0, nodes + 1.0)
         return OutcomeModel.discrete({c: (values, (probs / probs.sum())[::-1]) for c in range(n)})
     pdfs = (lambda s: np.full(s.shape, 0.5), lambda s: s / 2.0)
-    if kind == "object_pdf":  # object weights: np.dot sums them in order
+    if kind == "object_pdf":  # object weights: cast to float64 when built
         pdfs = tuple((lambda s, f=f: np.array(f(s).tolist(), object)) for f in pdfs)
     return OutcomeModel.continuous(
         {c: (pdfs[c % 2], 0.0, 2.0) for c in range(n)}, nodes=nodes
@@ -571,16 +585,16 @@ class TestChoiceLoopBitIdentity:
     @example(problem=INT_FIXED_PRIOR, seed=3, n_draws=9)
     @example(problem=PMF_PER_PRODUCT, seed=4, n_draws=7)
     def test_matches_the_per_draw_loop(self, problem, seed, n_draws):
-        """One-draw calls, one call of n_draws draws, and the shares in one
+        """One-draw blocks, one block of n_draws draws, and the shares in one
         block, in blocks of 5 draws and of 1 draw, against the per-draw loop."""
         prices, spec, outcomes = problem
         g_ref, g_new = np.random.default_rng(seed), np.random.default_rng(seed)
         choices, eus = [], []
         for _ in range(n_draws):
             chosen, eu = per_draw_choice(prices, spec, outcomes, g_ref)
-            got = realize_choice(prices, spec, outcomes, g_new)
-            assert got.chosen == chosen
-            assert got.expected_utilities.tobytes() == eu.tobytes()
+            got = realize_choice(prices, spec, outcomes, g_new, draws=1)
+            assert got.chosen.tolist() == [chosen]
+            assert got.expected_utilities[0].tobytes() == eu.tobytes()
             assert g_new.bit_generator.state == g_ref.bit_generator.state
             choices.append(chosen)
             eus.append(eu)
@@ -648,6 +662,40 @@ class TestCompetitorSampling:
             )
         assert price == grid.min
         assert any("flat" in str(w.message) for w in caught)
+
+    @pytest.mark.parametrize("nan_above, first", [(15.0, 15.5), (-math.inf, 10.0)])
+    def test_nan_objective_names_the_first_price(self, nan_above, first):
+        margin, beliefs, _, _ = _retail_like_inputs()
+        choice = lambda own, rivals: np.where(own > nan_above, np.nan, 0.5) + 0.0 * rivals
+        with pytest.raises(ValueError, match=f"NaN at price {first}$"):
+            sample_competitor_optimal_price(
+                2, margin, beliefs, choice, PriceGrid(10.0, 20.0, 0.5), 20, RngStream(17)
+            )
+
+    @pytest.mark.parametrize(
+        "peak, rest, flat",
+        [(math.inf, math.inf, True), (-math.inf, -math.inf, True), (1e-13, 0.0, True),
+         (2e-12, 0.0, False), (math.inf, 0.0, False), (0.0, -math.inf, False)],
+    )
+    def test_flatness_is_that_of_allclose(self, peak, rest, flat):
+        """A payoff of ``peak`` at one grid price and ``rest`` elsewhere is
+        flat as np.allclose(rtol=0, atol=1e-12) has it: equal infinities
+        are, and no numpy warning is raised on the way."""
+        _, beliefs, _, grid = _retail_like_inputs()
+        at = grid.points()[3]
+        spec = RandomUtilitySpec.custom(
+            builder=lambda _t: (lambda p, s: np.where(p == at, peak, rest))
+        )
+        sure_sale = lambda own, rivals: 1.0 + 0.0 * (own + rivals)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            price = sample_competitor_optimal_price(
+                2, spec, beliefs, sure_sale, grid, 20, RngStream(17)
+            )
+        messages = [str(w.message) for w in caught]
+        assert messages == (["expected utility is flat across the whole grid; "
+                             "returning the lowest price"] if flat else [])
+        assert price == (grid.min if flat or peak < rest else at)
 
     def test_argmax_matches_quadrature_oracle(self):
         margin, beliefs, choice, grid = _retail_like_inputs()

@@ -90,3 +90,42 @@ def test_worker_calls_bind_to_the_program_api():
         checked += 1
     assert checked, "no araprice call found in worker.py"
     assert not problems, "\n".join(problems)
+
+
+def test_every_counter_reads_parameters_of_its_target():
+    """Each counter in ``TARGETS`` reads ``args["..."]``, the call's bound
+    arguments by name, so a renamed parameter would fail only a traced
+    benchmark run.  The file is parsed, not imported."""
+    tree = ast.parse(LAYERS.read_text())
+    reads = {}  # counter function -> the argument names it reads or writes
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            reads[node.name] = {
+                sub.slice.value
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Subscript)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "args"
+                and isinstance(sub.slice, ast.Constant)
+            }
+    (targets,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    ]
+    problems, checked = [], 0
+    for entry in targets.elts:
+        _, module, func, counter = entry.elts
+        if not isinstance(counter, ast.Name) or counter.id not in reads:
+            continue  # None or CALLS_ONLY: no argument is read
+        assert reads[counter.id], f"{counter.id} reads no argument"
+        target = getattr(importlib.import_module(module.value), func.value)
+        parameters = inspect.signature(target).parameters
+        for key in sorted(reads[counter.id]):
+            checked += 1
+            if key not in parameters:
+                problems.append(f"{counter.id} reads {key!r}, not a parameter of "
+                                f"{module.value}.{func.value}")
+    assert checked >= 6, "fewer counter arguments found than perfbench/layers.py reads"
+    assert not problems, "\n".join(problems)

@@ -17,6 +17,7 @@ from araprice.randkit import (
     InverseGammaParams,
     PowerPricePrior,
     RngStream,
+    _T_LOWER_TAILS,
     _t_cdf_betainc,
     sample_inverse_gamma,
     student_t_cdf,
@@ -146,6 +147,24 @@ class TestStudentTCdfClosedForms:
         assert scalar == student_t_cdf(np.array([-2.0]), dof)[0]
         # the beta route rounds F(-1e-8) to exactly 1/2; the closed forms do not
         assert student_t_cdf(-1e-8, dof) < 0.5
+
+    @pytest.mark.parametrize("dof", [1.0, 3.0, 4.0])
+    def test_upper_half_flips_the_lower_tail_bit_for_bit(self, dof):
+        """F is the lower tail L = F(-|x|) for x <= 0 and 1 - L above."""
+        rng = np.random.default_rng(int(dof))
+        xs = np.concatenate([
+            rng.normal(0.0, 3.0, 500) * 10.0 ** rng.uniform(-8, 8, 500),
+            [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e300, -1e300, np.nan],
+        ])
+        with np.errstate(divide="ignore", over="ignore"):
+            tail = _T_LOWER_TAILS[dof](np.abs(xs))
+        ref = np.where(xs > 0, 1.0 - tail, tail)
+        got = student_t_cdf(xs, dof)
+        nan = np.isnan(xs)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == ref[~nan].tobytes()
+        for i in (0, 5, 17, 502):  # a scalar takes the same route
+            assert np.float64(student_t_cdf(float(xs[i]), dof)).tobytes() == ref[i].tobytes()
 
     def test_closed_forms_no_less_accurate_than_the_beta_route(self):
         rng = np.random.default_rng(20)
