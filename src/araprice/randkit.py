@@ -250,7 +250,9 @@ def _t4_lower_tail(y: np.ndarray) -> np.ndarray:
 
 # Closed forms of the lower tail (Abramowitz & Stegun 26.7.3-4), by dof.
 # Each takes |x| as a fresh flat array, overwrites it with the tail and
-# allocates at most one more array of its size (none at dof 1).
+# allocates at most one more array of its size (none at dof 1).  Every
+# tail is +0.0 or above (or NaN), which student_t_cdf's sign flip
+# |[x > 0] - L| needs to give back L itself where x <= 0.
 _T_LOWER_TAILS = {
     1.0: _t1_lower_tail,
     3.0: _t3_lower_tail,
@@ -307,7 +309,10 @@ def student_t_cdf(x, dof: float):
         y = np.absolute(x_arr, out=np.empty(x_arr.shape))
         with np.errstate(divide="ignore", over="ignore"):
             out = lower_tail(y.reshape(-1)).reshape(x_arr.shape)
-        np.subtract(1.0, out, out=out, where=x_arr > 0)
+        # 1 - L above 0 and |0 - L| = L elsewhere, bit for bit, without
+        # numpy's masked ``where=`` loop, which costs more than the tail
+        np.subtract(x_arr > 0, out, out=out)
+        np.absolute(out, out=out)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out

@@ -697,6 +697,27 @@ class TestCompetitorSampling:
                              "returning the lowest price"] if flat else [])
         assert price == (grid.min if flat or peak < rest else at)
 
+    @pytest.mark.parametrize("n_rivals", [1, 2])
+    @pytest.mark.parametrize("awkward", [False, True])
+    def test_win_matrix_is_the_product_over_rivals(self, n_rivals, awkward):
+        """Rivals' pairwise wins multiply: the table has the bits of
+        ``prod(axis=2)``, for one rival too, and is C-ordered, as the mean
+        over draws needs for its bits."""
+        _, _, choice, grid = _retail_like_inputs()
+        if awkward:  # -0.0, NaN and values off [0, 1] pass through unchanged
+            choice = lambda own, rivals: np.where(
+                rivals > 45.0, -0.0, np.where(rivals < 6.0, np.nan, 1.5 - own / rivals)
+            )
+        points = grid.points()
+        rivals = np.random.default_rng(23).uniform(5.0, 50.0, (50, n_rivals))
+        pairwise = np.asarray(choice(points[:, None, None], rivals[None]), dtype=float)
+        got = core._win_matrix(choice, points, rivals)
+        assert got.shape == (points.size, 50) and got.flags.c_contiguous
+        assert got.tobytes() == pairwise.prod(axis=2).tobytes()
+        if n_rivals == 2:
+            product = pairwise[:, :, 0] * pairwise[:, :, 1]
+            assert got.tobytes() == product.tobytes()
+
     def test_argmax_matches_quadrature_oracle(self):
         margin, beliefs, choice, grid = _retail_like_inputs()
         price = sample_competitor_optimal_price(

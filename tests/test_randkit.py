@@ -150,7 +150,8 @@ class TestStudentTCdfClosedForms:
 
     @pytest.mark.parametrize("dof", [1.0, 3.0, 4.0])
     def test_upper_half_flips_the_lower_tail_bit_for_bit(self, dof):
-        """F is the lower tail L = F(-|x|) for x <= 0 and 1 - L above."""
+        """F is the lower tail L = F(-|x|) for x <= 0 and 1 - L above, for
+        any memory layout of x and for scalars; a 0 of F is +0.0."""
         rng = np.random.default_rng(int(dof))
         xs = np.concatenate([
             rng.normal(0.0, 3.0, 500) * 10.0 ** rng.uniform(-8, 8, 500),
@@ -159,12 +160,28 @@ class TestStudentTCdfClosedForms:
         with np.errstate(divide="ignore", over="ignore"):
             tail = _T_LOWER_TAILS[dof](np.abs(xs))
         ref = np.where(xs > 0, 1.0 - tail, tail)
-        got = student_t_cdf(xs, dof)
-        nan = np.isnan(xs)
-        assert np.array_equal(np.isnan(got), nan)
-        assert got[~nan].tobytes() == ref[~nan].tobytes()
-        for i in (0, 5, 17, 502):  # a scalar takes the same route
-            assert np.float64(student_t_cdf(float(xs[i]), dof)).tobytes() == ref[i].tobytes()
+        assert (ref == 0.0).any() and not np.signbit(ref[ref == 0.0]).any()
+
+        def check(x, want):
+            got = student_t_cdf(x, dof)
+            assert np.shape(got) == np.shape(want)
+            got = np.asarray(got, dtype=float)
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
+            assert not np.signbit(got[got == 0.0]).any()
+
+        check(xs, ref)
+        check(xs[::3], ref[::3])  # strided
+        check(xs[::-1], ref[::-1])  # negative stride
+        square = xs[:484].reshape(22, 22)
+        check(np.asfortranarray(square), ref[:484].reshape(22, 22))
+        check(square.T, ref[:484].reshape(22, 22).T)  # Fortran-ordered view
+        for i in (0, 5, 17, *range(500, 509)):  # 0-d, Python and numpy scalars
+            for scalar in (np.array(xs[i]), float(xs[i]), xs[i]):
+                got = student_t_cdf(scalar, dof)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == ref[i].tobytes() or np.isnan(ref[i])
 
     def test_closed_forms_no_less_accurate_than_the_beta_route(self):
         rng = np.random.default_rng(20)

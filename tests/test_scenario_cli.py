@@ -558,6 +558,26 @@ class TestCli:
         main(["run", str(case), "--out", str(b), "--seed", "2"])
         assert a.with_suffix(".csv").read_bytes() != b.with_suffix(".csv").read_bytes()
 
+    def test_in_process_calls_share_no_arguments(self, tmp_path, capsys):
+        """A ``--seed`` given to one in-process ``main`` call is not the next
+        call's, and a bad argv after a good call still exits 2."""
+        case = bundled_case("retail_case2")
+        file_seed = json.loads(case.read_text())["seed"]
+        assert file_seed != 7
+        seeds = []
+        for extra in (["--seed", "7"], []):
+            out = tmp_path / f"s{len(seeds)}"
+            assert main(["run", str(case), "--out", str(out), *extra]) == 0
+            seeds.append(json.loads(out.with_suffix(".summary.json").read_text())["seed"])
+        assert seeds == [7, file_seed]
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(case), "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: must be an integer in [0, 2**64)" in capsys.readouterr().err
+        out = tmp_path / "after"
+        assert main(["run", str(case), "--out", str(out)]) == 0
+        assert json.loads(out.with_suffix(".summary.json").read_text())["seed"] == file_seed
+
     def test_compare_pension(self, tmp_path, capsys):
         out = tmp_path / "cmp"
         code = main(
