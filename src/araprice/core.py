@@ -10,8 +10,9 @@ Monte Carlo forecasts of everyone else's behavior.
 
 Retail and pension specialize it with closed-form choice models.  Every
 price grid of the engine and the oracle is scored by :func:`score_grid`:
-a mean over states of payoff x acceptance, with equal weights on Monte
-Carlo draws and pmf or quadrature weights in the oracle.
+a weighted mean over states of payoff x acceptance.  A Monte Carlo
+sample is scored on its distinct states, weighted by their frequencies
+(:func:`_distinct_states`); the oracle weighs by pmf or quadrature.
 """
 
 from __future__ import annotations
@@ -299,31 +300,21 @@ class EvaluationCurve:
                 raise ValueError(f"column {column.name} has mismatched length")
 
     @classmethod
-    def from_draws(cls, prices, win, on_sale, on_no_sale, weights=None):
+    def from_draws(cls, prices, win, on_sale, on_no_sale, weights, draws: int = 0):
         """Score a (grid x states) acceptance matrix ``win``.
 
         Each state pays ``on_sale`` or ``on_no_sale`` (per-price arrays)
-        weighted by its acceptance; the curve holds the mean over draws,
-        its standard error (zero for a single draw) and the mean acceptance.
-        Given ``weights``, one per state, a row reduces to ``np.vecdot(row,
-        weights)`` instead (the bits of ``np.dot``), with a standard error
-        of zero.
+        weighted by its acceptance; every row reduces with ``np.vecdot(row,
+        weights)`` (the bits of ``np.dot``), the states' weights summing to
+        one.  The SE is ``sqrt(vecdot((payoff - mean)**2, weights) / (draws
+        - 1))``, ``std(ddof=1) / sqrt(draws)`` over ``draws`` > 1 Monte Carlo
+        draws, and 0 for an exact expectation (``draws=0``) or one draw.
         """
         payoff = on_sale[:, None] * win + on_no_sale[:, None] * (1.0 - win)
-        if weights is not None:
-            means = (np.vecdot(t, weights) for t in (win, payoff))
-            return cls(prices, *means, np.zeros(len(prices)))
-        draws = payoff.shape[1]
+        mean, se = np.vecdot(payoff, weights), np.zeros(len(prices))
         if draws > 1:
-            se = payoff.std(axis=1, ddof=1) / math.sqrt(draws)
-        else:
-            se = np.zeros(len(prices))
-        return cls(
-            prices=prices,
-            accept_prob=win.mean(axis=1),
-            expected_utility=payoff.mean(axis=1),
-            std_err=se,
-        )
+            se = np.sqrt(np.vecdot((payoff - mean[:, None]) ** 2, weights) / (draws - 1))
+        return cls(prices, np.vecdot(win, weights), mean, se)
 
     @property
     def optimum_index(self) -> int:
@@ -509,7 +500,7 @@ def customer_choice_probs(
 
 
 def _win_matrix(choice_model, points: np.ndarray, rivals: np.ndarray) -> np.ndarray:
-    """(grid, draws) probability of a sale at each of ``points`` against each
+    """(grid, rows) probability of a sale at each of ``points`` against each
     row of rival prices; pairwise win probabilities against several rivals
     multiply, assuming independence."""
     win = np.asarray(
@@ -564,21 +555,32 @@ def sample_competitor_optimal_price(
 # ---------------------------------------------------------------------------
 
 
-def score_grid(prices, win_rows, u1: ProducerUtility, states: int, weights=None):
+def _distinct_states(sample) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a (draws x ...) rival-price ``sample``, sorted,
+    and the share of the draws that each takes: an equally weighted
+    sample as frequency weights.  Raises ValueError on an empty sample."""
+    sample = np.asarray(sample, dtype=float)
+    if not len(sample):
+        raise ValueError("rival price sample is empty: need at least one rival price draw")
+    states, counts = np.unique(sample, axis=0, return_counts=True)
+    return states, counts / len(sample)
+
+
+def score_grid(prices, win_rows, u1: ProducerUtility, states: int, weights, draws=0):
     """Score every price of the 1-d ``prices`` by ``u1``'s expected payoff.
 
-    ``win_rows(block)`` gives a block's (prices x states) acceptance table;
-    ``states`` is a row's size in its largest temporary.  Blocks of rows
-    (``_parallel.map_blocks``) go through :meth:`EvaluationCurve.from_draws`
-    with ``weights`` (None weighs the states equally), so memory stays at
-    block size and, as every column reduces within a row, the curve has
-    the bits of one ``from_draws`` call.
+    ``win_rows(block)`` gives a block's (prices x states) acceptance table,
+    which :meth:`EvaluationCurve.from_draws` reduces against ``weights``
+    and ``draws``; ``states`` is a row's size in its largest temporary.
+    Blocks of rows (``_parallel.map_blocks``) keep memory at block size
+    and, as every column reduces within a row, the curve has the bits of
+    one ``from_draws`` call.
     """
 
     def _score(rows: slice) -> tuple:
         block = prices[rows]
         pays = (np.array([u(p) for p in block]) for u in (u1.on_sale, u1.on_no_sale))
-        curve = EvaluationCurve.from_draws(block, win_rows(block), *pays, weights)
+        curve = EvaluationCurve.from_draws(block, win_rows(block), *pays, weights, draws)
         return curve.accept_prob, curve.expected_utility, curve.std_err
 
     # an empty grid scores one empty block, so its columns are empty arrays
@@ -601,8 +603,8 @@ def solve_supported_price(
     (used verbatim), or a single float.  All grid points are evaluated on
     the same competitor sample, so curves are smooth in price and
     deterministic given the stream.  Raises ValueError when there is no
-    rival draw to score against.  The grid is scored by
-    :func:`score_grid` with equal weights on the draws.
+    rival draw to score against.  The grid is scored by :func:`score_grid`
+    on the sample's distinct rival-price rows, weighted by frequency.
     """
     if isinstance(beliefs, AgentBeliefs):
         if rng is None:
@@ -612,11 +614,10 @@ def solve_supported_price(
         rivals = beliefs.samples[:, None]
     else:
         rivals = np.atleast_1d(np.asarray(beliefs, dtype=float))[:, None]
-    if not len(rivals):
-        raise ValueError("need at least one rival price draw")
-    win_rows = partial(_win_matrix, choice_model, rivals=rivals)
-    # a row of the pairwise win table holds every rival of every draw
-    curve = score_grid(grid.points(), win_rows, u1, rivals.size)
+    states, weights = _distinct_states(rivals)
+    win_rows = partial(_win_matrix, choice_model, rivals=states)
+    # a row of the pairwise win table holds every rival of every state
+    curve = score_grid(grid.points(), win_rows, u1, states.size, weights, len(rivals))
     return curve.optimum, curve
 
 

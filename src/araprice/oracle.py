@@ -11,11 +11,11 @@ Retail, template and rival-objective grids are scored by the
 engine's own scorer, :func:`araprice.core.score_grid`, with the engine's
 payoffs: rows are prices, a row holds scipy's sale probability against
 each point of the rival-price density, and each row reduces with
-``np.dot`` against the density's pmf or Gauss-Legendre weights x pdf,
-or with the mean over an equally weighted sample.  Each row block is one
-scipy call, so memory stays at block size for any grid, and every value
-of a grid call has the bits of a one-price call.  A sample is evaluated
-once per distinct price and gathered back in sample order.
+``np.vecdot`` against the density's pmf or Gauss-Legendre weights x pdf.
+An equally weighted sample is its distinct prices weighted by their
+frequencies, as in the engine.  Each row block is one scipy call, so
+memory stays at block size for any grid, and every value of a grid call
+has the bits of a one-price call.
 
 A Gauss-Legendre rule is an eigenproblem solved once per rule (Golub &
 Welsch, 1969), not once per call: ``_gauss_legendre`` keeps the
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .core import ProducerUtility, score_grid
+from .core import ProducerUtility, _distinct_states, score_grid
 from .pension import PensionScenario, _check_offer_range, acceptance_probability_reduced
 from .randkit import CategoricalPMF, PowerPricePrior
 from .retail import RetailScenario, _payoff
@@ -84,11 +84,11 @@ def _expected_payoff(prices, density, sigma, noise, payoff, nodes=None):
     A float is a point mass and a CategoricalPMF weighs its values by their
     probabilities; a PowerPricePrior or a (pdf, lo, hi) triple takes the
     ``nodes``-point Gauss-Legendre rule, with weights x pdf; anything else
-    is an equally weighted sample, evaluated once per distinct price.
+    is an equally weighted sample, scored on its distinct prices weighted
+    by their frequencies.
     """
     if isinstance(density, PowerPricePrior):
         density = (density.pdf, density.lower, density.upper)
-    weights = inverse = None
     if isinstance(density, (int, float)):
         points, weights = np.array([float(density)]), np.array([1.0])
     elif isinstance(density, CategoricalPMF):
@@ -98,14 +98,9 @@ def _expected_payoff(prices, density, sigma, noise, payoff, nodes=None):
         points, weights = _gauss_legendre(lo, hi, nodes)
         weights = weights * pdf(points)
     else:
-        points, inverse = np.unique(np.asarray(density, float), return_inverse=True)
-
-    def _win_rows(block: np.ndarray) -> np.ndarray:
-        table = _sale_prob(block[:, None], points, sigma, noise)
-        return table if inverse is None else table.take(inverse, axis=1)
-
-    states = points.size if inverse is None else inverse.size
-    return score_grid(prices, _win_rows, payoff, states, weights).expected_utility
+        points, weights = _distinct_states(density)
+    win_rows = lambda block: _sale_prob(block[:, None], points, sigma, noise)
+    return score_grid(prices, win_rows, payoff, points.size, weights).expected_utility
 
 
 def quadrature_retail_utility(

@@ -26,7 +26,8 @@ import numpy as np
 
 from ._parallel import map_blocks
 from .core import (
-    EvaluationCurve, PriceGrid, ProducerUtility, score_grid, solve_supported_price,
+    EvaluationCurve, PriceGrid, ProducerUtility, _distinct_states, score_grid,
+    solve_supported_price,
 )
 from .randkit import (
     InverseGammaParams,
@@ -271,21 +272,22 @@ def estimate_expected_utility(
 
     Averages margin times acceptance over the competitor-price sample with
     :func:`araprice.core.score_grid`, the scorer of the engine's grids and
-    the oracle's.  The perishable variant charges the write-off cost on
+    the oracle's, on the sample's distinct prices weighted by their
+    frequencies.  The perishable variant charges the write-off cost on
     every lost sale.  Returns (estimate, standard error).
     """
     samples = np.atleast_1d(np.asarray(competitor_prices, dtype=float))
-    if samples.size == 0:
-        raise ValueError("competitor price sample is empty")
+    states, weights = _distinct_states(samples)
     if not scenario.cost <= p1 <= scenario.max_price:
         raise ValueError(
             f"price {p1} outside feasible range "
             f"[{scenario.cost}, {scenario.max_price}]"
         )
     accept = lambda price: _sale_prob(
-        price[:, None], samples, scenario.fixed_sigma, scenario.customer_noise
+        price[:, None], states, scenario.fixed_sigma, scenario.customer_noise
     )
-    curve = score_grid(np.array([float(p1)]), accept, _payoff(scenario), samples.size)
+    grid, payoff = np.array([float(p1)]), _payoff(scenario)
+    curve = score_grid(grid, accept, payoff, states.size, weights, samples.size)
     return float(curve.expected_utility[0]), float(curve.std_err[0])
 
 

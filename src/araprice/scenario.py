@@ -48,14 +48,14 @@ _FLOAT_MAX = sys.float_info.max
 # Most elements (2^25) that one command may evaluate for a scenario: grid
 # points x draws, pension draws (one risk aversion each, at any rival
 # count), pension utility terms, grid points x output columns.  Counted
-# before the engine runs.  The grid scorers and the rival forecast work
-# in row blocks, so none holds a grid x draws array whole; held whole are
-# draw samples, the forecast's n1 x n2 uniforms, the pension offer grid x
-# offers x horizon tie matrix and the output table, which their own
-# entries bound.  An overrun is an invariant violation (exit 4).
-# ``compare`` is also held to its refined forecast and the template
-# oracle's grid x competitor-price win table, which ``run`` and
-# ``validate`` never build.
+# before the engine runs, they are safety bounds: the grid scorers score
+# a sample's distinct rival states, not its draws, and like the rival
+# forecast work in row blocks; held whole are draw samples, the
+# forecast's n1 x n2 uniforms, the pension offer grid x offers x horizon
+# tie matrix and the output table, which their own entries bound.  An
+# overrun is an invariant violation (exit 4).  ``compare`` is also held
+# to its refined forecast and the template oracle's grid x
+# competitor-price win table, which ``run`` and ``validate`` never build.
 WORK_BUDGET = 1 << 25
 
 # The curve columns that ``price run`` writes, one row per grid point.

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import araprice.core as core
 
-from araprice import _parallel
+from araprice import _parallel, cli
 from araprice._parallel import BLOCK_ELEMENTS
 from araprice.core import (
     AgentBeliefs,
@@ -44,6 +44,7 @@ from araprice.randkit import (
     student_t_cdf,
 )
 from araprice.retail import RetailScenario
+from araprice.scenario import bundled_case
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
@@ -784,9 +785,10 @@ class TestSolveSupportedPrice:
 
 
     def test_row_blocks_match_one_call(self):
-        """Two rivals at 5,000 draws: a row block holds 13 of the 41 grid
-        prices, and the four blocks give the bits of one ``from_draws``
-        call over the whole (grid x draws) win matrix."""
+        """Two rivals at 5,000 draws, each row of rival prices distinct: a
+        row block holds 13 of the 41 grid prices, and the four blocks give
+        the bits of one ``from_draws`` call over the whole (grid x
+        distinct states) win matrix, weighted by frequency."""
         beliefs = AgentBeliefs(
             (PowerPricePrior(5.0, 15.0, 2.0), CategoricalPMF((8.0, 9.0), (0.3, 0.7)))
         )
@@ -794,17 +796,39 @@ class TestSolveSupportedPrice:
         points = grid.points()
         u1 = ProducerUtility(on_sale=lambda p: p - 1.0, on_no_sale=lambda p: -0.5)
         win = lambda own, rivals: student_t_cdf(rivals - own, 4.0)
-        assert BLOCK_ELEMENTS // (2 * draws) == 13
-        rivals = beliefs.sample(RngStream(12), draws)
+        states, weights = core._distinct_states(beliefs.sample(RngStream(12), draws))
+        assert len(states) == draws and BLOCK_ELEMENTS // states.size == 13
         expected = EvaluationCurve.from_draws(
             points,
-            win(points[:, None, None], rivals[None, :, :]).prod(axis=2),
+            win(points[:, None, None], states[None, :, :]).prod(axis=2),
             points - 1.0,
             np.full(points.size, -0.5),
+            weights,
+            draws,
         )
         _, got = solve_supported_price(grid, u1, beliefs, win, draws, RngStream(12))
         for column in ("accept_prob", "expected_utility", "std_err"):
             assert getattr(got, column).tobytes() == getattr(expected, column).tobytes()
+
+    def test_scores_distinct_states_only(self, monkeypatch, tmp_path, capsys):
+        """`price run template_example` draws 4,000 rival prices from a
+        4-value pmf: the choice model sees a 41 x 4 table, not 41 x 4,000."""
+        shapes = []
+        solve = core.solve_supported_price
+
+        def recorded(grid, u1, beliefs, choice_model, *args, **kwargs):
+            def model(own, rivals):
+                shapes.append(np.broadcast_shapes(np.shape(own), np.shape(rivals)))
+                return choice_model(own, rivals)
+
+            return solve(grid, u1, beliefs, model, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_supported_price", recorded)
+        path = bundled_case("template_example")
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "t")]) == 0
+        capsys.readouterr()
+        assert cli.parse_scenario(path).params.n_draws == 4_000
+        assert shapes == [(41, 4, 1)]
 
     def test_memory_is_bounded(self):
         """41 prices x 200,000 draws: one float64 win matrix alone would
@@ -825,29 +849,76 @@ class TestSolveSupportedPrice:
 
 class TestEvaluationCurve:
     def test_from_draws_matches_row_by_row_formula(self):
+        """Every row reduces with ``np.dot`` against the weights, also for a
+        column slice, which is not contiguous; the SE of ``draws`` > 1
+        equally weighted draws is ``std(ddof=1) / sqrt(draws)``, and 0 for
+        an exact expectation or a single draw."""
         g = np.random.default_rng(4)
         prices = np.array([1.0, 2.0, 3.0])
-        win = g.random((3, 257))
         on_sale, on_no_sale = prices - 0.5, np.array([-0.5, 0.0, -0.25])
-        curve = EvaluationCurve.from_draws(prices, win, on_sale, on_no_sale)
-        for i in range(prices.size):
-            payoff = on_sale[i] * win[i] + on_no_sale[i] * (1.0 - win[i])
-            assert curve.expected_utility[i] == payoff.mean()
-            assert curve.std_err[i] == payoff.std(ddof=1) / math.sqrt(win.shape[1])
-            assert curve.accept_prob[i] == win[i].mean()
-        one = EvaluationCurve.from_draws(prices, win[:, :1], on_sale, on_no_sale)
+        for table in (g.random((3, 257)), g.random((3, 515))[:, 1::2]):
+            n = table.shape[1]
+            for weights, draws in ((np.full(n, 1.0 / n), n), (g.dirichlet(np.ones(n)), 0)):
+                curve = EvaluationCurve.from_draws(
+                    prices, table, on_sale, on_no_sale, weights, draws
+                )
+                for i in range(prices.size):
+                    payoff = on_sale[i] * table[i] + on_no_sale[i] * (1.0 - table[i])
+                    mean = np.dot(payoff, weights)
+                    assert curve.expected_utility[i] == mean
+                    assert curve.accept_prob[i] == np.dot(table[i], weights)
+                    if draws:
+                        se = math.sqrt(np.dot((payoff - mean) ** 2, weights) / (draws - 1))
+                        assert curve.std_err[i] == se
+                        assert se == pytest.approx(payoff.std(ddof=1) / math.sqrt(n), rel=1e-12)
+                if not draws:
+                    assert np.array_equal(curve.std_err, np.zeros(3))
+        one = EvaluationCurve.from_draws(prices, table[:, :1], on_sale, on_no_sale, [1.0], 1)
         assert np.array_equal(one.std_err, np.zeros(3))
-        # a column slice is not contiguous: vecdot must still give np.dot's bits
-        for table in (win, g.random((3, 515))[:, 1::2]):
-            weights = g.random(table.shape[1])
-            weighted = EvaluationCurve.from_draws(
-                prices, table, on_sale, on_no_sale, weights
-            )
-            for i in range(prices.size):
-                payoff = on_sale[i] * table[i] + on_no_sale[i] * (1.0 - table[i])
-                assert weighted.expected_utility[i] == np.dot(payoff, weights)
-                assert weighted.accept_prob[i] == np.dot(table[i], weights)
-            assert np.array_equal(weighted.std_err, np.zeros(3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        distinct=st.integers(1, 6),
+        draws=st.integers(1, 40),
+        integral=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(distinct=1, draws=7, integral=False, seed=0)
+    def test_grouped_scores_match_expanded(self, distinct, draws, integral, seed):
+        """A table with repeated columns scores the same expanded, each
+        column at a weight of 1/draws, and grouped on its distinct columns
+        at their frequencies: to 1e-12 relative, and exactly for
+        small-integer payoffs with 0/1 acceptance over a power-of-two draw
+        count, whose weights are exact.  A single distinct state has an SE
+        of exactly 0.0."""
+        g = np.random.default_rng(seed)
+        prices = np.array([1.0, 2.0, 3.0, 4.0])
+        if integral:
+            columns = g.integers(0, 2, (prices.size, distinct)).astype(float)
+            on_sale, on_no_sale = g.integers(-3, 4, (2, prices.size)).astype(float)
+        else:
+            columns = g.random((prices.size, distinct))
+            on_sale, on_no_sale = g.normal(size=(2, prices.size))
+        n = distinct + draws
+        if integral:
+            n = 1 << (n - 1).bit_length()
+        pick = np.concatenate([np.arange(distinct), g.integers(0, distinct, n - distinct)])
+        expanded = EvaluationCurve.from_draws(
+            prices, columns[:, pick], on_sale, on_no_sale, np.full(n, 1.0 / n), n
+        )
+        states, weights = core._distinct_states(columns.T[pick])
+        grouped = EvaluationCurve.from_draws(
+            prices, states.T, on_sale, on_no_sale, weights, n
+        )
+        scale = np.abs([on_sale, on_no_sale]).max()
+        for column in ("accept_prob", "expected_utility", "std_err"):
+            want, got = getattr(expanded, column), getattr(grouped, column)
+            if integral:
+                assert np.array_equal(got, want), column
+            # an SE that is 0 grouped is rounding noise expanded
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-14 * scale)
+        if len(states) == 1:
+            assert np.array_equal(grouped.std_err, np.zeros(prices.size))
 
     def test_every_column_must_align(self):
         cols = dict(prices=np.arange(3.0), accept_prob=np.zeros(3),

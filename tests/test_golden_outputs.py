@@ -2,15 +2,16 @@
 
 Every file the two commands write for the bundled cases, at their file
 seeds and one worker, is hashed and checked against digests recorded
-with the numpy and scipy versions stored next to them.  Other versions
-may round differently, so the test skips there instead of failing.
+with the numpy and scipy versions stored next to them, as is each case's
+optimum, read from the run summary.  Other versions may round
+differently, so the test skips there instead of failing.
 
 To re-record after an intended output change:
     PYTHONPATH=src python tests/test_golden_outputs.py
-which prints each case and file whose digest changed and rewrites
-golden_outputs.json in place.  It replaces the versions
-and the case digests and carries every other recorded key over
-unchanged, such as the "demo_shares" digest that tests/test_core.py
+which prints each case and file whose digest changed, and each case whose
+optimum moved, and rewrites golden_outputs.json in place.  It replaces
+the versions and the case records and carries every other recorded key
+over unchanged, such as the "demo_shares" digest that tests/test_core.py
 checks.
 """
 
@@ -32,7 +33,8 @@ GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
 
 def written_digests(workdir: Path) -> dict:
-    """case -> exit codes of run and compare, and the sha256 of each file."""
+    """case -> exit codes of run and compare, the run's optimum and the
+    sha256 of each file."""
     out = {}
     for name in bundled_case_names():
         base = workdir / name
@@ -45,7 +47,8 @@ def written_digests(workdir: Path) -> dict:
             p.name.removeprefix(name): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(workdir.glob(f"{name}.*"))
         }
-        out[name] = {"exit": codes, "sha256": files}
+        summary = json.loads(base.with_suffix(".summary.json").read_text())
+        out[name] = {"exit": codes, "optimum": summary["optimum"], "sha256": files}
     return out
 
 
@@ -70,6 +73,7 @@ def test_bundled_outputs_match_recorded_digests(tmp_path, capsys):
     capsys.readouterr()
     assert sorted(got) == sorted(recorded["cases"])
     for name, expected in recorded["cases"].items():
+        assert got[name]["optimum"] == expected["optimum"], f"optimum moved: {name}"
         assert got[name] == expected, name
 
 
@@ -105,10 +109,28 @@ def test_changed_entries_name_each_moved_file():
     assert changed_entries(old, old) == []
 
 
+def moved_optima(old: dict, new: dict) -> list:
+    """Every case whose optimum differs between two case tables, including
+    cases present in only one of them."""
+    return [
+        name for name in sorted(old.keys() | new.keys())
+        if old.get(name, {}).get("optimum") != new.get(name, {}).get("optimum")
+    ]
+
+
+def test_moved_optima_name_each_case():
+    old = {"a": {"optimum": 1.5}, "b": {"optimum": 2.0}}
+    new = {"a": {"optimum": 1.5}, "b": {"optimum": 2.5}, "c": {"optimum": 0.0}}
+    assert moved_optima(old, new) == ["b", "c"]
+    assert moved_optima(old, old) == []
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
         cases = written_digests(Path(tmp))
     recorded = json.loads(GOLDEN.read_text())
     for entry in changed_entries(recorded["cases"], cases):
         print(f"changed: {entry}")
+    for name in moved_optima(recorded["cases"], cases):
+        print(f"optimum moved: {name}")
     GOLDEN.write_text(json.dumps(rerecorded(recorded, cases), indent=2) + "\n")

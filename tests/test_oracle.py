@@ -207,15 +207,17 @@ class TestRetailGrid:
     def test_compare_calls_scipy_once_per_row_block(
         self, sale_prob_calls, tmp_path, capsys
     ):
-        """`compare retail_case3`: 91 prices against the 3,200-draw refined
-        forecast, one `_sale_prob` call per row block, not one per price."""
+        """`compare retail_case3`: 91 prices against the 24 distinct prices
+        of the 3,200-draw refined forecast, one `_sale_prob` call per row
+        block, not one per price: here one block holds the whole grid."""
         path = bundled_case("retail_case3")
         assert main(["compare", str(path), "--out", str(tmp_path / "c3")]) == 0
         capsys.readouterr()
         params = parse_scenario(path).params
         grid = int(params.price_grid.count())
-        rows = _parallel.BLOCK_ELEMENTS // (REFINED_FORECAST_FACTOR * params.n1)
-        assert len(sale_prob_calls) == len(range(0, grid, rows)) < grid
+        rows = _parallel.BLOCK_ELEMENTS // 24
+        assert REFINED_FORECAST_FACTOR * params.n1 == 3_200
+        assert sale_prob_calls == [24] * len(range(0, grid, rows)) == [24]
 
 
 class TestTemplateExact:
@@ -268,6 +270,25 @@ class TestTemplateExact:
         sale_prob_calls.clear()
         quadrature_competitor_objective(market)
         assert sale_prob_calls == [512]
+
+
+class TestEmptyRivalSample:
+    """The oracle, like the engine, rejects an empty rival-price sample with
+    the engine's ValueError, not a NaN and a numpy warning."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_every_caller_raises_the_engine_error(self):
+        empty = "rival price sample is empty: need at least one rival price draw"
+        with pytest.raises(ValueError, match=empty):
+            quadrature_retail_utility(20.0, retail_scenario(), density=[])
+        template = TemplateScenario(
+            cost=10.0, grid=PriceGrid(10.0, 11.0, 0.5), competitor_prices=[],
+            choice_sigma=2.0,
+        )
+        with pytest.raises(ValueError, match=empty):
+            exact_template_utility(template.grid.points(), template)
+        with pytest.raises(ValueError, match=empty):
+            estimate_expected_utility(20.0, [], retail_scenario())
 
 
 class TestCompetitorQuadrature:

@@ -12,7 +12,7 @@ from scipy import integrate
 
 from araprice._parallel import BLOCK_ELEMENTS
 from araprice.randkit import InverseGammaParams, RngStream
-from araprice.core import EvaluationCurve
+from araprice.core import EvaluationCurve, _distinct_states
 from araprice.retail import (
     RetailScenario,
     _sum_draws,
@@ -323,18 +323,22 @@ class TestOptimizePrice:
         assert not np.array_equal(a.expected_utility, c.expected_utility)
 
     def test_grid_blocks_match_one_call(self):
-        """At n1 = 1500 a row block of the grid solver holds 87 of the 91
-        grid prices: scored in two blocks, the curve has the bits of one
-        grid x draws ``from_draws`` call (perishable, so a lost sale pays)."""
+        """At grid step 0.05 and n1 = 1500 the forecast takes 304 distinct
+        prices, so a row block of the grid solver holds 431 of the 901
+        grid prices: scored in three blocks, the curve has the bits of one
+        grid x distinct prices ``from_draws`` call at their frequencies
+        (perishable, so a lost sale pays)."""
         scenario = dataclasses.replace(
-            CASE3, n1=1500, n2=10, utility_variant="perishable"
+            CASE3, n1=1500, n2=10, grid_step=0.05, utility_variant="perishable"
         )
         points = scenario.price_grid.points()
-        assert BLOCK_ELEMENTS // scenario.n1 < points.size
         samples = sample_competitor_prices(scenario, RngStream(34))
-        accept = t_choice_prob(points[:, None], samples[None, :], scenario.customer_noise)
+        states, weights = _distinct_states(samples)
+        assert states.size == 304 and BLOCK_ELEMENTS // states.size < points.size
+        accept = t_choice_prob(points[:, None], states[None, :], scenario.customer_noise)
         expected = EvaluationCurve.from_draws(
-            points, accept, points - scenario.cost, np.full(points.size, -scenario.cost)
+            points, accept, points - scenario.cost, np.full(points.size, -scenario.cost),
+            weights, scenario.n1,
         )
         got = optimize_price(scenario, RngStream(34))
         for column in ("accept_prob", "expected_utility", "std_err"):
