@@ -11,6 +11,7 @@ Run:  python demos/oracle_checks.py
 import numpy as np
 
 from araprice import (
+    PowerPricePrior,
     RngStream,
     acceptance_probability,
     bundled_case,
@@ -58,7 +59,7 @@ for i, h in enumerate(pension.offer_grid.points()):
 print("\n3. retail expected utility, monte carlo vs quadrature")
 g = RngStream(11).generator
 samples = g.uniform(20.0, 40.0, 10_000)
-density = (lambda x: np.where((np.asarray(x) >= 20) & (np.asarray(x) <= 40), 0.05, 0.0), 20.0, 40.0)
+density = PowerPricePrior(20.0, 40.0)  # uniform on [20, 40], as the samples
 prices, estimates, ses, oracles = [], [], [], []
 for p1 in (10.0, 18.0, 26.0, 34.0, 42.0):
     est, se = estimate_expected_utility(p1, samples, retail)

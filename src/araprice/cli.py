@@ -10,7 +10,7 @@ into place once all are written, so exit 2 or 5 leaves no file.  An engine
 warning is written to stderr as one ``warning:`` line.  Outputs embed
 seed, draw counts and engine version, and are byte-identical across
 reruns with the same seed.  Every run uses one thread; ``--workers`` is
-accepted and ignored.
+accepted and ignored.  Closing stdout early changes no output or exit code.
 """
 
 from __future__ import annotations
@@ -164,6 +164,16 @@ def _write(outputs: dict) -> None:
         raise
 
 
+def _say(text: str) -> None:
+    """Print and flush ``text``; once the reader has closed the pipe, point
+    stdout at os.devnull, so that neither this nor the exit flush raises."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+
+
 def _run_template(params: TemplateScenario, rng: RngStream) -> EvaluationCurve:
     """A pmf of rival prices is sampled by the solver; a list is resampled
     here and used verbatim."""
@@ -210,13 +220,12 @@ def cmd_run(args) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 5
     _write(outputs)
-    print(
+    _say(
         f"optimum={result.optimum} accept={result.accept_at_optimum:.4f} "
         f"expected_utility={result.optimum_utility:.6g} seed={seed} "
         f"wall_ms={wall_ms}"
+        + "".join(f"\nwrote {path}" for path in outputs)
     )
-    for path in outputs:
-        print(f"wrote {path}")
     return 0
 
 
@@ -262,20 +271,18 @@ def cmd_compare(args) -> int:
     report_path = out_base.with_suffix(".oracle.json")
     _write({report_path: [json.dumps(report.to_dict(), indent=2) + "\n"]})
     status = "PASS" if report.passed else "FAIL"
-    print(
+    _say(
         f"{status}: max |z| = {report.max_abs_z:.3f} "
-        f"(threshold {report.z_threshold}) over {len(report.rows)} grid points"
+        f"(threshold {report.z_threshold}) over {len(report.rows)} grid points\n"
+        f"wrote {report_path}"
     )
-    print(f"wrote {report_path}")
     return 0 if report.passed else 1
 
 
 def cmd_validate(args) -> int:
     scenario = parse_scenario(args.scenario)
-    print(
-        f"OK: valid {scenario.kind} scenario "
-        f"(seed={scenario.seed}, format={scenario.format})"
-    )
+    _say(f"OK: valid {scenario.kind} scenario "
+         f"(seed={scenario.seed}, format={scenario.format})")
     return 0
 
 

@@ -10,7 +10,7 @@ Monte Carlo forecasts of everyone else's behavior.
 
 Retail and pension specialize it with closed-form choice models.  Every
 price grid of the engine and the oracle is scored by :func:`score_grid`:
-a weighted mean over states of payoff x acceptance.  A Monte Carlo
+a weighted mean over rival-price states of payoff x acceptance.  A Monte Carlo
 sample is scored on its distinct states, weighted by their frequencies
 (:func:`_distinct_states`); the oracle weighs by pmf or quadrature.
 """
@@ -21,7 +21,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, fields
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -92,9 +91,6 @@ class PriceGrid:
     def points(self) -> np.ndarray:
         return np.round(self.min + self.step * np.arange(int(self.count())), 9)
 
-    def __len__(self) -> int:
-        return int(self.count())
-
 
 # How far an outcome distribution's total mass may stray from one: a pmf
 # sums exactly up to rounding, a trapezoid rule only to its quadrature error.
@@ -140,11 +136,6 @@ class OutcomeModel:
     @classmethod
     def discrete(cls, per_choice: dict) -> "OutcomeModel":
         return cls(dict(per_choice))
-
-    @classmethod
-    def continuous(cls, per_choice: dict, nodes: int = 1024) -> "OutcomeModel":
-        """per_choice maps c -> (pdf, lo, hi)."""
-        return cls(dict(per_choice), quadrature_nodes=nodes)
 
     def validate(self):
         """Check every conditional distribution integrates to one."""
@@ -566,25 +557,26 @@ def _distinct_states(sample) -> tuple[np.ndarray, np.ndarray]:
     return states, counts / len(sample)
 
 
-def score_grid(prices, win_rows, u1: ProducerUtility, states: int, weights, draws=0):
+def score_grid(prices, u1: ProducerUtility, choice_model, states, weights, draws=0):
     """Score every price of the 1-d ``prices`` by ``u1``'s expected payoff.
 
-    ``win_rows(block)`` gives a block's (prices x states) acceptance table,
-    which :meth:`EvaluationCurve.from_draws` reduces against ``weights``
-    and ``draws``; ``states`` is a row's size in its largest temporary.
-    Blocks of rows (``_parallel.map_blocks``) keep memory at block size
-    and, as every column reduces within a row, the curve has the bits of
-    one ``from_draws`` call.
+    ``states`` is a (states x rivals) table of rival prices, and a price
+    wins a state with the product of ``choice_model``'s pairwise sale
+    probabilities (:func:`_win_matrix`).  :meth:`EvaluationCurve.from_draws`
+    reduces each row block's (prices x states) table against ``weights``
+    and ``draws``; blocks (``_parallel.map_blocks``) keep memory at block
+    size, and the curve has the bits of one ``from_draws`` call.
     """
 
     def _score(rows: slice) -> tuple:
         block = prices[rows]
         pays = (np.array([u(p) for p in block]) for u in (u1.on_sale, u1.on_no_sale))
-        curve = EvaluationCurve.from_draws(block, win_rows(block), *pays, weights, draws)
+        win = _win_matrix(choice_model, block, states)
+        curve = EvaluationCurve.from_draws(block, win, *pays, weights, draws)
         return curve.accept_prob, curve.expected_utility, curve.std_err
 
     # an empty grid scores one empty block, so its columns are empty arrays
-    blocks = map_blocks(_score, prices.size, states) or [_score(slice(0, 0))]
+    blocks = map_blocks(_score, prices.size, states.size) or [_score(slice(0, 0))]
     return EvaluationCurve(prices, *map(np.concatenate, zip(*blocks)))
 
 
@@ -615,9 +607,7 @@ def solve_supported_price(
     else:
         rivals = np.atleast_1d(np.asarray(beliefs, dtype=float))[:, None]
     states, weights = _distinct_states(rivals)
-    win_rows = partial(_win_matrix, choice_model, rivals=states)
-    # a row of the pairwise win table holds every rival of every state
-    curve = score_grid(grid.points(), win_rows, u1, states.size, weights, len(rivals))
+    curve = score_grid(grid.points(), u1, choice_model, states, weights, len(rivals))
     return curve.optimum, curve
 
 

@@ -9,13 +9,13 @@ The retail, template and pension oracles take a whole grid of prices in
 one call.  Pension acceptance is a closed form that evaluates no utility.
 Retail, template and rival-objective grids are scored by the
 engine's own scorer, :func:`araprice.core.score_grid`, with the engine's
-payoffs: rows are prices, a row holds scipy's sale probability against
-each point of the rival-price density, and each row reduces with
-``np.vecdot`` against the density's pmf or Gauss-Legendre weights x pdf.
-An equally weighted sample is its distinct prices weighted by their
-frequencies, as in the engine.  Each row block is one scipy call, so
-memory stays at block size for any grid, and every value of a grid call
-has the bits of a one-price call.
+payoffs and scipy's sale probability as the choice model: the states are
+the points of the rival-price density, one rival each, and each row of
+prices reduces with ``np.vecdot`` against the density's pmf or
+Gauss-Legendre weights x pdf.  An equally weighted sample is its distinct
+prices weighted by their frequencies, as in the engine.  Each row block
+is one scipy call, so memory stays at block size for any grid, and every
+value of a grid call has the bits of a one-price call.
 
 A Gauss-Legendre rule is an eigenproblem solved once per rule (Golub &
 Welsch, 1969), not once per call: ``_gauss_legendre`` keeps the
@@ -82,25 +82,22 @@ def _expected_payoff(prices, density, sigma, noise, payoff, nodes=None):
     scipy's sale probabilities.
 
     A float is a point mass and a CategoricalPMF weighs its values by their
-    probabilities; a PowerPricePrior or a (pdf, lo, hi) triple takes the
-    ``nodes``-point Gauss-Legendre rule, with weights x pdf; anything else
+    probabilities; a PowerPricePrior takes the ``nodes``-point
+    Gauss-Legendre rule on its support, with weights x pdf; anything else
     is an equally weighted sample, scored on its distinct prices weighted
     by their frequencies.
     """
-    if isinstance(density, PowerPricePrior):
-        density = (density.pdf, density.lower, density.upper)
     if isinstance(density, (int, float)):
         points, weights = np.array([float(density)]), np.array([1.0])
     elif isinstance(density, CategoricalPMF):
         points, weights = np.asarray(density.values), np.asarray(density.probs)
-    elif isinstance(density, tuple) and len(density) == 3 and callable(density[0]):
-        pdf, lo, hi = density
-        points, weights = _gauss_legendre(lo, hi, nodes)
-        weights = weights * pdf(points)
+    elif isinstance(density, PowerPricePrior):
+        points, weights = _gauss_legendre(density.lower, density.upper, nodes)
+        weights = weights * density.pdf(points)
     else:
         points, weights = _distinct_states(density)
-    win_rows = lambda block: _sale_prob(block[:, None], points, sigma, noise)
-    return score_grid(prices, win_rows, payoff, points.size, weights).expected_utility
+    accept = functools.partial(_sale_prob, sigma=sigma, noise=noise)
+    return score_grid(prices, payoff, accept, points[:, None], weights).expected_utility
 
 
 def quadrature_retail_utility(
@@ -113,10 +110,10 @@ def quadrature_retail_utility(
     grid costs one scipy call per row block, not one per price.
     ``density`` describes the competitor-price distribution: a float
     (point mass), a CategoricalPMF or an array of equally weighted prices
-    (exact sums; a sample's distinct prices are evaluated once), a
-    PowerPricePrior, or a (pdf, lo, hi) triple handled by Gauss-Legendre
-    with ``nodes`` points.  The payoff is the engine's, so the perishable
-    write-off is integrated as (1 - sale) x weight like every other term.
+    (exact sums; a sample's distinct prices are evaluated once), or a
+    PowerPricePrior, handled by Gauss-Legendre with ``nodes`` points.  The
+    payoff is the engine's, so the perishable write-off is integrated as
+    (1 - sale) x weight like every other term.
     """
     if nodes < 16:
         raise ValueError("need at least 16 quadrature nodes")

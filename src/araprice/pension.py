@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -235,14 +234,12 @@ def customer_expected_utility(
     h,
     scenario: PensionScenario,
     rho,
-    g: Callable[[int], float] | None = None,
     _check_range: bool = True,
 ):
     """Customer's expected utility of signing at offer ``h``.
 
-    CARA utility 1 - exp(-rho * wealth) averaged over the exit year, plus
-    an optional time-preference term ``g(horizon)``.  ``h`` and ``rho``
-    broadcast, so whole offer/draw grids evaluate in one call.
+    CARA utility 1 - exp(-rho * wealth) averaged over the exit year.
+    ``h`` and ``rho`` broadcast, so whole offer/draw grids evaluate in one call.
 
     Each exit year's term q_j * (1 - exp(-rho * payout_j)) is evaluated in
     place over arrays of the broadcast shape and added to the sum in year
@@ -271,8 +268,6 @@ def customer_expected_utility(
     for j, weight in enumerate(q):
         value += _term(weight, early[..., j], buf)
     value += _term(scenario.exit_profile.stay_prob, stay, buf)
-    if g is not None:
-        value = value + g(scenario.horizon)
     if np.ndim(h) == 0 and np.ndim(rho) == 0:
         return float(value)
     return value

@@ -93,10 +93,6 @@ class InverseGammaParams:
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise ValueError(f"scale must be positive, got {self.scale}")
 
-    def mean(self) -> float:
-        """Analytic mean scale/(shape-1); infinite for shape <= 1."""
-        return self.scale / (self.shape - 1.0) if self.shape > 1 else math.inf
-
 
 @dataclass(frozen=True)
 class PowerPricePrior:
@@ -119,13 +115,8 @@ class PowerPricePrior:
         if self.exponent < 0:
             raise ValueError("exponent must be nonnegative")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        u = np.clip((x - self.lower) / (self.upper - self.lower), 0.0, 1.0)
-        return u ** (self.exponent + 1.0)
-
     def ppf(self, u):
-        """Inverse of :meth:`cdf`: lower + (upper - lower) * u^(1/(exponent+1))."""
+        """Inverse of the cdf ((x - lower)/(upper - lower))^(exponent+1)."""
         return self.lower + (self.upper - self.lower) * u ** (1.0 / (self.exponent + 1.0))
 
     def pdf(self, x):
@@ -162,15 +153,10 @@ class CategoricalPMF:
         mass = math.fsum(p for v, p in zip(self.values, self.probs) if v < x)
         return min(max(mass, 0.0), 1.0)
 
-    def cdf(self, x: float) -> float:
-        """P(V <= x)."""
-        mass = math.fsum(p for v, p in zip(self.values, self.probs) if v <= x)
-        return min(max(mass, 0.0), 1.0)
-
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    """Step CDF built from observed samples (right-continuous, 0 to 1)."""
+    """Observed samples, kept sorted, drawn from with equal weights."""
 
     samples: np.ndarray
 
@@ -179,10 +165,6 @@ class EmpiricalDistribution:
         if arr.size == 0:
             raise ValueError("need at least one sample")
         object.__setattr__(self, "samples", arr)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.searchsorted(self.samples, x, side="right") / self.samples.size
 
 
 # ---------------------------------------------------------------------------

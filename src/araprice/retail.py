@@ -7,8 +7,8 @@ Student-t acceptance curve.  The competitor's price is forecast by
 solving her own pricing problem repeatedly under sampled beliefs, and the
 retailer grid-searches her expected margin against those forecasts.
 
-Retail is one specification of the generic template: the price grid is
-scored by :func:`araprice.core.solve_supported_price`.  The forecast
+Retail is one specification of the generic template, scored by
+:func:`araprice.core.score_grid` at a grid or at one price.  The forecast
 scores its draws in fixed-size row blocks (``_parallel.map_blocks``), so
 its memory does not grow with n1 * n2 * grid and its bits are those of
 one call.  Within a block it bisects the rival's grid and skips the
@@ -175,6 +175,11 @@ def _sale_prob(p1, p2, sigma: float | None, noise: InverseGammaParams | None):
     return t_choice_prob(p1, p2, noise)
 
 
+def _customer_accept(scenario: RetailScenario):
+    """The customer's sale probability: retail's choice model for ``score_grid``."""
+    return partial(_sale_prob, sigma=scenario.fixed_sigma, noise=scenario.customer_noise)
+
+
 def _payoff(scenario: RetailScenario) -> ProducerUtility:
     """The retailer's margin on a sale; the perishable variant writes the
     unit cost off on every lost sale."""
@@ -283,11 +288,8 @@ def estimate_expected_utility(
             f"price {p1} outside feasible range "
             f"[{scenario.cost}, {scenario.max_price}]"
         )
-    accept = lambda price: _sale_prob(
-        price[:, None], states, scenario.fixed_sigma, scenario.customer_noise
-    )
-    grid, payoff = np.array([float(p1)]), _payoff(scenario)
-    curve = score_grid(grid, accept, payoff, states.size, weights, samples.size)
+    grid, accept = np.array([float(p1)]), _customer_accept(scenario)
+    curve = score_grid(grid, _payoff(scenario), accept, states[:, None], weights, samples.size)
     return float(curve.expected_utility[0]), float(curve.std_err[0])
 
 
@@ -302,10 +304,7 @@ def optimize_price(scenario: RetailScenario, rng: RngStream) -> EvaluationCurve:
     """
     scenario.validate()
     samples = sample_competitor_prices(scenario, rng)
-    accept = partial(
-        _sale_prob, sigma=scenario.fixed_sigma, noise=scenario.customer_noise
-    )
     _, curve = solve_supported_price(
-        scenario.price_grid, _payoff(scenario), samples, accept
+        scenario.price_grid, _payoff(scenario), samples, _customer_accept(scenario)
     )
     return curve

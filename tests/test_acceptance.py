@@ -364,10 +364,7 @@ def _random_oracle_scenario(g: np.random.Generator):
     if g.random() < 0.5:
         lo = cost + float(g.uniform(2.0, 10.0))
         hi = lo + float(g.uniform(5.0, 20.0))
-        width = hi - lo
-        density = (lambda x, w=width, a=lo, b=hi: np.where(
-            (np.asarray(x) >= a) & (np.asarray(x) <= b), 1.0 / w, 0.0
-        ), lo, hi)
+        density = PowerPricePrior(lo, hi)  # uniform on [lo, hi]
         sampler = lambda gen, n: gen.uniform(lo, hi, n)
     else:
         prior = PowerPricePrior(
@@ -399,16 +396,10 @@ def _exact_payoff_moments(p1, scenario, density, nodes=512):
     """
     from scipy import stats as _st
 
-    if isinstance(density, PowerPricePrior):
-        x, w = _legendre_nodes(nodes)
-        lo, hi = density.lower, density.upper
-        x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
-        w = 0.5 * (hi - lo) * w * density.pdf(x)
-    else:
-        pdf, lo, hi = density
-        x, w = _legendre_nodes(nodes)
-        x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
-        w = 0.5 * (hi - lo) * w * pdf(x)
+    x, w = _legendre_nodes(nodes)
+    lo, hi = density.lower, density.upper
+    x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
+    w = 0.5 * (hi - lo) * w * density.pdf(x)
     noise = scenario.customer_noise
     accept = _st.t.sf(
         math.sqrt(noise.shape / noise.scale) * (p1 - x), 2.0 * noise.shape

@@ -350,13 +350,13 @@ class TestOutcomeModel:
         uniform = {0: (lambda s: np.full(s.shape, 0.5), 0.0, 2.0)}
         for nodes in (1, 0):
             with pytest.raises(ValueError, match="at least 2 nodes"):
-                OutcomeModel.continuous(uniform, nodes=nodes)
+                OutcomeModel(uniform, quadrature_nodes=nodes)
 
         def broken_pdf(s):
             raise FloatingPointError("pdf failed")
 
         with pytest.raises(FloatingPointError, match="pdf failed"):
-            OutcomeModel.continuous({0: (broken_pdf, 0.0, 1.0)})
+            OutcomeModel({0: (broken_pdf, 0.0, 1.0)})
         with pytest.raises(ValueError, match="unpack"):
             OutcomeModel({0: (1.0,)})
 
@@ -383,7 +383,7 @@ class TestOutcomeModel:
             calls.append(1)
             return np.full(s.shape, 0.5)
 
-        outcomes = OutcomeModel.continuous({c: (pdf, 0.0, 2.0) for c in range(3)}, nodes=64)
+        outcomes = OutcomeModel({c: (pdf, 0.0, 2.0) for c in range(3)}, quadrature_nodes=64)
         spec = RandomUtilitySpec.custom(_builder("array"), prior=(0.5, 1.5))
         probs = customer_choice_probs([10.0, 9.5, 10.5], spec, outcomes, 50, RngStream(4))
         assert probs.sum() == 1.0
@@ -514,8 +514,8 @@ def _outcomes(kind, n, nodes):
     pdfs = (lambda s: np.full(s.shape, 0.5), lambda s: s / 2.0)
     if kind == "object_pdf":  # object weights: cast to float64 when built
         pdfs = tuple((lambda s, f=f: np.array(f(s).tolist(), object)) for f in pdfs)
-    return OutcomeModel.continuous(
-        {c: (pdfs[c % 2], 0.0, 2.0) for c in range(n)}, nodes=nodes
+    return OutcomeModel(
+        {c: (pdfs[c % 2], 0.0, 2.0) for c in range(n)}, quadrature_nodes=nodes
     )
 
 

@@ -27,7 +27,7 @@ from araprice.pension import (
     acceptance_probability_reduced,
     optimize_offer,
 )
-from araprice.randkit import CategoricalPMF, InverseGammaParams, RngStream
+from araprice.randkit import CategoricalPMF, InverseGammaParams, PowerPricePrior, RngStream
 from araprice.retail import (
     REFINED_FORECAST_FACTOR,
     RetailScenario,
@@ -77,21 +77,20 @@ class TestRetailQuadrature:
             assert oracle == pytest.approx(estimate, abs=1e-12)
 
     def test_node_doubling_stability(self):
-        pdf = lambda x: np.full_like(np.asarray(x, float), 1.0 / 20.0)
+        uniform = PowerPricePrior(20.0, 40.0)
         scenario = retail_scenario()
-        coarse = quadrature_retail_utility(25.0, scenario, nodes=256, density=(pdf, 20.0, 40.0))
-        fine = quadrature_retail_utility(25.0, scenario, nodes=512, density=(pdf, 20.0, 40.0))
+        coarse = quadrature_retail_utility(25.0, scenario, nodes=256, density=uniform)
+        fine = quadrature_retail_utility(25.0, scenario, nodes=512, density=uniform)
         assert abs(coarse - fine) < 1e-8
 
     def test_monte_carlo_consistency_on_shared_density(self):
-        pdf = lambda x: np.full_like(np.asarray(x, float), 1.0 / 20.0)
         scenario = retail_scenario()
         g = RngStream(47).generator
         samples = g.uniform(20.0, 40.0, 10_000)
         for p1 in (10.0, 22.0, 33.0, 45.0):
             estimate, se = estimate_expected_utility(p1, samples, scenario)
             oracle = quadrature_retail_utility(
-                p1, scenario, nodes=512, density=(pdf, 20.0, 40.0)
+                p1, scenario, nodes=512, density=PowerPricePrior(20.0, 40.0)
             )
             assert abs(estimate - oracle) <= 3 * se
 
@@ -129,7 +128,7 @@ def _density(kind: str, values: list, seed: int):
         probs = np.random.default_rng(seed).dirichlet(np.ones(len(points)))
         return CategoricalPMF(tuple(points), tuple(float(p) for p in probs))
     if kind == "gauss":
-        return (lambda x: 0.05 + 0.001 * np.asarray(x), 10.0, 40.0)
+        return PowerPricePrior(10.0, 40.0, 1.5)
     if kind == "point":
         return values[0]
     return np.asarray(values)  # equally weighted sample, repeats included
@@ -182,7 +181,6 @@ class TestRetailGrid:
         for the rival's: the whole table alone would take 256 MiB.  Probit
         choice, scipy's fastest CDF."""
         prices = np.linspace(5.0, 50.0, 1 << 17)
-        pdf = lambda x: np.full_like(np.asarray(x, float), 1.0 / 20.0)
         rival = retail_scenario(
             fixed_sigma=2.0, grid_step=2.0**-10,
             competitor_max_price=5.0 + ((1 << 17) - 1) * 2.0**-10,
@@ -191,7 +189,7 @@ class TestRetailGrid:
         calls = {
             "retail": lambda: quadrature_retail_utility(
                 prices, retail_scenario(fixed_sigma=2.0), nodes=256,
-                density=(pdf, 20.0, 40.0),
+                density=PowerPricePrior(20.0, 40.0),
             ),
             "rival": lambda: quadrature_competitor_objective(rival, nodes=256),
         }

@@ -71,7 +71,7 @@ def reference_customer_eu(h, scenario, rho):
     return math.fsum(terms)
 
 
-def in_order_eu(h, scenario, rho, g=None):
+def in_order_eu(h, scenario, rho):
     """The utility formula on a single array of payouts for every exit
     year: the years' terms added in year order, then the stay term.  The
     engine's per-year kernel must match it bit for bit."""
@@ -89,8 +89,6 @@ def in_order_eu(h, scenario, rho, g=None):
     for j in range(terms.shape[-1]):
         value = value + terms[..., j]
     value = value + scenario.exit_profile.stay_prob * u_stay
-    if g is not None:
-        value = value + g(scenario.horizon)
     return value
 
 
@@ -132,17 +130,16 @@ def utility_inputs(draw):
 
     h = values(h_shape, 0.0, 0.2)
     rho = values(rho_shape, 0.05, 50.0)
-    g = draw(st.sampled_from([None, lambda T: -0.01 * T]))
-    return scenario, h, rho, g
+    return scenario, h, rho
 
 
 class TestUtilityKernel:
     @settings(max_examples=400, deadline=None)
     @given(inputs=utility_inputs())
     def test_matches_single_array_formula_bit_for_bit(self, inputs):
-        scenario, h, rho, g = inputs
-        value = customer_expected_utility(h, scenario, rho, g=g, _check_range=False)
-        expected = in_order_eu(h, scenario, rho, g=g)
+        scenario, h, rho = inputs
+        value = customer_expected_utility(h, scenario, rho, _check_range=False)
+        expected = in_order_eu(h, scenario, rho)
         if np.ndim(h) == 0 and np.ndim(rho) == 0:
             assert type(value) is float
         else:
@@ -163,10 +160,9 @@ class TestCustomerExpectedUtility:
 
     def test_certain_stay(self):
         scenario = make_scenario(exit_profile=ExitProfile((0.0,) * 7))
-        g = lambda T: -0.01 * T
-        value = customer_expected_utility(0.045, scenario, rho=0.9, g=g)
+        value = customer_expected_utility(0.045, scenario, rho=0.9)
         stay = (1.045**8) * scenario.scaled_capital
-        assert value == pytest.approx(1.0 - math.exp(-0.9 * stay) + g(8), abs=1e-12)
+        assert value == pytest.approx(1.0 - math.exp(-0.9 * stay), abs=1e-12)
 
     def test_against_independent_arithmetic(self):
         for h in (0.025, 0.045, 0.07):

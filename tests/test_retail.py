@@ -173,7 +173,7 @@ class TestBlockedForecast:
             competitor_noise=InverseGammaParams(shape, shape),
             prior_exponent=exponent,
         )
-        rows = max(1, BLOCK_ELEMENTS // (n2 * len(scenario.competitor_grid)))
+        rows = max(1, BLOCK_ELEMENTS // (n2 * int(scenario.competitor_grid.count())))
         scenario = dataclasses.replace(scenario, n1=max(1, blocks * rows + offset))
         expected = single_array_forecast(scenario, RngStream(seed))
         got = sample_competitor_prices(scenario, RngStream(seed))

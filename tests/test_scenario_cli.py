@@ -617,11 +617,11 @@ class TestCli:
         assert list(tmp_path.iterdir()) == [src]
 
     @staticmethod
-    def _price_in_fresh_process(*argv, cwd=None):
+    def _price_in_fresh_process(*argv, cwd=None, stdout=subprocess.PIPE):
         env = dict(os.environ, PYTHONPATH=str(Path(araprice.__file__).parents[1]))
         return subprocess.run(
-            [sys.executable, "-m", "araprice.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120, cwd=cwd,
+            [sys.executable, "-m", "araprice.cli", *argv], stdout=stdout,
+            stderr=subprocess.PIPE, text=True, env=env, timeout=120, cwd=cwd,
         )
 
     @pytest.mark.parametrize("command", ["run", "compare"])
@@ -671,6 +671,37 @@ class TestCli:
             "warning: offer grid extends above the earning rate; those offers "
             "have nonpositive margin\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, status, written",
+        [
+            (["validate"], 0, []),
+            (["run"], 0, ["out.csv", "out.summary.json"]),
+            (["compare"], 0, ["out.oracle.json"]),
+            (["compare", "--z", "1e-9"], 1, ["out.oracle.json"]),
+        ],
+        ids=["validate", "run", "compare_pass", "compare_fail"],
+    )
+    def test_closed_stdout_keeps_the_exit_status(self, tmp_path, argv, status, written):
+        """A reader that leaves early (``price compare case | head -c 10``)
+        costs no traceback and no exit code: the command's own status,
+        compare's verdict included, comes back and its files are written.
+        Stdout is a pipe whose read end is already closed, in a fresh
+        process, as a user sees it."""
+        command, *options = argv
+        if command != "validate":
+            options += ["--out", str(tmp_path / "out")]
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self._price_in_fresh_process(
+                command, str(bundled_case("template_example")), *options, stdout=write
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == status
+        assert proc.stderr == ""  # no traceback, no "Exception ignored" line
+        assert sorted(path.name for path in tmp_path.iterdir()) == written
 
     @pytest.mark.parametrize(
         "grid",
