@@ -12,11 +12,13 @@ Retail and pension specialize it with closed-form choice models.  Every
 price grid of the engine and the oracle is scored by :func:`score_grid`:
 a weighted mean over rival-price states of payoff x acceptance.  A Monte Carlo
 sample is scored on its distinct states, weighted by their frequencies
-(:func:`_distinct_states`); the oracle weighs by pmf or quadrature.
+(:func:`_distinct_states`); the oracle weighs by pmf or quadrature.  Every
+rival's best response, retail's forecast included, is :func:`best_responses`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -25,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _parallel
 from ._parallel import map_blocks
 from .randkit import (
     CategoricalPMF,
@@ -45,6 +48,7 @@ __all__ = [
     "EvaluationCurve",
     "realize_choice",
     "customer_choice_probs",
+    "best_responses",
     "sample_competitor_optimal_price",
     "score_grid",
     "solve_supported_price",
@@ -128,10 +132,6 @@ class OutcomeModel:
         dw = np.full(s.size, (hi - lo) / (s.size - 1))  # trapezoid weights
         dw[[0, -1]] *= 0.5
         return s, np.asarray(pdf(s) * dw, float), _MASS_TOL_QUADRATURE
-
-    @classmethod
-    def point_mass(cls, n_choices: int, value: float = 0.0) -> "OutcomeModel":
-        return cls({c: (np.array([value]), np.array([1.0])) for c in range(n_choices)})
 
     @classmethod
     def discrete(cls, per_choice: dict) -> "OutcomeModel":
@@ -500,6 +500,77 @@ def _win_matrix(choice_model, points: np.ndarray, rivals: np.ndarray) -> np.ndar
     return win.prod(axis=2) if win.ndim == 3 else win
 
 
+# Slack on the mean win in best_responses' bound: betainc does not promise a
+# CDF monotone at the level of its rounding (about 1e-16 in [0, 1]).
+_PRUNE_MARGIN = 1e-9
+_FLAT_ATOL = 1e-12  # a competitor objective within this of its first price's is flat
+
+
+def _sum_draws(win: np.ndarray) -> np.ndarray:
+    """Column sums of a (draws, columns) table, adding the draws in order:
+    ``sum(axis=0)`` does so over a C-ordered table of two or more columns;
+    numpy sums one column, or another layout, pairwise, so ``cumsum``."""
+    if win.shape[1] > 1 and win.flags.c_contiguous:
+        return win.sum(axis=0)
+    return np.cumsum(win, axis=0)[-1]
+
+
+def best_responses(points, payoff, choice_model, states) -> np.ndarray:
+    """A rival's objective on her grid ``points`` for each row of a (rows x
+    draws x rivals) ``states`` table: ``payoff`` times her mean win over the
+    row's draws, (rows x grid), with -inf at the prices the search skips.
+
+    A draw's win is the product of ``choice_model(own, rivals)``'s pairwise
+    sale probabilities, in [0, 1] and not rising with her own price; means
+    add the draws in order (:func:`_sum_draws`), so a price has the same
+    bits however it is reached.  For a nondecreasing ``payoff`` and scored
+    a < k < b, ``max(payoff[b-1], 0) * win[a]`` bounds the objective at k:
+    each row scores the grid ends, then bisects the gaps whose bound (win +
+    ``_PRUNE_MARGIN``, + ``2 * _FLAT_ATOL``) reaches its best so far; any
+    other payoff has bound +inf.  A skipped price is more than ``2 *
+    _FLAT_ATOL`` below the argmax.  Rows run in ``map_blocks`` blocks; a
+    block whose whole table fits ``BLOCK_ELEMENTS`` is scored in one pass.
+    """
+
+    def _mean_win(own, rivals: np.ndarray) -> np.ndarray:
+        # on a C-ordered (rivals, draws, ...) table the win table is C-ordered,
+        # the draws on its outer axis, as _sum_draws needs
+        win = functools.reduce(np.multiply, np.asarray(choice_model(own, rivals), dtype=float))
+        return _sum_draws(win.reshape(len(win), -1)) / len(win)
+
+    def _best(part: slice) -> np.ndarray:
+        block = np.ascontiguousarray(states[part].transpose(2, 1, 0))  # rivals, draws, rows
+        count = block.shape[2]
+        if block.size * points.size <= _parallel.BLOCK_ELEMENTS:  # one broadcast
+            whole = _mean_win(points, block[..., None])
+            return payoff * whole.reshape(count, points.size)
+        mean_win = np.empty((count, points.size))
+        objective = np.full((count, points.size), -np.inf)  # -inf: not scored
+
+        def _score(row: np.ndarray, col: np.ndarray) -> None:
+            mean_win[row, col] = _mean_win(points[col], block.take(row, axis=2))
+            objective[row, col] = payoff[col] * mean_win[row, col]
+
+        # Bisect gaps (lo, hi) between scored indices, all rows at once.
+        cap = np.where(np.all(payoff[1:] >= payoff[:-1]), np.maximum(payoff, 0.0), np.inf)
+        row = np.arange(count)
+        lo, hi = np.zeros(count, dtype=np.intp), np.full(count, points.size - 1)
+        _score(np.concatenate([row, row]), np.concatenate([lo, hi]))
+        while row.size:
+            best = objective.max(axis=1)[row]
+            bound = cap[hi - 1] * (mean_win[row, lo] + _PRUNE_MARGIN) + 2 * _FLAT_ATOL
+            keep = (hi - lo > 1) & ~(bound < best)  # a NaN keeps its gap
+            row, lo, hi = row[keep], lo[keep], hi[keep]
+            mid = (lo + hi) // 2
+            _score(row, mid)
+            row = np.concatenate([row, row])
+            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        return objective
+
+    # row size: a grid of objectives, or draws x rivals at up to 8 prices a round
+    return np.concatenate(map_blocks(_best, len(states), max(8 * states[0].size, points.size)))
+
+
 def sample_competitor_optimal_price(
     target: int,
     spec: RandomUtilitySpec,
@@ -509,29 +580,28 @@ def sample_competitor_optimal_price(
     inner_draws: int,
     rng: RngStream,
 ) -> float:
-    """One draw of a competitor's optimal price.
-
-    Realizes the competitor's utility parameter and a batch of beliefs
-    about the other producers' prices, evaluates her expected utility at
-    every grid point, and returns the argmax (lowest price on ties).
-    ``choice_model(own_price_column, rival_price_matrix)`` must return the
-    probability that the customer picks the target producer; ``target``
-    is carried for bookkeeping in multi-producer setups.  A NaN objective
-    raises ValueError naming the first grid price where it is NaN.
-    """
+    """One draw of a competitor's optimal price: the argmax, lowest on ties,
+    of her expected utility over ``grid`` at one realized utility parameter
+    and ``inner_draws`` beliefs about the other producers' prices, scored by
+    :func:`best_responses` as one row.  ``choice_model(own_prices,
+    rival_prices)`` is the customer's probability of picking her: a sale
+    probability in [0, 1] that does not rise with her own price.  A payoff
+    that falls anywhere on the grid has every price scored.  A NaN objective
+    raises ValueError naming the first scored price where it is NaN; one
+    flat to 1e-12 warns and returns the lowest price.  ``target`` is
+    carried for bookkeeping."""
     points = grid.points()
     if inner_draws < 1:
         raise ValueError("inner_draws must be at least 1")
-    theta = spec.sample_parameter(rng.generator)
-    payoff = spec.builder(theta)
-    rivals = beliefs.sample(rng, inner_draws)  # (inner_draws, n_rivals)
-    win = _win_matrix(choice_model, points, rivals)
-    objective = np.asarray(payoff(points, 0.0), dtype=float) * win.mean(axis=1)
+    payoff = spec.builder(spec.sample_parameter(rng.generator))
+    rivals = beliefs.sample(rng, inner_draws)[None]  # (1, inner_draws, n_rivals)
+    values = np.full(points.shape, payoff(points, 0.0), dtype=float)
+    objective = best_responses(points, values, choice_model, rivals)[0]
     nan = np.isnan(objective)
     if nan.any():
         price = float(points[nan.argmax()])
         raise ValueError(f"competitor expected utility is NaN at price {price!r}")
-    if np.allclose(objective, objective[0], rtol=0.0, atol=1e-12):
+    if np.allclose(objective, objective[0], rtol=0.0, atol=_FLAT_ATOL):
         warnings.warn(
             "expected utility is flat across the whole grid; "
             "returning the lowest price",

@@ -54,6 +54,8 @@ __all__ = [
 # 512 nodes).
 _GAUSS_RULES_KEPT = 32
 
+_DETERMINISTIC_ATOL = 1e-9  # an SE at or below this marks an exact estimate
+
 
 @functools.lru_cache(maxsize=_GAUSS_RULES_KEPT, typed=True)
 def _gauss_legendre(lo: float, hi: float, nodes: int):
@@ -212,12 +214,11 @@ class OracleReport:
 
 
 def compare(
-    prices, estimates, std_errs, oracle_values, z_threshold: float = 3.0,
-    deterministic_atol: float = 1e-9,
+    prices, estimates, std_errs, oracle_values, z_threshold: float = 3.0
 ) -> OracleReport:
     """z-score each engine estimate against its oracle value.
 
-    Standard errors at or below ``deterministic_atol`` mean the estimate
+    Standard errors at or below ``_DETERMINISTIC_ATOL`` mean the estimate
     is (numerically) deterministic; those rows must agree with the oracle
     to the same tolerance (z reported as 0), otherwise z is infinite.
     """
@@ -225,9 +226,9 @@ def compare(
         raise ValueError("z threshold must be positive")
     rows = []
     for p, est, se, orc in zip(prices, estimates, std_errs, oracle_values):
-        if se > deterministic_atol:
+        if se > _DETERMINISTIC_ATOL:
             z = (est - orc) / se
         else:
-            z = 0.0 if abs(est - orc) <= deterministic_atol else math.inf
+            z = 0.0 if abs(est - orc) <= _DETERMINISTIC_ATOL else math.inf
         rows.append(OracleRow(*map(float, (p, est, orc, se, z))))  # in field order
     return OracleReport(rows=tuple(rows), z_threshold=float(z_threshold))

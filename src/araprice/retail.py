@@ -7,13 +7,8 @@ Student-t acceptance curve.  The competitor's price is forecast by
 solving her own pricing problem repeatedly under sampled beliefs, and the
 retailer grid-searches her expected margin against those forecasts.
 
-Retail is one specification of the generic template, scored by
-:func:`araprice.core.score_grid` at a grid or at one price.  The forecast
-scores its draws in fixed-size row blocks (``_parallel.map_blocks``), so
-its memory does not grow with n1 * n2 * grid and its bits are those of
-one call.  Within a block it bisects the rival's grid and skips the
-prices that a monotonicity bound proves cannot hold her argmax (see
-:func:`sample_competitor_prices`).
+Retail is one specification of the generic template: ``core.score_grid``
+scores its prices, and ``core.best_responses`` its rival's forecast.
 """
 
 from __future__ import annotations
@@ -24,10 +19,9 @@ from functools import partial
 
 import numpy as np
 
-from ._parallel import map_blocks
 from .core import (
-    EvaluationCurve, PriceGrid, ProducerUtility, _distinct_states, score_grid,
-    solve_supported_price,
+    EvaluationCurve, PriceGrid, ProducerUtility, _distinct_states, best_responses,
+    score_grid, solve_supported_price,
 )
 from .randkit import (
     InverseGammaParams,
@@ -50,11 +44,6 @@ UTILITY_VARIANTS = ("non_perishable", "perishable")
 
 # ``price compare`` checks a forecast against one this many times larger.
 REFINED_FORECAST_FACTOR = 32
-
-# Slack added to the rival's mean win in the forecast's pruning bound, in
-# case the computed CDF is not monotone at the level of its rounding (about
-# 1e-16 for a value in [0, 1]); betainc does not promise monotonicity.
-_PRUNE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -187,87 +176,26 @@ def _payoff(scenario: RetailScenario) -> ProducerUtility:
     return ProducerUtility(lambda p: p - scenario.cost, lambda p: lost)
 
 
-def _sum_draws(win: np.ndarray) -> np.ndarray:
-    """Column sums of a (draws, columns) table, adding the draws in order,
-    as the mean over the draw axis of a (rows, n2, grid) array does.
-
-    Over a C-ordered table of two or more columns, ``sum(axis=0)`` adds
-    row after row, in draw order.  A single column or another layout puts
-    the draws on numpy's inner loop, which sums pairwise, so those go
-    through ``cumsum``, which always adds in order.
-    """
-    if win.shape[1] > 1 and win.flags.c_contiguous:
-        return win.sum(axis=0)
-    return np.cumsum(win, axis=0)[-1]
-
-
 def sample_competitor_prices(scenario: RetailScenario, rng: RngStream) -> np.ndarray:
     """Forecast the rival's price: ``n1`` draws of her optimal response.
 
     Each draw realizes ``n2`` prices we might set (from the rival's power
-    prior over our price), scores candidate rival prices by margin times
-    estimated sale probability, and keeps the argmax, the lowest index on
-    ties.  A known rival price short-circuits to a degenerate forecast.
-    All uniforms are drawn up front; the draws are then scored in row
-    blocks sized for the pruned search without changing a bit of the
-    result.
-
-    The margin is nondecreasing in the grid index and the mean win is
-    nonincreasing (monotone CDFs, monotone rounding, one summation order),
-    so for scored indices a < k < b, ``margin[b-1] * win[a]`` bounds the
-    objective at k.  Each row scores the grid ends, then bisects only
-    the gaps whose bound, with the win raised by ``_PRUNE_MARGIN``
-    against CDF rounding, is not below the best objective so far.  Every
-    skipped price is then strictly worse than the argmax, which is the
-    argmax of the unpruned search.
+    prior over our price) and keeps the argmax of her margin times her sale
+    probability (:func:`araprice.core.best_responses`), the lowest price
+    on ties.  A known rival price short-circuits to a degenerate forecast.
     """
     scenario.validate()
     if scenario.known_competitor_price is not None:
         return np.full(scenario.n1, float(scenario.known_competitor_price))
 
     grid = scenario.competitor_grid.points()
-    margin = grid - scenario.competitor_cost
-    bound_margin = np.maximum(margin, 0.0)  # grid points rounded below her cost
-    u = rng.generator.random((scenario.n1, scenario.n2))
-    prior = scenario.our_price_prior
+    ours = scenario.our_price_prior.ppf(rng.generator.random((scenario.n1, scenario.n2)))
 
-    def _best(rows: slice) -> np.ndarray:
-        ours = prior.ppf(u[rows]).T  # (n2, rows): the draws on the outer axis
-        count = ours.shape[1]
-        mean_win = np.empty((count, grid.size))
-        objective = np.full((count, grid.size), -np.inf)  # -inf: not scored
+    def _win(own, rivals):  # she sells when cheaper, up to her own (vaguer) noise
+        return 1.0 - _sale_prob(rivals, own, scenario.fixed_sigma, scenario.competitor_noise)
 
-        def _score(row: np.ndarray, col: np.ndarray) -> None:
-            # sale probability for the rival: customer takes her product when
-            # it is cheaper, up to the rival's own (vaguer) noise model; take()
-            # keeps the (n2, columns) table C-ordered, which _sum_draws needs
-            win = 1.0 - _sale_prob(
-                ours.take(row, axis=1), grid[col],
-                scenario.fixed_sigma, scenario.competitor_noise,
-            )
-            mean_win[row, col] = _sum_draws(win) / scenario.n2
-            objective[row, col] = margin[col] * mean_win[row, col]
-
-        # Bisect gaps (lo, hi) between scored indices, all rows at once.
-        row = np.arange(count)
-        lo, hi = np.zeros(count, dtype=np.intp), np.full(count, grid.size - 1)
-        _score(np.concatenate([row, row]), np.concatenate([lo, hi]))
-        while row.size:
-            best = objective.max(axis=1)[row]
-            bound = bound_margin[hi - 1] * (mean_win[row, lo] + _PRUNE_MARGIN)
-            keep = (hi - lo > 1) & ~(bound < best)  # a NaN keeps its gap
-            row, lo, hi = row[keep], lo[keep], hi[keep]
-            mid = (lo + hi) // 2
-            _score(row, mid)
-            row = np.concatenate([row, row])
-            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        return np.argmax(objective, axis=1)
-
-    # per row: grid elements in mean_win and objective, and n2 per price
-    # scored at one level: 2, then one per live gap (at most 5 in
-    # retail_case3's refined forecast; grid / 2 if nothing is pruned)
-    blocks = map_blocks(_best, scenario.n1, max(8 * scenario.n2, grid.size))
-    return grid[np.concatenate(blocks)]
+    objective = best_responses(grid, grid - scenario.competitor_cost, _win, ours[:, :, None])
+    return grid[np.argmax(objective, axis=1)]
 
 
 def estimate_expected_utility(

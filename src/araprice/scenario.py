@@ -50,9 +50,9 @@ _FLOAT_MAX = sys.float_info.max
 # count), pension utility terms, grid points x output columns.  Counted
 # before the engine runs, they are safety bounds: the grid scorers score
 # a sample's distinct rival states, not its draws, and like the rival
-# forecast work in row blocks; held whole are draw samples, the
-# forecast's n1 x n2 uniforms, the pension offer grid x offers x horizon
-# tie matrix and the output table, which their own entries bound.  An
+# forecast work in row blocks; held whole are draw samples, the forecast's
+# n1 x n2 draws and n1 x grid objectives, the pension offer grid x offers x
+# horizon tie matrix and the output table, which their own entries bound.  An
 # overrun is an invariant violation (exit 4).  ``compare`` is also held
 # to its refined forecast and the template oracle's grid x
 # competitor-price win table, which ``run`` and ``validate`` never build.

@@ -54,6 +54,11 @@ from araprice.scenario import bundled_case, parse_scenario
 MASTER_SEED = 42
 
 
+def _point_mass(n: int) -> OutcomeModel:
+    """The "no outcome feature" model: a point mass at 0 for each of n choices."""
+    return OutcomeModel.discrete({c: ([0.0], [1.0]) for c in range(n)})
+
+
 def load_params(name: str):
     return parse_scenario(bundled_case(name)).params
 
@@ -483,7 +488,7 @@ def test_criterion_11_invariant_suite():
         customer_choice_probs(
             [0.045, offers, offers],
             spec,
-            OutcomeModel.point_mass(3),
+            _point_mass(3),
             501,
             RngStream(MASTER_SEED, k),
         ).sum()
@@ -510,7 +515,7 @@ def test_criterion_11_invariant_suite():
         ),
         prior=(0.5, 1.5),
     )
-    outcomes = OutcomeModel.point_mass(2)
+    outcomes = _point_mass(2)
     checks["argmax scale invariance"] = all(
         realize_choice(
             [0.045, offers], spec, outcomes, RngStream(7, k).generator, 1
@@ -526,20 +531,20 @@ def test_criterion_11_invariant_suite():
         builder=lambda _t: (lambda p, s: p - 5.0), prior=None
     )
     empty = validate_problem(
-        None, margin_spec, OutcomeModel.point_mass(2), ValidationConfig(50.0)
+        None, margin_spec, _point_mass(2), ValidationConfig(50.0)
     )
     checks["validator flags empty grid"] = not empty.passed
     unbounded = validate_problem(
         PriceGrid(5.0, 50.0, 0.5),
         margin_spec,
-        OutcomeModel.point_mass(2),
+        _point_mass(2),
         ValidationConfig(10.0, 512),
     )
     checks["validator flags bound violation"] = not unbounded.passed
     good = validate_problem(
         PriceGrid(5.0, 50.0, 0.5),
         margin_spec,
-        OutcomeModel.point_mass(2),
+        _point_mass(2),
         ValidationConfig(50.0, 512),
     )
     checks["validator passes bounded problem"] = good.passed

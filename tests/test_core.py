@@ -41,6 +41,7 @@ from araprice.randkit import (
     InverseGammaParams,
     PowerPricePrior,
     RngStream,
+    normal_cdf,
     student_t_cdf,
 )
 from araprice.retail import RetailScenario
@@ -61,6 +62,27 @@ INCREASING_RATE_UTILITY = RandomUtilitySpec.custom(
     builder=lambda rho: (lambda rate, s: 1.0 - np.exp(-rho * (1.0 + rate) ** 8)),
     prior=(0.85, 0.95),
 )
+
+
+def _point_mass(n: int) -> OutcomeModel:
+    """The "no outcome feature" model: a point mass at 0 for each of n choices."""
+    return OutcomeModel.discrete({c: ([0.0], [1.0]) for c in range(n)})
+
+
+def _assert_recorded_digest(key: str, values: np.ndarray) -> None:
+    """The sha256 of ``values``' float64 bytes is golden_outputs.json's
+    ``key``; skipped under other numpy or scipy versions."""
+    recorded = json.loads(GOLDEN.read_text())
+    if recorded["versions"] != {"numpy": np.__version__, "scipy": scipy.__version__}:
+        pytest.skip(f"digest recorded with {recorded['versions']}")
+    digest = hashlib.sha256(values.astype("<f8").tobytes()).hexdigest()
+    if key not in recorded:
+        pytest.fail(
+            f'{GOLDEN.name} has no "{key}" digest; re-recording '
+            "with test_golden_outputs.py keeps one but does not make one.  "
+            f'If these values are right, add "{key}": "{digest}" to it.'
+        )
+    assert digest == recorded[key]
 
 
 class TestPriceGrid:
@@ -104,7 +126,7 @@ class TestCustomerChoice:
             prior=(0.8, 1.2),
             per_product=True,
         )
-        outcomes = OutcomeModel.point_mass(2)
+        outcomes = _point_mass(2)
         n = 4000
         probs = customer_choice_probs([20.0, 20.0], spec, outcomes, n, RngStream(31))
         se = math.sqrt(0.25 / n)
@@ -113,7 +135,7 @@ class TestCustomerChoice:
     def test_rate_comparison_against_closed_form(self):
         # one fixed offer vs a pmf rival; increasing utilities reduce the
         # choice to a rate comparison, so the oracle is the pmf mass below
-        outcomes = OutcomeModel.point_mass(2)
+        outcomes = _point_mass(2)
         n = 10_000
         probs = customer_choice_probs(
             [0.045, CASE1_OFFERS], INCREASING_RATE_UTILITY, outcomes, n, RngStream(37)
@@ -124,13 +146,13 @@ class TestCustomerChoice:
 
     def test_single_product_degenerate(self):
         probs = customer_choice_probs(
-            [10.0], RISK_NEUTRAL, OutcomeModel.point_mass(1), 10,
+            [10.0], RISK_NEUTRAL, _point_mass(1), 10,
             RngStream(1),
         )
         assert probs.tolist() == [1.0]
 
     def test_probabilities_partition_unity(self):
-        outcomes = OutcomeModel.point_mass(3)
+        outcomes = _point_mass(3)
         probs = customer_choice_probs(
             [0.03, CASE1_OFFERS, CASE1_OFFERS],
             INCREASING_RATE_UTILITY,
@@ -145,12 +167,12 @@ class TestCustomerChoice:
         # equal deterministic utilities: the competitor must win every draw
         spec = RISK_NEUTRAL
         probs = customer_choice_probs(
-            [10.0, 10.0], spec, OutcomeModel.point_mass(2), 200, RngStream(3)
+            [10.0, 10.0], spec, _point_mass(2), 200, RngStream(3)
         )
         assert probs.tolist() == [0.0, 1.0]
 
     def test_argmax_scale_invariance(self):
-        outcomes = OutcomeModel.point_mass(2)
+        outcomes = _point_mass(2)
         base = INCREASING_RATE_UTILITY
         scaled = RandomUtilitySpec.custom(
             builder=lambda rho: (
@@ -171,7 +193,7 @@ class TestCustomerChoice:
             prior=(0.05, 0.15),
         )
         rival = CategoricalPMF((18.0, 20.0, 22.0), (0.3, 0.4, 0.3))
-        outcomes = OutcomeModel.point_mass(2)
+        outcomes = _point_mass(2)
         p_low = customer_choice_probs(
             [19.0, rival], spec, outcomes, 4000, RngStream(71)
         )[0]
@@ -181,7 +203,7 @@ class TestCustomerChoice:
         assert p_low >= p_high
 
     def test_iid_competitors_power_law(self):
-        outcomes = OutcomeModel.point_mass(4)
+        outcomes = _point_mass(4)
         n = 20_000
         multi = customer_choice_probs(
             [0.05, CASE1_OFFERS, CASE1_OFFERS, CASE1_OFFERS],
@@ -199,7 +221,7 @@ class TestCustomerChoice:
         unnormalized = OutcomeModel.discrete({0: ([0.0], [0.7]), 1: ([0.0], [1.0])})
         cases = [
             ([1.0, 2.0], unnormalized, "choice 0: mass 0.7 differs from 1"),
-            ([1.0, 2.0, 3.0], OutcomeModel.point_mass(2), "no distribution for product 2"),
+            ([1.0, 2.0, 3.0], _point_mass(2), "no distribution for product 2"),
         ]
         for prices, bad, reason in cases:
             with pytest.raises(ValueError, match=f"degenerate outcome model: {reason}"):
@@ -210,7 +232,7 @@ class TestCustomerChoice:
             ValueError, match="degenerate outcome model: no distribution for product 2"
         ):
             realize_choice(
-                [1.0, 2.0, 3.0], RISK_NEUTRAL, OutcomeModel.point_mass(2),
+                [1.0, 2.0, 3.0], RISK_NEUTRAL, _point_mass(2),
                 np.random.default_rng(0), draws=1,
             )
 
@@ -220,7 +242,7 @@ class TestCustomerChoice:
                 lambda p, s: np.where(p > 19.5, np.nan, -p + np.asarray(s, float))
             ),
         )
-        outcomes = OutcomeModel.point_mass(3)
+        outcomes = _point_mass(3)
         prices = [19.0, 18.0, 20.0]
         with pytest.raises(ValueError, match="product 2 is NaN at price 20.0"):
             realize_choice(prices, spec, outcomes, np.random.default_rng(0), draws=1)
@@ -244,7 +266,7 @@ class TestCustomerChoice:
         for block_elements, blocks in ((BLOCK_ELEMENTS, [37]), (20, [10, 10, 10, 7])):
             monkeypatch.setattr(_parallel, "BLOCK_ELEMENTS", block_elements)
             shares.append(customer_choice_probs(
-                prices, RISK_NEUTRAL, OutcomeModel.point_mass(2), 37, RngStream(2)
+                prices, RISK_NEUTRAL, _point_mass(2), 37, RngStream(2)
             ))
             assert calls == blocks
             calls.clear()
@@ -271,9 +293,6 @@ class TestCustomerChoice:
     def test_demo_shares_match_recorded_digest(self):
         """The first stage of demos/generic_template.py, whose float64
         bytes were hashed into golden_outputs.json ("demo_shares")."""
-        recorded = json.loads(GOLDEN.read_text())
-        if recorded["versions"] != {"numpy": np.__version__, "scipy": scipy.__version__}:
-            pytest.skip(f"digest recorded with {recorded['versions']}")
         customer = RandomUtilitySpec.custom(
             builder=lambda w: (lambda price, s: -(price + w * np.asarray(s, float))),
             prior=(0.5, 2.0),
@@ -286,14 +305,7 @@ class TestCustomerChoice:
         probs = customer_choice_probs(
             [20.0, 19.0, 22.0], customer, delays, 20_000, RngStream(2024).derive(1)
         )
-        digest = hashlib.sha256(probs.astype("<f8").tobytes()).hexdigest()
-        if "demo_shares" not in recorded:
-            pytest.fail(
-                f'{GOLDEN.name} has no "demo_shares" digest; re-recording '
-                "with test_golden_outputs.py keeps one but does not make one.  "
-                f'If these shares are right, add "demo_shares": "{digest}" to it.'
-            )
-        assert digest == recorded["demo_shares"]
+        _assert_recorded_digest("demo_shares", probs)
 
     @pytest.mark.parametrize("per_product", [False, True], ids=["shared", "per_product"])
     def test_shares_match_exact_enumeration(self, per_product):
@@ -504,7 +516,7 @@ def _builder(kind):
 
 def _outcomes(kind, n, nodes):
     if kind == "point_mass":
-        return OutcomeModel.point_mass(n)
+        return _point_mass(n)
     if kind == "discrete":
         return OutcomeModel.discrete({c: ([1.0, 3.0], [0.75, 0.25]) for c in range(n)})
     if kind == "reversed":  # a pmf given as views of stride -8: copied when built
@@ -698,12 +710,31 @@ class TestCompetitorSampling:
                              "returning the lowest price"] if flat else [])
         assert price == (grid.min if flat or peak < rest else at)
 
+    @pytest.mark.parametrize("block_elements", [1, BLOCK_ELEMENTS])
+    def test_flatness_holds_where_the_search_prunes(self, block_elements):
+        """Payoffs of 1e-4, 1e-4 and 2e-4 at wins of 1, 1 and 0.5 + 1e-9 give
+        objectives within 2e-13 of each other: flat.  Without the 2e-12 in
+        the bound, the bisection would skip the middle price and miss it."""
+        spec = RandomUtilitySpec.custom(lambda _t: (lambda p, s: np.where(p < 7.0, 1e-4, 2e-4)))
+        choice = lambda own, rivals: np.where(own < 7.0, 1.0, 0.5 + 1e-9) + 0.0 * rivals
+        with warnings.catch_warnings(record=True) as caught, mock.patch.object(
+            _parallel, "BLOCK_ELEMENTS", block_elements
+        ):
+            warnings.simplefilter("always")
+            price = sample_competitor_optimal_price(
+                2, spec, AgentBeliefs((30.0,)), choice, PriceGrid(5.0, 7.0, 1.0), 1,
+                RngStream(17),
+            )
+        assert price == 5.0
+        assert [str(w.message) for w in caught] == [
+            "expected utility is flat across the whole grid; returning the lowest price"
+        ]
+
     @pytest.mark.parametrize("n_rivals", [1, 2])
     @pytest.mark.parametrize("awkward", [False, True])
     def test_win_matrix_is_the_product_over_rivals(self, n_rivals, awkward):
         """Rivals' pairwise wins multiply: the table has the bits of
-        ``prod(axis=2)``, for one rival too, and is C-ordered, as the mean
-        over draws needs for its bits."""
+        ``prod(axis=2)``, for one rival too, and is C-ordered."""
         _, _, choice, grid = _retail_like_inputs()
         if awkward:  # -0.0, NaN and values off [0, 1] pass through unchanged
             choice = lambda own, rivals: np.where(
@@ -718,6 +749,25 @@ class TestCompetitorSampling:
         if n_rivals == 2:
             product = pairwise[:, :, 0] * pairwise[:, :, 1]
             assert got.tobytes() == product.tobytes()
+
+    def test_demo_forecast_matches_recorded_digest(self):
+        """The second stage of demos/generic_template.py, 300 forecasts of
+        rival A, whose float64 bytes were hashed into golden_outputs.json
+        ("demo_forecast")."""
+        rng = RngStream(2024)
+        rival_margin = RandomUtilitySpec.custom(
+            builder=lambda cost: (lambda p, s: p - cost), prior=(6.0, 10.0)
+        )
+        beliefs = AgentBeliefs((PowerPricePrior(15.0, 25.0, 2.0),))
+        choice = lambda own, rivals: student_t_cdf(rivals - own, 3.0)
+        grid = PriceGrid(10.0, 30.0, 0.5)
+        forecast = np.array([
+            sample_competitor_optimal_price(
+                1, rival_margin, beliefs, choice, grid, 200, rng.derive(100 + k)
+            )
+            for k in range(300)
+        ])
+        _assert_recorded_digest("demo_forecast", forecast)
 
     def test_argmax_matches_quadrature_oracle(self):
         margin, beliefs, choice, grid = _retail_like_inputs()
@@ -736,6 +786,90 @@ class TestCompetitorSampling:
         ref_grid, objective = quadrature_competitor_objective(scenario, nodes=512)
         oracle_argmax = ref_grid[int(np.argmax(objective))]
         assert abs(price - oracle_argmax) <= grid.step + 1e-12
+
+
+def full_table_objective(points, payoff, choice_model, states):
+    """The rival objective at every grid price from the whole (rows, draws,
+    grid) table: pairwise wins multiplied in rival order, draws added in
+    order."""
+    pairwise = np.asarray(choice_model(points[:, None], states[:, :, None, :]), dtype=float)
+    win = pairwise[..., 0]
+    for k in range(1, states.shape[2]):
+        win = win * pairwise[..., k]
+    return payoff * (np.cumsum(win, axis=1)[:, -1] / states.shape[1])
+
+
+class TestBestResponses:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 30),
+        draws=st.sampled_from([1, 2, 3]) | st.integers(1, 50),
+        rivals=st.integers(1, 3),
+        points=st.integers(1, 24),
+        cost=st.sampled_from([0.0, 3.0, 7.5]),
+        monotone=st.booleans(),
+        sigma=st.just(1e-9) | st.floats(0.01, 5.0),
+        block_elements=st.sampled_from([1, 1000, BLOCK_ELEMENTS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # saturated noise on half-step prices: wins of 0, 1/2 and 1, and ties
+    @example(7, 4, 2, 17, 3.0, True, 1e-9, 1, 0)
+    @example(7, 4, 2, 17, 3.0, True, 1e-9, BLOCK_ELEMENTS, 0)
+    @example(5, 3, 1, 12, 7.5, False, 1e-9, 1, 1)
+    @example(1, 1, 1, 1, 0.0, True, 0.5, 1, 2)  # a one-point grid
+    @example(1, 50, 1, 24, 3.0, True, 2.0, 1, 0)  # one row: one-column sums
+    def test_matches_the_full_table(
+        self, rows, draws, rivals, points, cost, monotone, sigma, block_elements, seed
+    ):
+        """The argmax of each row, and the bits at every scored price, are
+        those of the unpruned full table, one block at a time or in one
+        pass.  A row with a skipped price is not flat to _FLAT_ATOL, and a
+        payoff that is not nondecreasing has every price scored."""
+        g = np.random.default_rng(seed)
+        grid = 5.0 + 0.5 * np.arange(points)
+        states = 0.5 * g.integers(8, 8 + 2 * points + 4, (rows, draws, rivals))
+        payoff = grid - cost if monotone else g.uniform(-1.0, 3.0, points)
+        choice = lambda own, rivals: normal_cdf((rivals - own) / sigma)
+        expected = full_table_objective(grid, payoff, choice, states)
+        with mock.patch.object(_parallel, "BLOCK_ELEMENTS", block_elements):
+            got = core.best_responses(grid, payoff, choice, states)
+        assert got.shape == (rows, points)
+        assert np.argmax(got, axis=1).tolist() == np.argmax(expected, axis=1).tolist()
+        scored = got != -np.inf
+        assert got[scored].tobytes() == expected[scored].tobytes()
+        for row in expected[~scored.all(axis=1)]:
+            assert not np.allclose(row, row[0], rtol=0.0, atol=core._FLAT_ATOL)
+        if not np.all(payoff[1:] >= payoff[:-1]):
+            assert scored.all()
+
+
+class TestDrawSum:
+    # eight draws that numpy's pairwise sum adds as (1 + 2^-53) + 2^-52 +
+    # 2^-51 = 1 + 3 * 2^-52, while adding them in order keeps 1.0
+    DRAWS = np.array([1.0] + [2.0**-53] * 7)
+
+    def test_one_column_adds_the_draws_in_order(self):
+        win = self.DRAWS[:, None]
+        assert win.sum(axis=0).tobytes() != np.cumsum(win, axis=0)[-1].tobytes()
+        assert core._sum_draws(win).tobytes() == np.cumsum(win, axis=0)[-1].tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_columns_add_the_draws_in_order_in_either_layout(self, order):
+        win = np.array(np.stack([self.DRAWS, self.DRAWS[::-1], self.DRAWS], axis=1),
+                       order=order)
+        assert core._sum_draws(win).tobytes() == np.cumsum(win, axis=0)[-1].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n2=st.integers(1, 300),
+        columns=st.integers(1, 9),
+        order=st.sampled_from(["C", "F"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_cumsum_bit_for_bit(self, n2, columns, order, seed):
+        g = np.random.default_rng(seed)
+        win = np.array(g.random((n2, columns)) ** g.uniform(1.0, 60.0), order=order)
+        assert core._sum_draws(win).tobytes() == np.cumsum(win, axis=0)[-1].tobytes()
 
 
 class TestSolveSupportedPrice:
@@ -940,13 +1074,13 @@ class TestValidateProblem:
             builder=lambda _t: (lambda p, s: p - 5.0), prior=None
         )
         report = validate_problem(
-            grid, spec, OutcomeModel.point_mass(2), ValidationConfig(50.0, 512)
+            grid, spec, _point_mass(2), ValidationConfig(50.0, 512)
         )
         assert report.passed, report.failures()
 
     def test_empty_grid_fails_compactness(self):
         report = validate_problem(
-            None, RISK_NEUTRAL, OutcomeModel.point_mass(2), ValidationConfig(10.0)
+            None, RISK_NEUTRAL, _point_mass(2), ValidationConfig(10.0)
         )
         names = {c.name: c.passed for c in report.checks}
         assert names["price_set_compact_nonempty"] is False
@@ -971,7 +1105,7 @@ class TestValidateProblem:
         """An infinite point count fails compactness instead of raising; a
         finite one is probed point by point, never allocated."""
         report = validate_problem(
-            grid, RISK_NEUTRAL, OutcomeModel.point_mass(2), ValidationConfig(10.0)
+            grid, RISK_NEUTRAL, _point_mass(2), ValidationConfig(10.0)
         )
         names = {c.name: c.passed for c in report.checks}
         assert names["price_set_compact_nonempty"] is compact
@@ -984,7 +1118,7 @@ class TestValidateProblem:
             builder=lambda _t: (lambda p, s: p - 5.0), prior=None
         )
         report = validate_problem(
-            grid, spec, OutcomeModel.point_mass(2), ValidationConfig(10.0, 512)
+            grid, spec, _point_mass(2), ValidationConfig(10.0, 512)
         )
         names = {c.name: c.passed for c in report.checks}
         assert names["utilities_bounded"] is False

@@ -11,8 +11,8 @@ To re-record after an intended output change:
 which prints each case and file whose digest changed, and each case whose
 optimum moved, and rewrites golden_outputs.json in place.  It replaces
 the versions and the case records and carries every other recorded key
-over unchanged, such as the "demo_shares" digest that tests/test_core.py
-checks.
+over unchanged, such as the "demo_shares" and "demo_forecast" digests
+that tests/test_core.py checks.
 """
 
 import hashlib
