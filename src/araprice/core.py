@@ -500,8 +500,9 @@ def _win_matrix(choice_model, points: np.ndarray, rivals: np.ndarray) -> np.ndar
     return win.prod(axis=2) if win.ndim == 3 else win
 
 
-# Slack on the mean win in best_responses' bound: betainc does not promise a
-# CDF monotone at the level of its rounding (about 1e-16 in [0, 1]).
+# Slack on the mean win in best_responses' bound: a rounded CDF, such as
+# scipy's stdtr, need not be monotone at the level of its rounding (about
+# 1e-16 in [0, 1]).
 _PRUNE_MARGIN = 1e-9
 _FLAT_ATOL = 1e-12  # a competitor objective within this of its first price's is flat
 

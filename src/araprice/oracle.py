@@ -1,9 +1,11 @@
 """Deterministic reference calculations for every Monte Carlo estimator.
 
-Each engine estimate has an independent cross-check here: quadrature,
-enumeration or a closed form instead of sampling, and scipy's Student-t
-instead of the package's own CDF path.  Nothing in this module touches an
-RNG, so oracle values are bit-stable across runs and safe to compare against.
+Each engine estimate has a cross-check here: quadrature, enumeration or a
+closed form instead of sampling.  The sale probabilities are scipy's, so
+they share ``ndtr`` and (at dofs other than 1, 3 and 4) ``stdtr`` with the
+engine; the t CDF itself is tested against mpmath.  Nothing in this module
+touches an RNG, so oracle values are bit-stable across runs and safe to
+compare against.
 
 The retail, template and pension oracles take a whole grid of prices in
 one call.  Pension acceptance is a closed form that evaluates no utility.
@@ -57,6 +59,12 @@ _GAUSS_RULES_KEPT = 32
 _DETERMINISTIC_ATOL = 1e-9  # an SE at or below this marks an exact estimate
 
 
+def _check_nodes(nodes: int) -> None:
+    """Refuse a Gauss-Legendre rule too coarse for a power-prior density."""
+    if nodes < 16:
+        raise ValueError("need at least 16 quadrature nodes")
+
+
 @functools.lru_cache(maxsize=_GAUSS_RULES_KEPT, typed=True)
 def _gauss_legendre(lo: float, hi: float, nodes: int):
     """Read-only Gauss-Legendre nodes and weights on [lo, hi] (retail densities)."""
@@ -69,9 +77,8 @@ def _gauss_legendre(lo: float, hi: float, nodes: int):
 
 
 def _sale_prob(p1, p2, sigma, noise):
-    """P(sale at p1 against p2) via scipy's normal / t CDFs (independent
-    code path): probit at a fixed ``sigma``, else the t marginal under
-    ``noise``."""
+    """P(sale at p1 against p2) via scipy's normal / t survival functions:
+    probit at a fixed ``sigma``, else the t marginal under ``noise``."""
     diff = np.asarray(p1, float) - np.asarray(p2, float)
     if sigma is not None:
         return stats.norm.sf(diff / sigma)
@@ -117,8 +124,7 @@ def quadrature_retail_utility(
     payoff is the engine's, so the perishable write-off is integrated as
     (1 - sale) x weight like every other term.
     """
-    if nodes < 16:
-        raise ValueError("need at least 16 quadrature nodes")
+    _check_nodes(nodes)
     if density is None:
         if scenario.known_competitor_price is None:
             raise ValueError("no density supplied and no known competitor price")
@@ -153,6 +159,7 @@ def quadrature_competitor_objective(
     about our price; the argmax is the noise-free version of one
     competitor-price forecast.  Returns (grid, objective values).
     """
+    _check_nodes(nodes)
     grid = scenario.competitor_grid.points()
     return grid, _expected_payoff(
         grid, scenario.our_price_prior,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc, ndtr
+from scipy.special import ndtr, stdtr
 
 __all__ = [
     "RngStream",
@@ -242,59 +242,33 @@ _T_LOWER_TAILS = {
 }
 
 
-def _t_cdf_betainc(x: np.ndarray, dof: float) -> np.ndarray:
-    """Student t CDF at any dof through one ``betainc`` call.
-
-    Where x^2 >= dof, F(-|x|) = I_{dof/(dof+x^2)}(dof/2, 1/2) / 2.  Closer
-    to 0 that argument rounds toward 1 and loses the distance from 1/2, so
-    there F = 1/2 + sign(x) I_{x^2/(dof+x^2)}(1/2, dof/2) / 2 instead; both
-    branches share the call through array-valued ``a`` and ``b``.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        x2 = x * x
-        near = x2 < dof
-        z = np.where(near, x2, dof)
-        x2 += dof
-        z /= x2
-        del x2  # freed before a and b: three arrays of x's size at most
-        a = np.where(near, 0.5, 0.5 * dof)
-        b = np.where(near, 0.5 * dof, 0.5)
-        half = betainc(a, b, z, out=z)
-        del a, b
-        half *= 0.5
-        above = x > 0
-        np.negative(half, out=half, where=near ^ above)
-        np.add(half, 0.5, out=half, where=near)
-        np.add(half, 1.0, out=half, where=above & ~near)
-    return half
-
-
 def student_t_cdf(x, dof: float):
     """CDF of the Student t distribution with ``dof`` degrees of freedom.
 
     At dof 1, 3 and 4 (``int`` or ``float``) a closed form gives the
     lower tail L = F(-|x|) without cancellation, to within a few units in
-    the last place; F is L for x <= 0 and 1 - L above.  Every other dof
-    goes through the regularized incomplete beta function.  Vectorizes
-    over ``x``; scalar in, scalar out.
+    the last place.  Every other dof takes L from scipy's ``stdtr``.  F is
+    L for x <= 0 and 1 - L above.  Vectorizes over ``x``; scalar in,
+    scalar out.
     """
     if not (dof > 0 and math.isfinite(dof)):
         raise ValueError(f"degrees of freedom must be positive, got {dof}")
     x_arr = np.asarray(x, dtype=float)
+    # |x| in a fresh C-ordered array, so that its flat view, in which
+    # the tail is computed in place, shares the output's memory; the
+    # view is 1-d even for a scalar, so every ufunc returns an array
+    out = np.absolute(x_arr, out=np.empty(x_arr.shape))
+    y = out.reshape(-1)
     lower_tail = _T_LOWER_TAILS.get(float(dof))
-    if lower_tail is None:
-        out = _t_cdf_betainc(x_arr.reshape(-1), dof).reshape(x_arr.shape)
-    else:
-        # |x| in a fresh C-ordered array, so that its flat view, in which
-        # the tail is computed in place, shares the output's memory; the
-        # view is 1-d even for a scalar, so every ufunc returns an array
-        y = np.absolute(x_arr, out=np.empty(x_arr.shape))
-        with np.errstate(divide="ignore", over="ignore"):
-            out = lower_tail(y.reshape(-1)).reshape(x_arr.shape)
-        # 1 - L above 0 and |0 - L| = L elsewhere, bit for bit, without
-        # numpy's masked ``where=`` loop, which costs more than the tail
-        np.subtract(x_arr > 0, out, out=out)
-        np.absolute(out, out=out)
+    with np.errstate(divide="ignore", over="ignore"):
+        if lower_tail is None:  # any other dof: scipy's stdtr at -|x|
+            stdtr(dof, np.negative(y, out=y), out=y)
+        else:
+            lower_tail(y)
+    # 1 - L above 0 and |0 - L| = L elsewhere, bit for bit, without
+    # numpy's masked ``where=`` loop, which costs more than the tail
+    np.subtract(x_arr > 0, out, out=out)
+    np.absolute(out, out=out)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out

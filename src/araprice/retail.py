@@ -230,7 +230,6 @@ def optimize_price(scenario: RetailScenario, rng: RngStream) -> EvaluationCurve:
     (scenario, seed).  The rival forecast and the grid are both scored in
     row blocks.
     """
-    scenario.validate()
     samples = sample_competitor_prices(scenario, rng)
     _, curve = solve_supported_price(
         scenario.price_grid, _payoff(scenario), samples, _customer_accept(scenario)

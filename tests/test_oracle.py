@@ -298,6 +298,19 @@ class TestCompetitorQuadrature:
         assert 5.0 <= best <= 40.0
         assert np.max(np.abs(obj - obj2)) < 1e-8
 
+    def test_both_quadratures_refuse_fewer_than_16_nodes(self):
+        # at 1 node the rival objective reads 0.739 at the third grid price
+        # against 0.989 at 2; the guard keeps such rules out of both oracles
+        scenario = retail_scenario()
+        prior = scenario.our_price_prior
+        with pytest.raises(ValueError, match="at least 16 quadrature nodes"):
+            quadrature_competitor_objective(scenario, nodes=15)
+        with pytest.raises(ValueError, match="at least 16 quadrature nodes"):
+            quadrature_retail_utility(20.0, scenario, nodes=15, density=prior)
+        _, obj = quadrature_competitor_objective(scenario, nodes=16)
+        assert np.all(np.isfinite(obj))
+        assert math.isfinite(quadrature_retail_utility(20.0, scenario, nodes=16, density=prior))
+
 
 class TestPensionExact:
     """The closed form on the edges of its domain: a stay weight of 0, with

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.special import stdtr
 
 from araprice.randkit import (
     CategoricalPMF,
@@ -18,7 +19,6 @@ from araprice.randkit import (
     PowerPricePrior,
     RngStream,
     _T_LOWER_TAILS,
-    _t_cdf_betainc,
     sample_inverse_gamma,
     student_t_cdf,
 )
@@ -73,7 +73,7 @@ class TestStudentTCdf:
         [(1.0, 4.0), (-2.5, 1.0), (0.7, 2.6), (3.2, 0.8), (-0.3, 7.0)],
     )
     def test_against_adaptive_quadrature(self, x, dof):
-        # integrate the density itself; fully independent of the beta route
+        # integrate the density itself; independent of stdtr and the closed forms
         tail, _ = integrate.quad(
             t_density, -np.inf, x, args=(dof,), epsabs=1e-13, epsrel=1e-13
         )
@@ -99,9 +99,44 @@ class TestStudentTCdf:
 
     @pytest.mark.parametrize("dof", [2, 2.6, 6.0, 9.5])
     @pytest.mark.parametrize("x", [1e-8, -1e-8, 1e-5, -1e-5])
-    def test_beta_route_keeps_the_distance_from_one_half(self, x, dof):
-        # dof/(dof+x^2) rounds to 1 here; the route switches to x^2/(dof+x^2)
-        assert abs(student_t_cdf(x, dof) - t_cdf_reference(x, dof)) <= 2 * ULP_HALF
+    def test_stdtr_route_keeps_the_distance_from_one_half(self, x, dof):
+        # dof/(dof+x^2) rounds to 1 here, so a tail taken from it alone
+        # would give F = 1/2; F - 1/2 is exact, as F lies in [1/4, 1]
+        distance = student_t_cdf(x, dof) - 0.5
+        assert distance * x > 0
+        assert abs(distance - (t_cdf_reference(x, dof) - 0.5)) <= 2 * ULP_HALF
+
+    @pytest.mark.parametrize("dof", [0.7, 2, 2.6, 5, 7, 30, 50, 200])
+    def test_stdtr_route_lower_tail_against_mpmath(self, dof):
+        rng = np.random.default_rng(30)
+        xs = -np.concatenate([10.0 ** rng.uniform(-12, 3, 150), rng.uniform(0, 8, 150)])
+        ref = np.array([t_cdf_reference(x, dof) for x in xs])
+        normal = ref >= 1e-300
+        rel = np.abs(student_t_cdf(xs, dof) - ref)[normal] / ref[normal]
+        # a rounding of the beta argument dof/(dof+x^2) moves the tail
+        # by about dof/2 times as much, relatively (1.5e-14 at dof 200)
+        assert rel.max() <= max(1e-14, 1e-16 * dof)
+
+    @pytest.mark.parametrize("dof", [0.3, 2, 2.6, 5, 30, 1e6])
+    def test_other_dofs_are_stdtr_bit_for_bit(self, dof):
+        rng = np.random.default_rng(5)
+        xs = np.concatenate([
+            rng.normal(0.0, 3.0, 500) * 10.0 ** rng.uniform(-8, 8, 500),
+            [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e300, -1e300, np.nan],
+        ])
+        want = stdtr(dof, xs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = student_t_cdf(xs, dof)
+            square = np.asfortranarray(xs[:484].reshape(22, 22))
+            assert student_t_cdf(square, dof).tobytes() == want[:484].reshape(22, 22).tobytes()
+            assert student_t_cdf(xs[::-3], dof).tobytes() == want[::-3].tobytes()
+            for i in (0, 5, *range(500, 509)):
+                scalar = student_t_cdf(float(xs[i]), dof)
+                assert type(scalar) is float
+                assert np.float64(scalar).tobytes() == want[i].tobytes()
+        assert got.tobytes() == want.tobytes() and math.isnan(got[-1])
+        assert not np.signbit(got[got == 0.0]).any()
 
 
 SAMPLE_X = st.one_of(
@@ -112,8 +147,8 @@ SAMPLE_X = st.one_of(
 
 
 class TestStudentTCdfClosedForms:
-    """dof 1, 3 and 4 take closed forms, at least as accurate as the beta
-    route."""
+    """dof 1, 3 and 4 take closed forms, at least as accurate as scipy's
+    ``stdtr``."""
 
     @settings(max_examples=300, deadline=None)
     @given(x=SAMPLE_X, dof=st.sampled_from([1, 3, 4]))
@@ -145,7 +180,7 @@ class TestStudentTCdfClosedForms:
         assert out[5] == 1.0 and 0.0 <= out[6] < 1e-299
         assert type(scalar) is float and type(student_t_cdf(-2, dof)) is float
         assert scalar == student_t_cdf(np.array([-2.0]), dof)[0]
-        # the beta route rounds F(-1e-8) to exactly 1/2; the closed forms do not
+        # the closed forms keep F(-1e-8) apart from 1/2
         assert student_t_cdf(-1e-8, dof) < 0.5
 
     @pytest.mark.parametrize("dof", [1.0, 3.0, 4.0])
@@ -183,7 +218,7 @@ class TestStudentTCdfClosedForms:
                 assert type(got) is float
                 assert np.float64(got).tobytes() == ref[i].tobytes() or np.isnan(ref[i])
 
-    def test_closed_forms_no_less_accurate_than_the_beta_route(self):
+    def test_closed_forms_no_less_accurate_than_stdtr(self):
         rng = np.random.default_rng(20)
         mags = np.concatenate([10.0 ** rng.uniform(-12, 75, 400), rng.uniform(0, 8, 400)])
         xs = np.concatenate([-mags, mags])
@@ -193,16 +228,17 @@ class TestStudentTCdfClosedForms:
             errors = {}
             for name, got in (
                 ("closed", student_t_cdf(xs, dof)),
-                ("beta", _t_cdf_betainc(xs, dof)),
+                ("stdtr", stdtr(dof, xs)),
             ):
                 err = np.abs(got - ref)
                 errors[name] = (err.max(), (err[lower] / ref[lower]).max())
-            # the beta route is off by up to a few ulps; the relative test
-            # allows the closed forms that much too
-            assert errors["closed"][0] <= errors["beta"][0], dof
-            assert errors["closed"][1] <= max(errors["beta"][1], 4 * ULP_HALF), dof
+            # stdtr is off by up to a few ulps at dofs 3 and 4 (by 2e-9
+            # near 0 at dof 1); the relative test allows the closed forms
+            # that much too
+            assert errors["closed"][0] <= errors["stdtr"][0], dof
+            assert errors["closed"][1] <= max(errors["stdtr"][1], 4 * ULP_HALF), dof
 
-    def test_peak_memory_no_more_than_the_beta_route(self):
+    def test_peak_memory_at_most_two_arrays_of_x(self):
         # the shape of the market solve in the benchmark: 37 own prices
         # against 4,000 draws of two rivals' prices
         rng = np.random.default_rng(4)
@@ -217,8 +253,11 @@ class TestStudentTCdfClosedForms:
             finally:
                 tracemalloc.stop()
 
-        beta = peak(2.6)
-        assert peak(3.0) <= beta and peak(4.0) <= beta
+        # two float64 arrays of x's size (the output and, at dofs 3 and
+        # 4, the tail's second array) and the boolean mask of x > 0
+        bound = 2 * gaps.nbytes + gaps.size
+        for dof in (1.0, 2.6, 3.0, 4.0, 30.0):
+            assert peak(dof) <= bound, dof
 
 
 class TestInverseGamma:

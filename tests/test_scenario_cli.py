@@ -604,6 +604,39 @@ class TestCli:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "case, noises",
+        [
+            ("template_example", {("choice", "t_noise"): 2.5}),  # dof 5
+            ("retail_case3", {("customer_noise",): 2.5, ("competitor_noise",): 1.0}),
+        ],
+        ids=["template_dof5", "retail_dofs_5_and_2"],
+    )
+    def test_stdtr_dofs_run_reproducibly_and_pass_compare(self, tmp_path, case, noises):
+        """Every bundled case runs the t CDF at dof 1 or 4; these shapes
+        take the scenario through scipy's ``stdtr`` route instead."""
+        raw = json.loads(bundled_case(case).read_text())
+        for path, shape in noises.items():
+            node = raw["params"]
+            for key in path:
+                node = node[key]
+            node["shape"] = shape
+        src = tmp_path / f"{case}.json"
+        src.write_text(json.dumps(raw))
+        written = []
+        for i in range(2):
+            out = tmp_path / f"run{i}"
+            assert main(["run", str(src), "--out", str(out)]) == 0
+            written.append(sorted(
+                (p.name.removeprefix(out.name), p.read_bytes())
+                for p in tmp_path.glob(f"{out.name}.*")
+            ))
+        assert written[0] and written[0] == written[1]
+        out = tmp_path / "cmp"
+        code = main(["compare", str(src), "--out", str(out)])
+        report = json.loads(out.with_suffix(".oracle.json").read_text())
+        assert code == 0 and report["passed"] is True, report
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_compare_refuses_non_finite_values(self, tmp_path, capsys):
         raw = json.loads(bundled_case("template_example").read_text())
